@@ -216,55 +216,125 @@ let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
   done;
   Spec.of_assignment g a
 
-let refine g analysis ~bound ?max_degree ?(max_passes = 8) spec =
-  let n = Graph.num_nodes g in
+(* Refinement stops after this many passes even if the last one moved. *)
+let refine_passes = 8
+
+(* Each candidate move is scored from [v]'s own edges: bandwidth in integer
+   period weights [repetition (src e) * push e], a fixed positive multiple
+   of [edge_gain e], so integer sums order partitions exactly as their
+   rational bandwidths do; state, size and cross degree kept per
+   component, so only the source and target components change.  Only a
+   move that passes all that builds the candidate [Spec.t] for the O(n+m)
+   well-ordered check, and an accepted one renumbers the components. *)
+let refine g analysis ~bound ?max_degree spec =
+  let n = Graph.num_nodes g and m = Graph.num_edges g in
+  let rep = analysis.Rates.repetition in
+  let weight = Array.init m (fun e -> rep.(Graph.src g e) * Graph.push g e) in
   let current = ref spec in
+  let comp = Spec.assignment spec in
+  (* Component ids stay below n. *)
+  let state = Array.make n 0 and size = Array.make n 0 in
+  let degree = Array.make n 0 in
+  let over_bound st = if st > bound then 1 else 0 in
+  let too_wide deg sz =
+    match max_degree with
+    | Some d when deg > d && sz > 1 -> 1
+    | _ -> 0
+  in
+  (* Components over the state bound, and multi-module components over
+     the degree cap (the soft cap of [order_dp]). *)
+  let n_over = ref 0 and n_wide = ref 0 in
+  let recount () =
+    Array.fill state 0 n 0;
+    Array.fill size 0 n 0;
+    Array.fill degree 0 n 0;
+    Array.iteri
+      (fun v c ->
+        state.(c) <- state.(c) + Graph.state g v;
+        size.(c) <- size.(c) + 1)
+      comp;
+    for e = 0 to m - 1 do
+      let s = comp.(Graph.src g e) and d = comp.(Graph.dst g e) in
+      if s <> d then begin
+        degree.(s) <- degree.(s) + 1;
+        degree.(d) <- degree.(d) + 1
+      end
+    done;
+    n_over := 0;
+    n_wide := 0;
+    for c = 0 to Spec.num_components !current - 1 do
+      n_over := !n_over + over_bound state.(c);
+      n_wide := !n_wide + too_wide degree.(c) size.(c)
+    done
+  in
+  recount ();
+  (* Move [v] from component [c] to [t] if that keeps the partition
+     well-ordered, bounded and degree-capped and strictly lowers its
+     bandwidth. *)
+  let try_move v c t =
+    t >= 0
+    && t < Spec.num_components !current
+    && t <> c
+    &&
+    let gain = ref 0 and deg_c = ref degree.(c) and deg_t = ref degree.(t) in
+    let visit e u =
+      let x = comp.(u) in
+      if x = c then begin
+        (* internal to c, becomes a c-t cross edge *)
+        gain := !gain + weight.(e);
+        incr deg_c;
+        incr deg_t
+      end
+      else if x = t then begin
+        (* a c-t cross edge, becomes internal to t *)
+        gain := !gain - weight.(e);
+        decr deg_c;
+        decr deg_t
+      end
+      else begin
+        decr deg_c;
+        incr deg_t
+      end
+    in
+    List.iter (fun e -> visit e (Graph.src g e)) (Graph.in_edges g v);
+    List.iter (fun e -> visit e (Graph.dst g e)) (Graph.out_edges g v);
+    let s = Graph.state g v in
+    let over =
+      !n_over - over_bound state.(c) - over_bound state.(t)
+      + over_bound (state.(c) - s)
+      + over_bound (state.(t) + s)
+    and wide =
+      !n_wide - too_wide degree.(c) size.(c) - too_wide degree.(t) size.(t)
+      + too_wide !deg_c (size.(c) - 1)
+      + too_wide !deg_t (size.(t) + 1)
+    in
+    !gain < 0 && over = 0 && wide = 0
+    &&
+    (comp.(v) <- t;
+     let candidate = Spec.of_assignment g comp in
+     if Spec.is_well_ordered candidate then begin
+       current := candidate;
+       Array.blit (Spec.assignment candidate) 0 comp 0 n;
+       recount ();
+       true
+     end
+     else begin
+       comp.(v) <- c;
+       false
+     end)
+  in
   let improved = ref true in
   let passes = ref 0 in
-  while !improved && !passes < max_passes do
+  while !improved && !passes < refine_passes do
     improved := false;
     incr passes;
     for v = 0 to n - 1 do
-      let sp = !current in
-      let c = Spec.component_of sp v in
-      let k = Spec.num_components sp in
-      let try_move target =
-        if target >= 0 && target < k && target <> c then begin
-          let a = Spec.assignment sp in
-          a.(v) <- target;
-          let candidate = Spec.of_assignment g a in
-          let degree_ok =
-            match max_degree with
-            | None -> true
-            | Some d ->
-                (* Soft cap, as in order_dp: unavoidably wide single-node
-                   components are tolerated. *)
-                let ok = ref true in
-                for c = 0 to Spec.num_components candidate - 1 do
-                  if
-                    Spec.component_degree candidate c > d
-                    && List.compare_length_with (Spec.members candidate c) 1
-                       > 0
-                  then ok := false
-                done;
-                !ok
-          in
-          if
-            degree_ok
-            && Spec.is_well_ordered candidate
-            && Spec.is_c_bounded candidate ~bound
-            && Q.compare
-                 (Spec.bandwidth candidate analysis)
-                 (Spec.bandwidth sp analysis)
-               < 0
-          then begin
-            current := candidate;
-            improved := true
-          end
-        end
-      in
-      try_move (c - 1);
-      if Spec.component_of !current v = c then try_move (c + 1)
+      let c = comp.(v) in
+      (* After an accepted move to c - 1, renumbering leaves v in c - 1
+         (ids follow first appearance along the topological order, and
+         no component before c changes its first member), so c + 1 is
+         tried only when c - 1 was not taken. *)
+      if try_move v c (c - 1) || try_move v c (c + 1) then improved := true
     done
   done;
   !current

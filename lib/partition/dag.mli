@@ -82,14 +82,20 @@ val refine :
   Ccs_sdf.Rates.analysis ->
   bound:int ->
   ?max_degree:int ->
-  ?max_passes:int ->
   Spec.t ->
   Spec.t
 (** Local search: repeatedly try moving a single boundary module to an
     adjacent component, accepting moves that keep the partition
     well-ordered, [bound]-bounded (and degree-capped when [max_degree] is
     given) and strictly reduce bandwidth, until a pass makes no progress
-    (or [max_passes], default 8, is reached). *)
+    or 8 passes have run.
+
+    Each move is scored in O(deg v) from per-component state, size and
+    cross degree and integer period weights; only a move that passes
+    those tests pays the O(n+m) well-ordered check, and only an accepted
+    move pays an O(n+m) renumbering.  A pass therefore costs
+    O(n + m + (a+w)·(n+m)) for [a] accepted moves and [w] moves that
+    reach the well-ordered check. *)
 
 val exact :
   Ccs_sdf.Graph.t ->

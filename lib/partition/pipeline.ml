@@ -108,43 +108,44 @@ let optimal_dp g analysis ~bound =
              "Pipeline.optimal_dp: module %s has state %d > bound=%d"
              (Graph.node_name g v) (Graph.state g v) bound))
     chain;
-  (* dp.(i) = minimum total cut gain for partitioning chain[0..i-1] into
-     segments of state <= bound; cut cost before position j (j > 0) is the
-     gain of the edge chain[j-1] -> chain[j]. *)
-  let dp = Array.make (n + 1) None in
+  (* dp.(i) = minimum total cut weight for partitioning chain[0..i-1] into
+     segments of state <= bound, max_int if there is none; cutting before
+     position j (j > 0) costs the period weight [repetition (src e) *
+     push e] of the edge e = chain[j-1] -> chain[j], a fixed positive
+     multiple of its gain, so integer sums order segmentations exactly as
+     their rational bandwidths do. *)
+  let rep = analysis.Rates.repetition in
+  let state = Array.map (Graph.state g) chain in
+  let cut =
+    Array.init n (fun j ->
+        if j = 0 then 0
+        else
+          let e = edge_after g chain (j - 1) in
+          rep.(Graph.src g e) * Graph.push g e)
+  in
+  let dp = Array.make (n + 1) max_int in
   let choice = Array.make (n + 1) (-1) in
-  dp.(0) <- Some Q.zero;
+  dp.(0) <- 0;
   for i = 1 to n do
     (* Last segment is chain[j .. i-1]; iterate j from i-1 down while the
-       segment still fits. *)
+       segment still fits.  The strict [<] keeps the latest-starting
+       segment among equal costs. *)
     let seg_state = ref 0 in
     let j = ref (i - 1) in
-    let continue_scan = ref true in
-    while !continue_scan && !j >= 0 do
-      seg_state := !seg_state + Graph.state g chain.(!j);
-      if !seg_state > bound then continue_scan := false
-      else begin
-        let cost_before =
-          if !j = 0 then Some Q.zero
-          else
-            match dp.(!j) with
-            | None -> None
-            | Some c ->
-                Some (Q.add c (Rates.edge_gain analysis (edge_after g chain (!j - 1))))
-        in
-        (match cost_before with
-        | Some c
-          when dp.(i) = None || Q.compare c (Option.get dp.(i)) < 0 ->
-            dp.(i) <- Some c;
-            choice.(i) <- !j
-        | _ -> ());
-        decr j
-      end
+    while !j >= 0 && !seg_state + state.(!j) <= bound do
+      seg_state := !seg_state + state.(!j);
+      if dp.(!j) < max_int then begin
+        let c = dp.(!j) + cut.(!j) in
+        if c < dp.(i) then begin
+          dp.(i) <- c;
+          choice.(i) <- !j
+        end
+      end;
+      decr j
     done
   done;
-  (match dp.(n) with
-  | None -> invalid_arg "Pipeline.optimal_dp: no feasible segmentation"
-  | Some _ -> ());
+  if dp.(n) = max_int then
+    invalid_arg "Pipeline.optimal_dp: no feasible segmentation";
   (* Reconstruct cuts. *)
   let cuts = ref [] in
   let pos = ref n in

@@ -25,9 +25,12 @@ val greedy :
 val optimal_dp :
   Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> bound:int -> Spec.t
 (** Minimum-bandwidth segmentation with every segment's state at most
-    [bound] (the paper's [c*M] for the caller's choice of [c]), by an
-    O(n²) dynamic program over cut positions.  This is the "simple dynamic
-    program" the paper invokes after Theorem 5.
+    [bound] (the paper's [c*M] for the caller's choice of [c]), by a
+    dynamic program over cut positions.  This is the "simple dynamic
+    program" the paper invokes after Theorem 5.  It costs O(n·w) integer
+    steps, where [w] is the most consecutive stages whose state fits in
+    [bound]: cut costs are integer period weights, which order
+    segmentations exactly as their rational gains do.
     @raise Invalid_argument if some module's state exceeds [bound] (no
     feasible segmentation exists). *)
 

@@ -18,65 +18,90 @@ let local_repetition (a : Rates.analysis) members =
   let g = List.fold_left (fun acc (_, x) -> Q.gcd acc x) 0 ints in
   List.map (fun (v, x) -> (v, x / g)) ints
 
-(* Latest-first simulation of one local period of component [c]: internal
-   edges are token-tracked from their delays; cross edges are treated as
-   unbounded supply/void.  Returns the firing order and internal peaks. *)
-let local_period g (a : Rates.analysis) spec c =
-  let members = Spec.members spec c in
-  let local_rep = local_repetition a members in
-  let remaining = Hashtbl.create 16 in
-  List.iter (fun (v, k) -> Hashtbl.replace remaining v k) local_rep;
-  let m = Graph.num_edges g in
-  let internal e =
-    Spec.component_of spec (Graph.src g e) = c
-    && Spec.component_of spec (Graph.dst g e) = c
-  in
-  let tokens = Array.make m 0 in
-  let peaks = Array.make m 0 in
+(* Members (in topological order) and internal edges of every component,
+   in one pass over the nodes and one over the edges. *)
+let components g spec =
+  let k = Spec.num_components spec in
+  let members = Array.make k [] and internal = Array.make k [] in
+  let topo = Graph.topological_order g in
+  for i = Array.length topo - 1 downto 0 do
+    let v = topo.(i) in
+    let c = Spec.component_of spec v in
+    members.(c) <- v :: members.(c)
+  done;
+  for e = Graph.num_edges g - 1 downto 0 do
+    let c = Spec.component_of spec (Graph.src g e) in
+    if c = Spec.component_of spec (Graph.dst g e) then
+      internal.(c) <- e :: internal.(c)
+  done;
+  (members, internal)
+
+(* [pos.(order.(i)) = i]. *)
+let positions order =
+  let pos = Array.make (Array.length order) 0 in
+  Array.iteri (fun i c -> pos.(c) <- i) order;
+  pos
+
+(* Latest-first simulation of one local period of component [c] (each
+   member [v] fires [local_rep]'s count for it): internal edges are
+   token-tracked from their delays into [tokens] and [peaks]; cross edges
+   are treated as unbounded supply/void.  [remaining] must be zero outside
+   the component, and is zero everywhere again on return.  Returns the
+   firing order. *)
+let run_local_period g spec driver ~remaining ~tokens ~peaks c ~members
+    ~internal ~local_rep =
   List.iter
     (fun e ->
-      if internal e then begin
-        tokens.(e) <- Graph.delay g e;
-        peaks.(e) <- Graph.delay g e
-      end)
-    (Graph.edges g);
-  let rank = Graph.topo_rank g in
-  let enabled v =
-    Hashtbl.find remaining v > 0
-    && List.for_all
-         (fun e -> (not (internal e)) || tokens.(e) >= Graph.pop g e)
-         (Graph.in_edges g v)
+      tokens.(e) <- Graph.delay g e;
+      peaks.(e) <- Graph.delay g e)
+    internal;
+  List.iter (fun (v, k) -> remaining.(v) <- k) local_rep;
+  let inside v = Spec.component_of spec v = c in
+  let ready v =
+    List.for_all
+      (fun e -> (not (inside (Graph.src g e))) || tokens.(e) >= Graph.pop g e)
+      (Graph.in_edges g v)
+  in
+  let order = ref [] in
+  let fire v =
+    List.iter
+      (fun e ->
+        if inside (Graph.src g e) then tokens.(e) <- tokens.(e) - Graph.pop g e)
+      (Graph.in_edges g v);
+    List.iter
+      (fun e ->
+        if inside (Graph.dst g e) then begin
+          tokens.(e) <- tokens.(e) + Graph.push g e;
+          if tokens.(e) > peaks.(e) then peaks.(e) <- tokens.(e)
+        end)
+      (Graph.out_edges g v);
+    order := v :: !order
   in
   let total = List.fold_left (fun acc (_, k) -> acc + k) 0 local_rep in
-  let order = ref [] in
-  let fired = ref 0 in
-  while !fired < total do
-    let best = ref (-1) in
-    List.iter
-      (fun v -> if enabled v && (!best = -1 || rank.(v) > rank.(!best)) then best := v)
-      members;
-    (match !best with
-    | -1 ->
-        raise
-          (Graph.Invalid_graph
-             (Printf.sprintf "Partitioned.local_period: component %d deadlocked"
-                c))
-    | v ->
-        List.iter
-          (fun e -> if internal e then tokens.(e) <- tokens.(e) - Graph.pop g e)
-          (Graph.in_edges g v);
-        List.iter
-          (fun e ->
-            if internal e then begin
-              tokens.(e) <- tokens.(e) + Graph.push g e;
-              if tokens.(e) > peaks.(e) then peaks.(e) <- tokens.(e)
-            end)
-          (Graph.out_edges g v);
-        Hashtbl.replace remaining v (Hashtbl.find remaining v - 1);
-        order := v :: !order;
-        incr fired)
-  done;
-  (List.rev !order, peaks)
+  if
+    Ccs_sdf.Latest_first.run driver ~remaining ~candidates:members ~ready
+      ~fire
+    < total
+  then
+    raise
+      (Graph.Invalid_graph
+         (Printf.sprintf "Partitioned.local_period: component %d deadlocked"
+            c));
+  List.rev !order
+
+let local_period g (a : Rates.analysis) spec c =
+  let members, internal = components g spec in
+  let m = Graph.num_edges g in
+  let peaks = Array.make m 0 in
+  let order =
+    run_local_period g spec
+      (Ccs_sdf.Latest_first.create g)
+      ~remaining:(Array.make (Graph.num_nodes g) 0)
+      ~tokens:(Array.make m 0) ~peaks c ~members:members.(c)
+      ~internal:internal.(c)
+      ~local_rep:(local_repetition a members.(c))
+  in
+  (order, peaks)
 
 let batch g (a : Rates.analysis) spec ~t =
   if not (Spec.is_well_ordered spec) then
@@ -95,34 +120,30 @@ let batch g (a : Rates.analysis) spec ~t =
     (fun e ->
       capacities.(e) <- Rates.tokens_per_batch a ~t e + Graph.delay g e)
     (Spec.cross_edges spec);
-  let order = Spec.component_topo_order spec in
+  let members, internal = components g spec in
+  let driver = Ccs_sdf.Latest_first.create g in
+  let remaining = Array.make (Graph.num_nodes g) 0 in
+  let tokens = Array.make m 0 and peaks = Array.make m 0 in
   let component_schedules =
-    Array.to_list order
+    Array.to_list (Spec.component_topo_order spec)
     |> List.map (fun c ->
-           let firing_order, peaks = local_period g a spec c in
-           (* Internal capacities: the local period's peak occupancies. *)
-           Array.iteri
-             (fun e p -> if p > 0 then capacities.(e) <- max capacities.(e) p)
-             peaks;
-           (* Internal edges must at least admit a single push/pop even if
-              the peak analysis yields less (e.g. zero-delay tight loops). *)
+           let local_rep = local_repetition a members.(c) in
+           let firing_order =
+             run_local_period g spec driver ~remaining ~tokens ~peaks c
+               ~members:members.(c) ~internal:internal.(c) ~local_rep
+           in
+           (* Internal capacities: the local period's peak occupancies,
+              and at least a single push/pop even if the peak analysis
+              yields less (e.g. zero-delay tight loops). *)
            List.iter
              (fun e ->
-               if
-                 Spec.component_of spec (Graph.src g e) = c
-                 && Spec.component_of spec (Graph.dst g e) = c
-               then
-                 capacities.(e) <-
-                   max capacities.(e) (max (Graph.push g e) (Graph.pop g e)))
-             (Graph.edges g);
+               capacities.(e) <-
+                 max peaks.(e) (max (Graph.push g e) (Graph.pop g e)))
+             internal.(c);
            (* Repeat count: firings per batch divided by the local period. *)
-           let v0 =
-             match Spec.members spec c with
-             | v :: _ -> v
-             | [] -> assert false
+           let v0, p0 =
+             match local_rep with x :: _ -> x | [] -> assert false
            in
-           let local_rep = local_repetition a (Spec.members spec c) in
-           let p0 = List.assoc v0 local_rep in
            let n0 = Rates.firings_per_batch a ~t v0 in
            assert (n0 mod p0 = 0);
            Schedule.repeat (n0 / p0) (Schedule.of_list firing_order))
@@ -156,18 +177,16 @@ let dag_dynamic g (a : Rates.analysis) spec ~m_tokens =
   in
   let order = Spec.component_topo_order spec in
   let k = Array.length order in
-  let members = Array.map (fun c -> Spec.members spec c) order in
+  let members = Array.map (Array.get (fst (components g spec))) order in
+  let pos = positions order in
   let in_cross = Array.make k [] and out_cross = Array.make k [] in
   List.iter
     (fun e ->
       if Spec.is_cross spec e then begin
-        let cs = Spec.component_of spec (Graph.src g e)
-        and cd = Spec.component_of spec (Graph.dst g e) in
-        Array.iteri
-          (fun i c ->
-            if c = cs then out_cross.(i) <- e :: out_cross.(i);
-            if c = cd then in_cross.(i) <- e :: in_cross.(i))
-          order
+        let i = pos.(Spec.component_of spec (Graph.src g e))
+        and j = pos.(Spec.component_of spec (Graph.dst g e)) in
+        out_cross.(i) <- e :: out_cross.(i);
+        in_cross.(j) <- e :: in_cross.(j)
       end)
     (Graph.edges g);
   let drive machine ~target_outputs =
@@ -229,14 +248,13 @@ let pipeline_dynamic g (a : Rates.analysis) spec ~m_tokens =
   (* For a pipeline segmentation, component [order.(i)] has at most one
      outgoing cross edge. *)
   let out_cross = Array.make k None in
+  let pos = positions order in
   List.iter
     (fun e ->
-      if Spec.is_cross spec e then begin
-        let cs = Spec.component_of spec (Graph.src g e) in
-        Array.iteri (fun i c -> if c = cs then out_cross.(i) <- Some e) order
-      end)
+      if Spec.is_cross spec e then
+        out_cross.(pos.(Spec.component_of spec (Graph.src g e))) <- Some e)
     (Graph.edges g);
-  let members = Array.map (fun c -> Spec.members spec c) order in
+  let members = Array.map (Array.get (fst (components g spec))) order in
   let rank = Graph.topo_rank g in
   let drive machine ~target_outputs =
     let half e = capacities.(e) / 2 in

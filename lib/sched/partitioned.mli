@@ -35,7 +35,11 @@ val batch :
   t:int ->
   Plan.t
 (** [batch g a spec ~t] is the static partitioned plan at granularity [t]
-    source firings per batch.
+    source firings per batch.  Members and internal edges of every
+    component are collected in one pass, and each component's local
+    period runs on one shared {!Ccs_sdf.Latest_first} driver, so the plan
+    costs O(n + m + F·(d² + log n)) for [F] firings in all local periods,
+    not O(k·(n+m)) for [k] components.
     @raise Invalid_argument if [t] is not a multiple of
     [Ccs_sdf.Rates.granularity g a ~at_least:1], or if the partition is not
     well-ordered. *)
@@ -89,4 +93,6 @@ val local_period :
     [c]: the latest-first firing order of one local period (each member [v]
     fires its local repetition count) and the resulting internal-edge peak
     occupancies (indexed by edge; zero for edges not internal to [c]).
-    Used by tests to check the buffer-versus-state assumption. *)
+    Used by tests to check the buffer-versus-state assumption.  O(n + m)
+    to find the component, plus its local period on the latest-first
+    driver. *)

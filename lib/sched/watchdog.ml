@@ -20,25 +20,44 @@ let sat_mul a b =
 
 (* A firing budget comfortably above any legitimate run: batch plans execute
    whole batches of T >= M source firings even for one output, so cover the
-   target plus two batches' worth of periods, times a safety factor. *)
-let default_budget g ~cache_words ~outputs =
+   target plus two batches' worth of periods, times a safety factor.  A
+   plan may also fill its buffers before the first output (a dynamic
+   pipeline plan sizes a cross edge at 2M tokens, which can be many
+   periods' worth on a low-rate edge), so cover every channel's capacity
+   in periods too. *)
+let default_budget ?capacities g ~cache_words ~outputs =
   match Ccs_sdf.Rates.analyze_checked g with
   | Ok a ->
-      let total_rep = Array.fold_left ( + ) 0 a.Ccs_sdf.Rates.repetition in
+      let rep = a.Ccs_sdf.Rates.repetition in
+      let total_rep = Array.fold_left ( + ) 0 rep in
       let per_period = max 1 a.Ccs_sdf.Rates.period_inputs in
       let sink_rep =
         match Graph.sinks g with
-        | [ s ] -> max 1 a.Ccs_sdf.Rates.repetition.(s)
+        | [ s ] -> max 1 rep.(s)
         | _ -> 1
       in
       let periods_for_target = sat_add outputs (sink_rep - 1) / sink_rep in
       let periods_per_batch =
         sat_add (sat_mul 2 cache_words) (per_period - 1) / per_period
       in
+      (* Periods' worth of tokens the plan's channels can hold at once. *)
+      let buffered_periods =
+        match capacities with
+        | Some caps when Array.length caps = Graph.num_edges g ->
+            let acc = ref 0 in
+            Array.iteri
+              (fun e cap ->
+                let per = max 1 (rep.(Graph.src g e) * Graph.push g e) in
+                acc := sat_add !acc (sat_add cap (per - 1) / per))
+              caps;
+            !acc
+        | _ -> 0
+      in
       sat_add 1024
         (sat_mul 8
            (sat_mul total_rep
-              (sat_add periods_for_target (sat_mul 2 periods_per_batch))))
+              (sat_add periods_for_target
+                 (sat_add (sat_mul 2 periods_per_batch) buffered_periods))))
   | Error _ ->
       sat_add 1024
         (sat_mul 64 (sat_mul (sat_add outputs 1) (Graph.num_nodes g)))
@@ -54,7 +73,8 @@ let drive ?budget ?metrics machine ~plan ~outputs =
         let cache_words =
           Ccs_cache.Cache.size_words (Machine.cache machine)
         in
-        default_budget g ~cache_words ~outputs
+        default_budget ~capacities:plan.Plan.capacities g ~cache_words
+          ~outputs
   in
   Machine.set_fire_budget machine (Some (Machine.total_fires machine + budget));
   let result =

@@ -10,13 +10,15 @@
     off the report. *)
 
 val default_budget :
+  ?capacities:int array ->
   Ccs_sdf.Graph.t -> cache_words:int -> outputs:int -> int
 (** The budget {!run} uses when none is given: a generous multiple of the
     firings a correct plan needs for [outputs] sink firings (covering whole
-    batches of [T >= cache_words] source firings), or a node-count-based
-    fallback when rate analysis fails.  The arithmetic saturates at
-    [max_int], so extreme [cache_words]/[outputs] yield a huge positive
-    budget rather than overflowing to a negative one. *)
+    batches of [T >= cache_words] source firings, and, given the plan's
+    [capacities], enough periods to fill every channel to capacity), or a
+    node-count-based fallback when rate analysis fails.  The arithmetic
+    saturates at [max_int], so extreme [cache_words]/[outputs] yield a
+    huge positive budget rather than overflowing to a negative one. *)
 
 val drive :
   ?budget:int ->

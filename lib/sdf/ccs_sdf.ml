@@ -7,6 +7,7 @@ module Rational = Rational
 module Graph = Graph
 module Validate = Validate
 module Rates = Rates
+module Latest_first = Latest_first
 module Minbuf = Minbuf
 module Generators = Generators
 module Serial = Serial

@@ -117,7 +117,10 @@ module Builder = struct
     done;
     !cycle
 
-  let check b =
+  (* Every defect of the builder's contents and, when there is none, the
+     graph: validation and construction share the channel arrays, the
+     adjacency lists and the topological sort. *)
+  let analyse b =
     let n = b.nnodes in
     let names = Array.of_list (List.rev b.names) in
     let states = Array.of_list (List.rev b.states) in
@@ -151,22 +154,47 @@ module Builder = struct
             (Error.Negative_delay
                { edge = e; src = name s; dst = name d; delay = de }))
       chans;
+    let graph = ref None in
     (* Cycle analysis only when every endpoint resolves (self-loops are
        already reported as degenerate edges, so skip them here). *)
     if (not !dangling) && n > 0 then begin
       let acyclic_chans =
-        Array.of_list
-          (List.filter (fun (s, d, _, _, _) -> s <> d) (Array.to_list chans))
+        if Array.exists (fun (s, d, _, _, _) -> s = d) chans then
+          Array.of_list
+            (List.filter (fun (s, d, _, _, _) -> s <> d) (Array.to_list chans))
+        else chans
       in
-      let out = Array.make n [] and inc = Array.make n [] in
-      Array.iteri
-        (fun e (s, d, _, _, _) ->
-          out.(s) <- e :: out.(s);
-          inc.(d) <- e :: inc.(d))
-        acyclic_chans;
-      let dsts = Array.map (fun (_, d, _, _, _) -> d) acyclic_chans in
-      match topo_sort n inc out dsts with
-      | Some _ -> ()
+      let m = Array.length acyclic_chans in
+      let edge_src = Array.map (fun (s, _, _, _, _) -> s) acyclic_chans in
+      let edge_dst = Array.map (fun (_, d, _, _, _) -> d) acyclic_chans in
+      (* Adjacency lists in increasing edge order. *)
+      let out_edges = Array.make n [] and in_edges = Array.make n [] in
+      for e = m - 1 downto 0 do
+        out_edges.(edge_src.(e)) <- e :: out_edges.(edge_src.(e));
+        in_edges.(edge_dst.(e)) <- e :: in_edges.(edge_dst.(e))
+      done;
+      match topo_sort n in_edges out_edges edge_dst with
+      | Some topo ->
+          if !errs = [] then begin
+            let rank = Array.make n 0 in
+            Array.iteri (fun i v -> rank.(v) <- i) topo;
+            graph :=
+              Some
+                {
+                  name = b.bname;
+                  node_names = names;
+                  state = states;
+                  edge_src;
+                  edge_dst;
+                  push = Array.map (fun (_, _, pu, _, _) -> pu) chans;
+                  pop = Array.map (fun (_, _, _, po, _) -> po) chans;
+                  delay = Array.map (fun (_, _, _, _, de) -> de) chans;
+                  in_edges;
+                  out_edges;
+                  topo;
+                  rank;
+                }
+          end
       | None -> (
           match find_cycle n acyclic_chans with
           | None -> ()
@@ -187,56 +215,14 @@ module Builder = struct
               in
               add (Error.Deadlock_cycle { cycle; total_delay }))
     end;
-    List.rev !errs
+    (List.rev !errs, !graph)
+
+  let check b = fst (analyse b)
 
   let build_result b =
-    match check b with
-    | _ :: _ as errs -> Result.error errs
-    | [] ->
-        let node_names = Array.of_list (List.rev b.names) in
-        let state = Array.of_list (List.rev b.states) in
-        let n = b.nnodes and m = b.nedges in
-        let edge_src = Array.make m 0
-        and edge_dst = Array.make m 0
-        and push = Array.make m 0
-        and pop = Array.make m 0
-        and delay = Array.make m 0 in
-        List.iteri
-          (fun i (s, d, pu, po, de) ->
-            let e = m - 1 - i in
-            edge_src.(e) <- s;
-            edge_dst.(e) <- d;
-            push.(e) <- pu;
-            pop.(e) <- po;
-            delay.(e) <- de)
-          b.chans;
-        let in_edges = Array.make n [] and out_edges = Array.make n [] in
-        for e = m - 1 downto 0 do
-          out_edges.(edge_src.(e)) <- e :: out_edges.(edge_src.(e));
-          in_edges.(edge_dst.(e)) <- e :: in_edges.(edge_dst.(e))
-        done;
-        let topo =
-          match topo_sort n in_edges out_edges edge_dst with
-          | Some order -> order
-          | None -> assert false (* check found no cycle *)
-        in
-        let rank = Array.make n 0 in
-        Array.iteri (fun i v -> rank.(v) <- i) topo;
-        Ok
-          {
-            name = b.bname;
-            node_names;
-            state;
-            edge_src;
-            edge_dst;
-            push;
-            pop;
-            delay;
-            in_edges;
-            out_edges;
-            topo;
-            rank;
-          }
+    match analyse b with
+    | [], Some g -> Ok g
+    | errs, _ -> Result.error errs
 
   let build b =
     match build_result b with

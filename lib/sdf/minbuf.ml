@@ -6,43 +6,30 @@ type t = { capacity : int array; schedule : Graph.node list }
    with the greatest topological rank, so tokens are consumed as soon as
    they are produced and occupancies stay near the per-edge minimum. *)
 let compute g (a : Rates.analysis) =
-  let n = Graph.num_nodes g and m = Graph.num_edges g in
   let remaining = Array.copy a.repetition in
-  let tokens = Array.init m (fun e -> Graph.delay g e) in
+  let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
   let peak = Array.copy tokens in
-  let rank = Graph.topo_rank g in
-  let enabled v =
-    remaining.(v) > 0
-    && List.for_all
-         (fun e -> tokens.(e) >= Graph.pop g e)
-         (Graph.in_edges g v)
-  in
   let total_fires = Array.fold_left ( + ) 0 remaining in
   let schedule = ref [] in
-  let fired = ref 0 in
-  let progress = ref true in
-  while !fired < total_fires && !progress do
-    (* Pick the enabled module with the largest topological rank. *)
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if enabled v && (!best = -1 || rank.(v) > rank.(!best)) then best := v
-    done;
-    match !best with
-    | -1 -> progress := false
-    | v ->
-        List.iter
-          (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
-          (Graph.in_edges g v);
-        List.iter
-          (fun e ->
-            tokens.(e) <- tokens.(e) + Graph.push g e;
-            if tokens.(e) > peak.(e) then peak.(e) <- tokens.(e))
-          (Graph.out_edges g v);
-        remaining.(v) <- remaining.(v) - 1;
-        schedule := v :: !schedule;
-        incr fired
-  done;
-  if !fired < total_fires then
+  let ready v =
+    List.for_all (fun e -> tokens.(e) >= Graph.pop g e) (Graph.in_edges g v)
+  in
+  let fire v =
+    List.iter
+      (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
+      (Graph.in_edges g v);
+    List.iter
+      (fun e ->
+        tokens.(e) <- tokens.(e) + Graph.push g e;
+        if tokens.(e) > peak.(e) then peak.(e) <- tokens.(e))
+      (Graph.out_edges g v);
+    schedule := v :: !schedule
+  in
+  let fired =
+    Latest_first.run (Latest_first.create g) ~remaining
+      ~candidates:(Graph.nodes g) ~ready ~fire
+  in
+  if fired < total_fires then
     raise (Graph.Invalid_graph "Minbuf.compute: schedule deadlocked");
   (* After one period every channel must return to its initial occupancy. *)
   Array.iteri
@@ -59,41 +46,29 @@ let compute g (a : Rates.analysis) =
   in
   { capacity; schedule = List.rev !schedule }
 
+(* The same latest-first run with bounded channels: a module is also
+   blocked while an output lacks room for its push. *)
 let feasible g (a : Rates.analysis) ~capacities =
-  let n = Graph.num_nodes g in
   let remaining = Array.copy a.repetition in
   let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let rank = Graph.topo_rank g in
-  let enabled v =
-    remaining.(v) > 0
-    && List.for_all
-         (fun e -> tokens.(e) >= Graph.pop g e)
-         (Graph.in_edges g v)
+  let total_fires = Array.fold_left ( + ) 0 remaining in
+  let ready v =
+    List.for_all (fun e -> tokens.(e) >= Graph.pop g e) (Graph.in_edges g v)
     && List.for_all
          (fun e -> capacities.(e) - tokens.(e) >= Graph.push g e)
          (Graph.out_edges g v)
   in
-  let total_fires = Array.fold_left ( + ) 0 remaining in
-  let fired = ref 0 in
-  let stuck = ref false in
-  while !fired < total_fires && not !stuck do
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if enabled v && (!best = -1 || rank.(v) > rank.(!best)) then best := v
-    done;
-    match !best with
-    | -1 -> stuck := true
-    | v ->
-        List.iter
-          (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
-          (Graph.in_edges g v);
-        List.iter
-          (fun e -> tokens.(e) <- tokens.(e) + Graph.push g e)
-          (Graph.out_edges g v);
-        remaining.(v) <- remaining.(v) - 1;
-        incr fired
-  done;
-  not !stuck
+  let fire v =
+    List.iter
+      (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
+      (Graph.in_edges g v);
+    List.iter
+      (fun e -> tokens.(e) <- tokens.(e) + Graph.push g e)
+      (Graph.out_edges g v)
+  in
+  Latest_first.run (Latest_first.create g) ~remaining
+    ~candidates:(Graph.nodes g) ~ready ~fire
+  = total_fires
 
 let tighten g a ?capacities () =
   let caps =

@@ -22,6 +22,8 @@ type t = {
 
 val compute : Graph.t -> Rates.analysis -> t
 (** Minimum-buffer capacities and a witnessing single-period schedule.
+    Runs on {!Latest_first}: O(n + F·(d² + log n)) for [F] firings per
+    period and degree [d].
     @raise Graph.Invalid_graph if the graph deadlocks even with unbounded
     buffers (cannot happen for rate-matched acyclic graphs, but guarded
     against). *)
@@ -42,7 +44,10 @@ val feasible : Graph.t -> Rates.analysis -> capacities:int array -> bool
     capacities: greedy latest-first simulation with full backtracking-free
     firing (latest-first is deadlock-optimal for this check in practice;
     a [false] answer means latest-first gets stuck, which for the bounded
-    dataflow graphs here coincides with infeasibility of the capacities). *)
+    dataflow graphs here coincides with infeasibility of the capacities).
+    Same cost as {!compute}: after a firing, only the module and its
+    neighbours (consumers gain tokens, producers gain room) are examined
+    again. *)
 
 val tighten :
   Graph.t -> Rates.analysis -> ?capacities:int array -> unit -> int array

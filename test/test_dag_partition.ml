@@ -165,6 +165,29 @@ let test_min_bandwidth () =
   | Some bw -> Alcotest.check q "minBW" (Q.of_int 2) bw
   | None -> Alcotest.fail "should solve"
 
+(* Auto.plan on large layered DAGs with a 1024-word cache.  Refinement
+   used to rescan the whole graph for every candidate move, so 32x32 did
+   not finish in minutes; a planner that turns quadratic again shows up
+   here as a timeout rather than a wrong answer. *)
+let test_plan_layered k ~components ~bandwidth () =
+  let g =
+    Ccs.Generators.layered ~seed:1 ~layers:k ~width:k
+      ~state:(fun i -> 8 + (i * 37 mod 89))
+      ~edge_prob:0.2 ()
+  in
+  let cfg = Ccs.Config.make ~cache_words:1024 ~block_words:16 () in
+  let c = Ccs.Auto.plan g cfg in
+  let report =
+    Ccs.Check.plan ~cache:(Ccs.Config.cache_config cfg) ~spec:c.partition g
+      c.plan
+  in
+  Alcotest.(check bool)
+    (Format.asprintf "Check.plan: %a" Ccs.Check.pp report)
+    true (Ccs.Check.is_ok report);
+  Alcotest.(check int) "components" components (S.num_components c.partition);
+  Alcotest.check q "bandwidth" (Q.of_int bandwidth)
+    (S.bandwidth c.partition c.analysis)
+
 let () =
   Alcotest.run "dag-partition"
     [
@@ -191,5 +214,12 @@ let () =
           Alcotest.test_case "exact infeasible" `Quick
             test_exact_infeasible_bound;
           Alcotest.test_case "min bandwidth" `Quick test_min_bandwidth;
+        ] );
+      ( "scale",
+        [
+          Alcotest.test_case "plan layered 32x32" `Quick
+            (test_plan_layered 32 ~components:1013 ~bandwidth:6410);
+          Alcotest.test_case "plan layered 64x64" `Quick
+            (test_plan_layered 64 ~components:4098 ~bandwidth:51934);
         ] );
     ]

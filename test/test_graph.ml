@@ -163,6 +163,57 @@ let test_multi_source_sink () =
     (G.Invalid_graph "expected a unique source, found 2") (fun () ->
       ignore (G.source g))
 
+(* Plans depend on the exact topological order, so pin it: adjacency lists
+   in increasing edge order, and Kahn's algorithm with a FIFO over them. *)
+let prop_canonical_order =
+  QCheck2.Test.make ~name:"adjacency and topological order are canonical"
+    ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 30)
+        (list_size (int_range 0 80)
+           (triple (int_range 0 29) (int_range 0 29) (int_range 1 3))))
+    (fun (n, raw) ->
+      let b = B.create () in
+      for v = 0 to n - 1 do
+        ignore (B.add_module b (Printf.sprintf "v%d" v))
+      done;
+      let chans =
+        List.filter_map
+          (fun (x, y, r) ->
+            let s = min x y mod n and d = max x y mod n in
+            if s < d then Some (s, d, r) else None)
+          raw
+      in
+      List.iter
+        (fun (src, dst, r) ->
+          ignore (B.add_channel b ~src ~dst ~push:r ~pop:r ()))
+        chans;
+      let g = B.build b in
+      let m = List.length chans in
+      let with_end f v =
+        List.filter (fun e -> f g e = v) (List.init m Fun.id)
+      in
+      let indeg = Array.init n (fun v -> List.length (with_end G.dst v)) in
+      let queue = Queue.create () in
+      Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
+      let order = ref [] in
+      while not (Queue.is_empty queue) do
+        let v = Queue.pop queue in
+        order := v :: !order;
+        List.iter
+          (fun e ->
+            let w = G.dst g e in
+            indeg.(w) <- indeg.(w) - 1;
+            if indeg.(w) = 0 then Queue.add w queue)
+          (with_end G.src v)
+      done;
+      List.for_all
+        (fun v ->
+          G.in_edges g v = with_end G.dst v
+          && G.out_edges g v = with_end G.src v)
+        (G.nodes g)
+      && Array.to_list (G.topological_order g) = List.rev !order)
+
 let () =
   Alcotest.run "graph"
     [
@@ -186,5 +237,6 @@ let () =
           Alcotest.test_case "map_state" `Quick test_map_state;
           Alcotest.test_case "delay" `Quick test_delay_recorded;
           Alcotest.test_case "multi source/sink" `Quick test_multi_source_sink;
+          QCheck_alcotest.to_alcotest prop_canonical_order;
         ] );
     ]

@@ -287,6 +287,66 @@ let gen_sdf_dag =
           ~max_rate:4 ~extra_edges:extra ())
       (triple (int_range 0 10_000) (int_range 2 8) (int_range 0 4)))
 
+let kill_resume_bit_identical (g, kill_epoch, m_idx) =
+  let m_words = [| 128; 256; 512 |].(m_idx) in
+  let cfg = Ccs.Config.make ~cache_words:m_words ~block_words:8 () in
+  let cache = Ccs.Config.cache_config cfg in
+  match try Some (Ccs.Auto.plan g cfg) with _ -> None with
+  | None -> QCheck2.assume_fail ()
+  | Some choice ->
+      let plan = choice.Ccs.Auto.plan in
+      let outputs = 60 in
+      let epoch_outputs = max 1 (outputs / 8) in
+      let entities = G.num_nodes g + G.num_edges g in
+      let config =
+        { Ccs.Supervisor.default_config with checkpoint_every = 1 }
+      in
+      let supervised ?checkpoint_dir ?(resume = false) ?on_epoch counters
+          =
+        Ccs.Supervisor.run ~config ?checkpoint_dir ~resume ~epoch_outputs
+          ~counters ?on_epoch ~graph:g ~cache ~plan ~outputs ()
+      in
+      let c_ref = Ccs.Counters.create ~entities in
+      let reference =
+        match supervised c_ref with
+        | Ok r -> r
+        | Error e ->
+            QCheck2.Test.fail_reportf "reference run failed: %s"
+              (E.to_string e)
+      in
+      let dir = fresh_dir () in
+      Fun.protect
+        ~finally:(fun () -> remove_dir dir)
+        (fun () ->
+          let c_kill = Ccs.Counters.create ~entities in
+          (* Kill the run right after [kill_epoch] completes (checkpoint
+             already durable) — exactly what `ccsched run --kill-after`
+             does with exit 137, minus the process boundary. *)
+          (match
+             supervised ~checkpoint_dir:dir
+               ~on_epoch:(fun ~epoch ~machine:_ ->
+                 if epoch = kill_epoch then raise Killed)
+               c_kill
+           with
+          | exception Killed -> ()
+          | Ok _ -> () (* kill epoch beyond the run: nothing to kill *)
+          | Error e ->
+              QCheck2.Test.fail_reportf "killed run failed: %s"
+                (E.to_string e));
+          let c_res = Ccs.Counters.create ~entities in
+          match supervised ~checkpoint_dir:dir ~resume:true c_res with
+          | Error e ->
+              QCheck2.Test.fail_reportf "resume failed: %s"
+                (E.to_string e)
+          | Ok resumed ->
+              let r1 = reference.Ccs.Supervisor.result in
+              let r2 = resumed.Ccs.Supervisor.result in
+              r1.Ccs.Runner.misses = r2.Ccs.Runner.misses
+              && r1.Ccs.Runner.accesses = r2.Ccs.Runner.accesses
+              && r1.Ccs.Runner.outputs = r2.Ccs.Runner.outputs
+              && r1.Ccs.Runner.inputs = r2.Ccs.Runner.inputs
+              && Ccs.Counters.dump c_ref = Ccs.Counters.dump c_res)
+
 let prop_kill_resume_bit_identical =
   QCheck2.Test.make
     ~name:"killed-at-any-epoch + resumed == uninterrupted (misses, \
@@ -296,65 +356,20 @@ let prop_kill_resume_bit_identical =
       triple
         (oneof [ gen_pipeline; gen_sdf_dag ])
         (int_range 1 8) (int_range 0 2))
-    (fun (g, kill_epoch, m_idx) ->
-      let m_words = [| 128; 256; 512 |].(m_idx) in
-      let cfg = Ccs.Config.make ~cache_words:m_words ~block_words:8 () in
-      let cache = Ccs.Config.cache_config cfg in
-      match try Some (Ccs.Auto.plan g cfg) with _ -> None with
-      | None -> QCheck2.assume_fail ()
-      | Some choice ->
-          let plan = choice.Ccs.Auto.plan in
-          let outputs = 60 in
-          let epoch_outputs = max 1 (outputs / 8) in
-          let entities = G.num_nodes g + G.num_edges g in
-          let config =
-            { Ccs.Supervisor.default_config with checkpoint_every = 1 }
-          in
-          let supervised ?checkpoint_dir ?(resume = false) ?on_epoch counters
-              =
-            Ccs.Supervisor.run ~config ?checkpoint_dir ~resume ~epoch_outputs
-              ~counters ?on_epoch ~graph:g ~cache ~plan ~outputs ()
-          in
-          let c_ref = Ccs.Counters.create ~entities in
-          let reference =
-            match supervised c_ref with
-            | Ok r -> r
-            | Error e ->
-                QCheck2.Test.fail_reportf "reference run failed: %s"
-                  (E.to_string e)
-          in
-          let dir = fresh_dir () in
-          Fun.protect
-            ~finally:(fun () -> remove_dir dir)
-            (fun () ->
-              let c_kill = Ccs.Counters.create ~entities in
-              (* Kill the run right after [kill_epoch] completes (checkpoint
-                 already durable) — exactly what `ccsched run --kill-after`
-                 does with exit 137, minus the process boundary. *)
-              (match
-                 supervised ~checkpoint_dir:dir
-                   ~on_epoch:(fun ~epoch ~machine:_ ->
-                     if epoch = kill_epoch then raise Killed)
-                   c_kill
-               with
-              | exception Killed -> ()
-              | Ok _ -> () (* kill epoch beyond the run: nothing to kill *)
-              | Error e ->
-                  QCheck2.Test.fail_reportf "killed run failed: %s"
-                    (E.to_string e));
-              let c_res = Ccs.Counters.create ~entities in
-              match supervised ~checkpoint_dir:dir ~resume:true c_res with
-              | Error e ->
-                  QCheck2.Test.fail_reportf "resume failed: %s"
-                    (E.to_string e)
-              | Ok resumed ->
-                  let r1 = reference.Ccs.Supervisor.result in
-                  let r2 = resumed.Ccs.Supervisor.result in
-                  r1.Ccs.Runner.misses = r2.Ccs.Runner.misses
-                  && r1.Ccs.Runner.accesses = r2.Ccs.Runner.accesses
-                  && r1.Ccs.Runner.outputs = r2.Ccs.Runner.outputs
-                  && r1.Ccs.Runner.inputs = r2.Ccs.Runner.inputs
-                  && Ccs.Counters.dump c_ref = Ccs.Counters.dump c_res))
+    kill_resume_bit_identical
+
+(* Regression: the dynamic plans of these pipelines fill cross edges that
+   carry few tokens per period (seed 35: 256 tokens on an edge carrying 6
+   per period), so about 20k upstream firings come before the first
+   output — more than a firing budget sized for two batches of 2M source
+   firings allowed. *)
+let test_budget_covers_cross_buffers seed () =
+  let g =
+    Ccs.Generators.random_pipeline ~seed ~n:14 ~max_state:12 ~max_rate:4 ()
+  in
+  Alcotest.(check bool)
+    "kill/resume reproduces the uninterrupted run" true
+    (kill_resume_bit_identical (g, 3, 0))
 
 let () =
   Alcotest.run "supervisor"
@@ -379,5 +394,11 @@ let () =
             test_resume_from_corrupt_checkpoint_rejected;
         ] );
       ( "determinism",
-        [ QCheck_alcotest.to_alcotest prop_kill_resume_bit_identical ] );
+        [
+          QCheck_alcotest.to_alcotest prop_kill_resume_bit_identical;
+          Alcotest.test_case "budget covers cross buffers (seed 35)" `Quick
+            (test_budget_covers_cross_buffers 35);
+          Alcotest.test_case "budget covers cross buffers (seed 44)" `Quick
+            (test_budget_covers_cross_buffers 44);
+        ] );
     ]
