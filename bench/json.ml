@@ -1,69 +1,13 @@
 (* Machine-readable benchmark output (see EXPERIMENTS.md, "JSON output").
 
-   A dependency-free JSON value type plus a process-global collector: the
-   harness opens a run with [enable], each experiment is bracketed by
+   {!Ccs.Json} (value type and printer) plus a process-global collector:
+   the harness opens a run with [enable], each experiment is bracketed by
    [start_experiment]/[finish_experiment], and helpers sprinkled through
    the experiment code call [point] to attach structured records (simulated
    data points, predicted bounds, micro-benchmark timings) to the current
    experiment.  [write] serializes everything to the requested file. *)
 
-type value =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of value list
-  | Obj of (string * value) list
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      (* JSON has no NaN/inf literals; map them to null. *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
-      else Buffer.add_string buf "null"
-  | String s -> escape buf s
-  | List vs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf v)
-        vs;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          emit buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 4096 in
-  emit buf v;
-  Buffer.contents buf
+include Ccs.Json
 
 (* --- collector ---------------------------------------------------------- *)
 

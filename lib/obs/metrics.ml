@@ -14,7 +14,7 @@ type kind = Counter | Gauge | Histogram
 type series = {
   name : string;
   labels : (string * string) list;
-  help : string;
+  mutable help : string;
   kind : kind;
   base : int; (* first slot in [cells] *)
 }
@@ -75,7 +75,8 @@ let alloc t n =
    existing series returns the same slots, so layered instrumentation
    (machine + supervisor + CLI) can share one registry without
    coordination.  Re-registering under a different kind is a programming
-   error and raises. *)
+   error and raises.  A series registered without help text takes the
+   first non-empty help it is re-registered with. *)
 let register t ~kind ~help ~labels name =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
@@ -92,6 +93,7 @@ let register t ~kind ~help ~labels name =
         invalid_arg
           (Printf.sprintf "Metrics: %s already registered as a %s" name
              (kind_name s.kind));
+      if s.help = "" then s.help <- help;
       s.base
   | None ->
       (match List.find_opt (fun s -> s.name = name) t.series with
@@ -166,6 +168,57 @@ let value t ?labels name =
   Option.map (fun s -> t.cells.(s.base)) (find t ?labels name)
 
 let reset t = Array.fill t.cells 0 t.used 0
+
+(* --- absorbing snapshots --------------------------------------------------- *)
+
+(* The scrape merge: add one [to_json] document into [t], series by
+   series.  Snapshot files are input from outside the process, so an
+   entry that [register] would reject (no name, an invalid metric or
+   label name, a kind clash) is skipped, never raised. *)
+let absorb t doc =
+  let int_field v f =
+    Option.bind (Json.member f v) Json.to_int |> Option.value ~default:0
+  in
+  let bump slot n = t.cells.(slot) <- t.cells.(slot) + n in
+  let entry kind v =
+    match Json.member "name" v with
+    | Some (Json.String name) -> (
+        let labels =
+          match Json.member "labels" v with
+          | Some (Json.Obj fields) ->
+              List.filter_map
+                (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
+                fields
+          | _ -> []
+        in
+        let help =
+          match Json.member "help" v with Some (Json.String h) -> h | _ -> ""
+        in
+        match register t ~kind ~help ~labels name with
+        | exception Invalid_argument _ -> ()
+        | base -> (
+            match kind with
+            | Counter | Gauge -> bump base (int_field v "value")
+            | Histogram ->
+                bump base (int_field v "count");
+                bump (base + 1) (int_field v "sum");
+                Option.bind (Json.member "buckets" v) Json.to_list
+                |> Option.value ~default:[]
+                |> List.iter (fun b ->
+                       match
+                         ( Option.bind (Json.member "le" b) Json.to_int,
+                           Option.bind (Json.member "count" b) Json.to_int )
+                       with
+                       | Some le, Some n -> bump (base + 2 + bucket_of le) n
+                       | _ -> ())))
+    | _ -> ()
+  in
+  List.iter
+    (fun (section, kind) ->
+      Option.bind (Json.member section doc) Json.to_list
+      |> Option.value ~default:[]
+      |> List.iter (entry kind))
+    [ ("counters", Counter); ("gauges", Gauge); ("histograms", Histogram) ]
 
 (* --- exposition ------------------------------------------------------------ *)
 

@@ -70,6 +70,15 @@ val num_series : t -> int
 val reset : t -> unit
 (** Zero every registered series (registrations persist). *)
 
+val absorb : t -> Json.value -> unit
+(** Add the values of one {!to_json} document into [t], registering each
+    series the first time it is seen (in document order: counters, then
+    gauges, then histograms).  Absorbing every worker's snapshot into a
+    fresh registry and rendering it with {!to_prometheus} is the daemon's
+    merged [/metrics] page.  The document is untrusted input: entries
+    with no name, an invalid metric or label name, or a kind that clashes
+    with an earlier entry of the same name are skipped, never raised. *)
+
 (** {2 Exposition} *)
 
 val to_prometheus : t -> string

@@ -1,26 +1,10 @@
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* One trace_event object.  [extra] is pre-rendered JSON fields (with a
    leading comma) appended verbatim — every caller builds them from ints
    and escaped strings below. *)
 let event buf ~first ~name ~cat ~ph ~ts ~tid ~extra =
   if not first then Buffer.add_char buf ',';
   Buffer.add_string buf "\n{\"name\":";
-  escape buf name;
+  Json.escape_string buf name;
   Buffer.add_string buf ",\"cat\":\"";
   Buffer.add_string buf cat;
   Buffer.add_string buf "\",\"ph\":\"";
@@ -35,11 +19,11 @@ let event buf ~first ~name ~cat ~ph ~ts ~tid ~extra =
 let metadata buf ~first ~name ~tid ~value =
   if not first then Buffer.add_char buf ',';
   Buffer.add_string buf "\n{\"name\":";
-  escape buf name;
+  Json.escape_string buf name;
   Buffer.add_string buf ",\"ph\":\"M\",\"pid\":0,\"tid\":";
   Buffer.add_string buf (string_of_int tid);
   Buffer.add_string buf ",\"ts\":0,\"args\":{\"name\":";
-  escape buf value;
+  Json.escape_string buf value;
   Buffer.add_string buf "}}"
 
 let chrome ?(process_name = "ccs simulated machine") ?(thread_names = [])
@@ -78,7 +62,7 @@ let chrome ?(process_name = "ccs simulated machine") ?(thread_names = [])
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      escape buf k;
+      Json.escape_string buf k;
       Buffer.add_char buf ':';
       Buffer.add_string buf (string_of_int v))
     (("events", Tracer.length tracer)
@@ -109,7 +93,7 @@ let chrome_spans ?(process_name = "ccsched serve") sources =
           Buffer.add_string extra
             (Printf.sprintf ",\"dur\":%d,\"args\":{\"trace_id\":"
                (Span.duration_us s));
-          escape extra s.Span.trace_id;
+          Json.escape_string extra s.Span.trace_id;
           Buffer.add_string extra
             (Printf.sprintf ",\"span_id\":%d,\"parent\":%d}" s.Span.span_id
                s.Span.parent);
@@ -118,7 +102,7 @@ let chrome_spans ?(process_name = "ccsched serve") sources =
         spans)
     sources;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",\"ccs\":{";
-  escape buf "spans";
+  Json.escape_string buf "spans";
   Buffer.add_char buf ':';
   Buffer.add_string buf (string_of_int !total);
   Buffer.add_string buf "}}";

@@ -6,11 +6,11 @@
     cache ({!Plan_cache}) keyed by the composite {!Ccs.Plan_key} — graph
     digest, cache configuration, pinned capacities, planner version — so
     repeat requests are answered from disk.  Request/cache/error counters
-    and latency histograms are published per worker and merged for
-    Prometheus scrapes ({!Snapshot}, {!Server.scrape}). *)
+    and latency histograms are published per worker as
+    {!Ccs.Metrics.to_json} snapshots and merged for Prometheus scrapes by
+    absorbing them into one registry ({!Ccs.Metrics.absorb},
+    {!Server.scrape}). *)
 
 module Protocol = Protocol
-module Lru_index = Lru_index
 module Plan_cache = Plan_cache
-module Snapshot = Snapshot
 module Server = Server

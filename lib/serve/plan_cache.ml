@@ -109,9 +109,9 @@ let lookup ~dir ~key =
 module Bounded = struct
   (* The bounded store's durable index is the directory itself: each
      record is one file and its mtime is its recency (bumped on every
-     hit), so the index survives any crash by construction — a startup
-     sweep rebuilds the in-memory {!Lru_index} mirror from a readdir.
-     Eviction decisions re-scan the directory so records written by
+     hit), so the index survives any crash by construction.  In memory
+     the handle keeps only each record's size, for the byte and entry
+     gauges: eviction re-scans the directory, so records written by
      sibling workers count against the bound too. *)
 
   type bounds = { max_bytes : int; max_entries : int }
@@ -122,7 +122,8 @@ module Bounded = struct
     dir : string;
     bounds : bounds;
     log : Ccs.Log.t;
-    index : unit Lru_index.t;
+    sizes : (string, int) Hashtbl.t; (* digest -> record bytes *)
+    mutable bytes : int;
     mutable evictions : int;
     mutable quarantined : int;
   }
@@ -131,22 +132,35 @@ module Bounded = struct
   let is_record f = Filename.check_suffix f ".ccsplan"
   let digest_of_file f = Filename.chop_suffix f ".ccsplan"
 
-  let bytes t = Lru_index.total_weight t.index
-  let entries t = Lru_index.size t.index
+  let bytes t = t.bytes
+  let entries t = Hashtbl.length t.sizes
   let evictions t = t.evictions
   let quarantined t = t.quarantined
+
+  let forget t digest =
+    match Hashtbl.find_opt t.sizes digest with
+    | Some sz ->
+        Hashtbl.remove t.sizes digest;
+        t.bytes <- t.bytes - sz
+    | None -> ()
+
+  let remember t digest sz =
+    forget t digest;
+    Hashtbl.replace t.sizes digest sz;
+    t.bytes <- t.bytes + sz
 
   let quarantine t p reason =
     ensure_dir (quarantine_dir t.dir);
     let dst = Filename.concat (quarantine_dir t.dir) (Filename.basename p) in
     (try Sys.rename p dst
      with Sys_error _ -> ( try Sys.remove p with Sys_error _ -> ()));
-    ignore (Lru_index.remove t.index (digest_of_file (Filename.basename p)));
+    forget t (digest_of_file (Filename.basename p));
     t.quarantined <- t.quarantined + 1;
     Ccs.Log.warn t.log "plan-store record quarantined"
       [ ("path", Ccs.Json.String p); ("reason", Ccs.Json.String reason) ]
 
-  (* Records on disk as [(path, digest, bytes, mtime)]. *)
+  type record = { path : string; digest : string; size : int; mtime : float }
+
   let scan dir =
     match Sys.readdir dir with
     | exception Sys_error _ -> []
@@ -160,42 +174,45 @@ module Bounded = struct
                  | exception Unix.Unix_error _ ->
                      None (* raced with an eviction elsewhere *)
                  | st when st.Unix.st_kind = Unix.S_REG ->
-                     Some (p, digest_of_file f, st.Unix.st_size, st.Unix.st_mtime)
+                     Some
+                       {
+                         path = p;
+                         digest = digest_of_file f;
+                         size = st.Unix.st_size;
+                         mtime = st.Unix.st_mtime;
+                       }
                  | _ -> None)
 
-  let by_mtime_oldest_first (_, _, _, a) (_, _, _, b) = compare (a : float) b
-
-  (* Rebuild the in-memory mirror from on-disk truth, oldest mtime first
-     so index recency equals durable recency. *)
-  let resync t recs =
-    while Lru_index.evict_lru t.index <> None do
-      ()
-    done;
-    List.iter (fun (_, d, sz, _) -> Lru_index.add t.index d ~weight:sz ()) recs
+  (* Stable, so records with equal mtimes keep readdir order. *)
+  let oldest_first recs =
+    List.sort (fun a b -> compare (a.mtime : float) b.mtime) recs
 
   let over t =
     (t.bounds.max_bytes > 0 && bytes t > t.bounds.max_bytes)
     || (t.bounds.max_entries > 0 && entries t > t.bounds.max_entries)
 
   (* Evict least-recent records until within bounds.  The directory is
-     shared between sibling workers, so the local mirror undercounts:
-     when any bound is set, re-scan before judging — that both counts
-     the siblings' records against the bound and makes the globally
-     oldest record go first.  (With no bounds this is a no-op, so the
-     common unbounded store never pays for the scan.) *)
+     shared between sibling workers, so the local sizes undercount: when
+     any bound is set, re-scan before judging — that both counts the
+     siblings' records against the bound and makes the globally oldest
+     record go first.  (With no bounds this is a no-op, so the common
+     unbounded store never pays for the scan.) *)
   let enforce t =
     if t.bounds.max_bytes > 0 || t.bounds.max_entries > 0 then begin
-      resync t (List.sort by_mtime_oldest_first (scan t.dir));
-      while over t do
-        match Lru_index.evict_lru t.index with
-        | None -> assert false (* over implies non-empty *)
-        | Some (d, _, ()) ->
-            (try Sys.remove (Filename.concat t.dir (d ^ ".ccsplan"))
-             with Sys_error _ -> ());
+      let recs = oldest_first (scan t.dir) in
+      Hashtbl.clear t.sizes;
+      t.bytes <- 0;
+      List.iter (fun r -> remember t r.digest r.size) recs;
+      List.iter
+        (fun r ->
+          if over t then begin
+            (try Sys.remove r.path with Sys_error _ -> ());
+            forget t r.digest;
             t.evictions <- t.evictions + 1;
             Ccs.Log.info t.log "plan-store eviction"
-              [ ("digest", Ccs.Json.String d) ]
-      done
+              [ ("digest", Ccs.Json.String r.digest) ]
+          end)
+        recs
     end
 
   let validate ~path:p ~digest =
@@ -224,18 +241,18 @@ module Bounded = struct
         dir;
         bounds;
         log;
-        index = Lru_index.create ();
+        sizes = Hashtbl.create 64;
+        bytes = 0;
         evictions = 0;
         quarantined = 0;
       }
     in
-    let recs = List.sort by_mtime_oldest_first (scan dir) in
     List.iter
-      (fun (p, d, sz, _) ->
-        match validate ~path:p ~digest:d with
-        | Ok () -> Lru_index.add t.index d ~weight:sz ()
-        | Error e -> quarantine t p (E.to_string e))
-      recs;
+      (fun r ->
+        match validate ~path:r.path ~digest:r.digest with
+        | Ok () -> remember t r.digest r.size
+        | Error e -> quarantine t r.path (E.to_string e))
+      (oldest_first (scan dir));
     enforce t;
     Ccs.Log.info log "plan-store opened"
       [
@@ -249,7 +266,7 @@ module Bounded = struct
     store ~dir:t.dir ~key artifact;
     let p = path ~dir:t.dir key in
     let sz = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-    Lru_index.add t.index (Ccs.Plan_key.digest key) ~weight:sz ();
+    remember t (Ccs.Plan_key.digest key) sz;
     enforce t
 
   let lookup t ~key =
@@ -257,15 +274,15 @@ module Bounded = struct
     match lookup ~dir:t.dir ~key with
     | Ok None ->
         (* evicted (possibly by a sibling worker) — forget it *)
-        ignore (Lru_index.remove t.index digest);
+        forget t digest;
         None
     | Ok (Some a) ->
         let p = path ~dir:t.dir key in
         (* bump durable recency; the file may have just been evicted
-           under us, in which case the next resync forgets it *)
+           under us, in which case the next rescan forgets it *)
         (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
         let sz = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-        Lru_index.add t.index digest ~weight:sz ();
+        remember t digest sz;
         Some a
     | Error e ->
         (* torn, corrupt or mismatched record: quarantine it and report a

@@ -41,17 +41,24 @@ val lookup :
 
     The durable index is the directory itself — one file per record,
     mtime as recency (bumped on every hit) — so it is crash-safe by
-    construction; {!Bounded.create} rebuilds an in-memory
-    {!Lru_index} mirror with a startup sweep that validates every
-    record and moves torn or mismatched ones to [dir/quarantine/].
-    Eviction re-scans the directory first, so records written by
-    sibling daemon workers count against the bound and the globally
-    least-recent record goes first. *)
+    construction.  {!Bounded.create} runs a startup sweep that validates
+    every record and moves torn or mismatched ones to [dir/quarantine/];
+    in memory the handle keeps only each live record's size.  Eviction
+    re-scans the directory first and deletes records oldest mtime first,
+    so records written by sibling daemon workers count against the bound
+    and the globally least-recent record goes first. *)
 module Bounded : sig
   type bounds = { max_bytes : int; max_entries : int }
   (** [0] means unbounded on that axis. *)
 
   val unbounded : bounds
+
+  type record = { path : string; digest : string; size : int; mtime : float }
+
+  val scan : string -> record list
+  (** The [.ccsplan] records in a directory, in readdir order (empty if
+      the directory cannot be read).  The one directory scan behind
+      eviction and the daemon's store gauges. *)
 
   type t
 
@@ -71,7 +78,8 @@ module Bounded : sig
       one. *)
 
   val bytes : t -> int
-  (** Bytes of live records, per the mirror (feeds the store gauge). *)
+  (** Bytes of live records as this handle last saw them (feeds the
+      store gauge). *)
 
   val entries : t -> int
 

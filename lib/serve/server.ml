@@ -143,11 +143,16 @@ let make_metrics () =
    client-supplied id the moment the parse stage sees one. *)
 type trace = { mutable trace_id : string; root : int; t_start : int }
 
+(* A hot-cache entry and its last-use stamp (the worker's [hot_clock]
+   at its last insert or hit). *)
+type hot_entry = { artifact : Protocol.artifact; mutable used : int }
+
 type t = {
   config : config;
   m : metrics;
   store : Plan_cache.Bounded.t;
-  hot : Protocol.artifact Lru_index.t;
+  hot : (string, hot_entry) Hashtbl.t; (* plan-key digest -> entry *)
+  mutable hot_clock : int;
   flight : Ccs.Flight.t;
       (* always-on black box: span ring + recent log lines, dumped on
          anomaly triggers *)
@@ -188,7 +193,8 @@ let make config =
     config;
     m = make_metrics ();
     store;
-    hot = Lru_index.create ();
+    hot = Hashtbl.create 16;
+    hot_clock = 0;
     flight;
     req_index = 0;
     evictions_seen = 0;
@@ -288,6 +294,9 @@ let publish_metrics t =
 
 let metric_value t ?labels name = Metrics.value t.m.registry ?labels name
 
+(* One page for the whole daemon: every published snapshot, a dead
+   worker's included (so cumulative counters never go backwards),
+   summed into a fresh registry. *)
 let scrape t =
   let dir = metrics_dir t in
   let files =
@@ -297,16 +306,16 @@ let scrape t =
       |> List.sort String.compare
     else []
   in
-  let docs =
-    List.filter_map
-      (fun f ->
-        let path = Filename.concat dir f in
-        match In_channel.with_open_text path In_channel.input_all with
-        | contents -> Result.to_option (Ccs.Json.of_string contents)
-        | exception Sys_error _ -> None)
-      files
-  in
-  Snapshot.to_prometheus (Snapshot.merge docs)
+  let merged = Metrics.create () in
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      match In_channel.with_open_text path In_channel.input_all with
+      | contents ->
+          Result.iter (Metrics.absorb merged) (Ccs.Json.of_string contents)
+      | exception Sys_error _ -> ())
+    files;
+  Metrics.to_prometheus merged
 
 (* --- deadlines ------------------------------------------------------------- *)
 
@@ -438,12 +447,27 @@ let build_artifact t (req : Protocol.plan_request) g cache : Protocol.artifact =
 
 (* --- the hot cache and the bounded store ----------------------------------- *)
 
+let hot_stamp t =
+  t.hot_clock <- t.hot_clock + 1;
+  t.hot_clock
+
+(* LRU by stamp: an insert past [hot_cache] entries evicts the entry
+   used longest ago.  The scan covers at most [hot_cache + 1] entries
+   and runs only on insert, never on a hit. *)
 let hot_put t digest artifact =
   if t.config.hot_cache > 0 then begin
-    Lru_index.add t.hot digest ~weight:1 artifact;
-    while Lru_index.size t.hot > t.config.hot_cache do
-      ignore (Lru_index.evict_lru t.hot)
-    done
+    Hashtbl.replace t.hot digest { artifact; used = hot_stamp t };
+    if Hashtbl.length t.hot > t.config.hot_cache then begin
+      let oldest =
+        Hashtbl.fold
+          (fun d e acc ->
+            match acc with
+            | Some (_, used) when used < e.used -> acc
+            | _ -> Some (d, e.used))
+          t.hot None
+      in
+      Option.iter (fun (d, _) -> Hashtbl.remove t.hot d) oldest
+    end
   end
 
 (* Hot cache in front of the disk store: a hot hit answers without
@@ -451,10 +475,10 @@ let hot_put t digest artifact =
    because both serve the very same artifact value. *)
 let lookup_artifact t ~key =
   let digest = Ccs.Plan_key.digest key in
-  match
-    if t.config.hot_cache > 0 then Lru_index.touch t.hot digest else None
-  with
-  | Some a -> Some a
+  match Hashtbl.find_opt t.hot digest with
+  | Some e ->
+      e.used <- hot_stamp t;
+      Some e.artifact
   | None -> (
       match Plan_cache.Bounded.lookup t.store ~key with
       | Some a ->
@@ -629,23 +653,24 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-(* Liveness probe: 200 plus the number of processes currently publishing
-   metrics snapshots (the live worker count as the scrape sees it). *)
+(* Liveness probe: 200 plus the number of live workers — those whose
+   [worker-<pid>.json] snapshot names a running process.  A dead
+   worker's snapshot stays behind for the scrape, so the file count
+   alone would overcount after a respawn. *)
 let healthz t =
-  let dir = metrics_dir t in
+  let live f =
+    match Scanf.sscanf f "worker-%d.json%!" Fun.id with
+    | pid when pid > 0 -> (
+        match Unix.kill pid 0 with
+        | () -> true
+        | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+        | exception Unix.Unix_error _ -> true (* exists, not ours *))
+    | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) -> false
+  in
   let workers =
-    match Sys.readdir dir with
+    match Sys.readdir (metrics_dir t) with
     | exception Sys_error _ -> 0
-    | files ->
-        Array.fold_left
-          (fun n f ->
-            if
-              String.length f >= 7
-              && String.sub f 0 7 = "worker-"
-              && Filename.check_suffix f ".json"
-            then n + 1
-            else n)
-          0 files
+    | files -> Array.fold_left (fun n f -> if live f then n + 1 else n) 0 files
   in
   Printf.sprintf "{\"ok\":true,\"workers\":%d}\n" workers
 
@@ -1066,21 +1091,10 @@ let publish_parent config s ~quarantined_gauge =
   (* The parent owns the store gauges: one process scanning the shared
      directory reports the truth once, instead of every worker's mirror
      being summed by the scrape merge. *)
-  let bytes, entries =
-    match Sys.readdir (cache_dir config) with
-    | exception Sys_error _ -> (0, 0)
-    | files ->
-        Array.fold_left
-          (fun (b, n) f ->
-            if Filename.check_suffix f ".ccsplan" then
-              match Unix.stat (Filename.concat (cache_dir config) f) with
-              | st -> (b + st.Unix.st_size, n + 1)
-              | exception Unix.Unix_error _ -> (b, n)
-            else (b, n))
-          (0, 0) files
-  in
-  Metrics.set s.sm.store_bytes bytes;
-  Metrics.set s.sm.store_entries entries;
+  let records = Plan_cache.Bounded.scan (cache_dir config) in
+  Metrics.set s.sm.store_bytes
+    (List.fold_left (fun b r -> b + r.Plan_cache.Bounded.size) 0 records);
+  Metrics.set s.sm.store_entries (List.length records);
   Metrics.set quarantined_gauge s.quarantined;
   Plan_cache.ensure_dir (Filename.concat config.dir "metrics");
   Ccs.Binio.write_atomic ~path:(parent_snapshot_path config)
@@ -1287,6 +1301,10 @@ let overloaded_retry_after line =
 
 let request_retry ?(retries = 0) ?(backoff_ms = 50) ?(timeout_ms = 0)
     ?(seed = 0) address line =
+  (* A shedding daemon closes right after its answer, so a request
+     written after that close must surface as EPIPE, a transport failure
+     to retry, instead of killing the client with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* xorshift64*, seeded per call so concurrent clients spread out *)
   let rng = ref (Int64.of_int ((seed lxor 0x9e3779b9) lor 1)) in
   let next_jitter bound =

@@ -10,7 +10,8 @@
     protocol ({!Protocol}), and a connection whose first line is an HTTP
     [GET]/[HEAD] instead gets a one-shot HTTP/1.0 answer —
     [GET /metrics] returns the Prometheus page merged across every
-    published snapshot ({!Snapshot}).
+    published snapshot ({!Ccs.Metrics.absorb}), and [GET /healthz] the
+    number of live workers.
 
     Production hardening:
     - {b Deadlines} ([deadline_ms > 0]): each request has a time budget
@@ -25,7 +26,8 @@
       {!Plan_cache.Bounded} store — LRU eviction under
       [store_max_bytes]/[store_max_entries], mtime as crash-safe
       recency, corrupt records quarantined.  A per-worker in-memory hot
-      cache ([hot_cache] entries) sits in front of it.
+      cache ([hot_cache] entries, least-recently-used evicted first)
+      sits in front of it.
     - {b Circuit breaker}: the parent respawns dead workers with
       exponential backoff and, after [breaker_limit] consecutive deaths
       under [min_uptime_ms], retires the crash-looping slot instead of
@@ -117,7 +119,9 @@ val request_retry :
     least its [retry_after_ms] hint).  Backoff doubles from [backoff_ms]
     per attempt with seeded jitter.  Safe because plan requests are
     idempotent by {!Ccs.Plan_key} digest.  With retries exhausted, the
-    last response (or transport exception) is surfaced as-is. *)
+    last response (or transport exception) is surfaced as-is.  Sets
+    SIGPIPE to ignored for the process, so a write to a connection the
+    daemon already closed is a retryable [EPIPE], not a fatal signal. *)
 
 (** {2 Exposed for tests} *)
 
@@ -133,7 +137,8 @@ val handle_line : t -> string -> string
     line (without the trailing newline). *)
 
 val scrape : t -> string
-(** The merged Prometheus page. *)
+(** The merged Prometheus page: every worker's published snapshot
+    (a dead worker's included) absorbed into one registry. *)
 
 val metric_value : t -> ?labels:(string * string) list -> string -> int option
 (** Read one series from this process's own registry (counter value,

@@ -395,11 +395,11 @@ let wait_for_socket sock =
      in-flight slots *)
   Unix.sleepf 0.15
 
-let scrape_http address =
+let http_get address target =
   let fd = Srv.connect address in
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
-  output_string oc "GET /metrics HTTP/1.0\r\n\r\n";
+  output_string oc (Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" target);
   flush oc;
   let buf = Buffer.create 4096 in
   (try
@@ -512,7 +512,7 @@ let test_soak () =
   Alcotest.(check bool) "config change misses" false (is_cached r);
   (* Metrics, merged across both workers, account for every request:
      12 misses + 48 hits + 1 miss (config change) + 1 error + 1 ping. *)
-  let page = scrape_http config.Srv.address in
+  let page = http_get config.Srv.address "/metrics" in
   let n = metric page in
   Alcotest.(check int) "requests" 63 (n "ccs_serve_requests_total");
   Alcotest.(check int) "hits" 48 (n "ccs_serve_cache_hits_total");
@@ -532,101 +532,6 @@ let test_soak () =
   | _, _ -> Alcotest.fail "daemon did not exit cleanly on SIGTERM");
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock)
 
-(* --- the weighted LRU index ------------------------------------------------ *)
-
-module Lru = Ccs_serve.Lru_index
-
-(* Differential test against a naive association-list model: same ops,
-   same observable state (recency order, size, total weight, returned
-   values) at every step.  Deterministic LCG so failures replay. *)
-let test_lru_index_differential () =
-  let t = Lru.create () in
-  let model = ref [] in
-  (* model: (key, (weight, value)) list, MRU first *)
-  let m_remove k = model := List.remove_assoc k !model in
-  let seed = ref 0x2545F491 in
-  let next () =
-    seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
-    !seed
-  in
-  let agree step =
-    Alcotest.(check int)
-      (Printf.sprintf "size @%d" step)
-      (List.length !model) (Lru.size t);
-    Alcotest.(check int)
-      (Printf.sprintf "weight @%d" step)
-      (List.fold_left (fun acc (_, (w, _)) -> acc + w) 0 !model)
-      (Lru.total_weight t);
-    Alcotest.(check (list string))
-      (Printf.sprintf "recency @%d" step)
-      (List.map fst !model) (Lru.to_list_mru_first t)
-  in
-  for step = 1 to 3000 do
-    let k = "key-" ^ string_of_int (next () mod 40) in
-    let check_opt name want got =
-      Alcotest.(check (option int)) (Printf.sprintf "%s @%d" name step) want
-        got
-    in
-    (match next () mod 5 with
-    | 0 | 1 ->
-        let w = 1 + (next () mod 100) and v = next () in
-        Lru.add t k ~weight:w v;
-        m_remove k;
-        model := (k, (w, v)) :: !model
-    | 2 ->
-        check_opt "touch" (Option.map snd (List.assoc_opt k !model))
-          (Lru.touch t k);
-        (match List.assoc_opt k !model with
-        | Some e ->
-            m_remove k;
-            model := (k, e) :: !model
-        | None -> ())
-    | 3 ->
-        check_opt "find" (Option.map snd (List.assoc_opt k !model))
-          (Lru.find t k);
-        Alcotest.(check bool)
-          (Printf.sprintf "remove @%d" step)
-          (List.mem_assoc k !model) (Lru.remove t k);
-        m_remove k
-    | _ -> (
-        match Lru.evict_lru t with
-        | None ->
-            Alcotest.(check bool)
-              (Printf.sprintf "evict-empty @%d" step)
-              true (!model = [])
-        | Some (ek, ew, ev) -> (
-            match List.rev !model with
-            | (mk, (mw, mv)) :: _ ->
-                Alcotest.(check string)
-                  (Printf.sprintf "evict key @%d" step)
-                  mk ek;
-                Alcotest.(check int) "evict weight" mw ew;
-                Alcotest.(check int) "evict value" mv ev;
-                m_remove mk
-            | [] -> Alcotest.fail "evicted from an empty model")));
-    agree step
-  done
-
-let test_lru_index_update_and_growth () =
-  let t = Lru.create () in
-  (* grow well past the initial 16 slots *)
-  for i = 0 to 99 do
-    Lru.add t (string_of_int i) ~weight:i i
-  done;
-  Alcotest.(check int) "size" 100 (Lru.size t);
-  Alcotest.(check int) "weight" 4950 (Lru.total_weight t);
-  (* re-adding updates weight/value in place and promotes *)
-  Lru.add t "0" ~weight:1000 7;
-  Alcotest.(check int) "updated weight" (4950 - 0 + 1000) (Lru.total_weight t);
-  Alcotest.(check (option int)) "updated value" (Some 7) (Lru.find t "0");
-  (match Lru.to_list_mru_first t with
-  | mru :: _ -> Alcotest.(check string) "promoted" "0" mru
-  | [] -> Alcotest.fail "empty");
-  (* and the LRU is now key 1 *)
-  match Lru.evict_lru t with
-  | Some (k, _, _) -> Alcotest.(check string) "lru" "1" k
-  | None -> Alcotest.fail "evict failed"
-
 (* --- the bounded plan store ------------------------------------------------ *)
 
 let mk_key i =
@@ -643,6 +548,13 @@ let plan_files dir =
     |> List.filter (fun f -> Filename.check_suffix f ".ccsplan")
   else []
 
+(* Order records explicitly: each record's mtime set [age] seconds in
+   the past, so eviction order never depends on the filesystem's
+   timestamp granularity.  A hit or store afterwards stamps "now". *)
+let age_record dir key age =
+  let t = Unix.gettimeofday () -. age in
+  Unix.utimes (Cache.path ~dir key) t t
+
 let test_store_entry_bound_and_rebuild () =
   let dir = tmp_dir () in
   let a = artifact_fixture () in
@@ -652,15 +564,14 @@ let test_store_entry_bound_and_rebuild () =
       ()
   in
   Cache.Bounded.store b ~key:(mk_key 0) a;
-  Unix.sleepf 0.02;
+  age_record dir (mk_key 0) 30.;
   Cache.Bounded.store b ~key:(mk_key 1) a;
-  Unix.sleepf 0.02;
+  age_record dir (mk_key 1) 20.;
   let k1_bytes = read_bin (Cache.path ~dir (mk_key 1)) in
   (* a hit bumps recency, so key 0 is most-recent again *)
   Alcotest.(check bool)
     "hit" true
     (Cache.Bounded.lookup b ~key:(mk_key 0) <> None);
-  Unix.sleepf 0.02;
   Cache.Bounded.store b ~key:(mk_key 2) a;
   (* over the bound: the least-recently-used record (key 1) went *)
   Alcotest.(check int) "entries" 2 (Cache.Bounded.entries b);
@@ -672,10 +583,15 @@ let test_store_entry_bound_and_rebuild () =
   Alcotest.(check bool)
     "survivor hits" true
     (Cache.Bounded.lookup b ~key:(mk_key 2) <> None);
-  (* rebuilding the evicted record reproduces it bit-identically *)
-  Unix.sleepf 0.02;
+  (* rebuilding the evicted record reproduces it bit-identically, and
+     evicts key 0, now the older survivor *)
+  age_record dir (mk_key 0) 10.;
+  age_record dir (mk_key 2) 5.;
   Cache.Bounded.store b ~key:(mk_key 1) a;
   Alcotest.(check int) "still bounded" 2 (Cache.Bounded.entries b);
+  Alcotest.(check bool)
+    "oldest went" false
+    (Sys.file_exists (Cache.path ~dir (mk_key 0)));
   Alcotest.(check string)
     "rebuilt bit-identical" k1_bytes
     (read_bin (Cache.path ~dir (mk_key 1)))
@@ -685,6 +601,7 @@ let test_store_byte_bound () =
   let a = artifact_fixture () in
   (* measure one record, then bound the store to just over two of them *)
   Cache.store ~dir ~key:(mk_key 0) a;
+  age_record dir (mk_key 0) 30.;
   let record = String.length (read_bin (Cache.path ~dir (mk_key 0))) in
   let bound = (2 * record) + (record / 2) in
   let b =
@@ -692,9 +609,8 @@ let test_store_byte_bound () =
       ~bounds:{ Cache.Bounded.max_bytes = bound; max_entries = 0 }
       ()
   in
-  Unix.sleepf 0.02;
   Cache.Bounded.store b ~key:(mk_key 1) a;
-  Unix.sleepf 0.02;
+  age_record dir (mk_key 1) 20.;
   Cache.Bounded.store b ~key:(mk_key 2) a;
   Alcotest.(check bool)
     "bytes within bound" true
@@ -703,6 +619,30 @@ let test_store_byte_bound () =
   Alcotest.(check bool)
     "oldest evicted" true
     (Cache.Bounded.lookup b ~key:(mk_key 0) = None)
+
+(* The per-worker hot cache is LRU, not FIFO: with room for two plans,
+   A B A C evicts B.  With the disk store emptied, only the hot cache
+   can answer, so [cached] shows exactly who survived. *)
+let test_hot_cache_lru () =
+  let dir = tmp_dir () in
+  let t =
+    Srv.make
+      {
+        (Srv.default_config ~address:(Srv.Unix_socket "/nonexistent") ~dir)
+        with
+        Srv.hot_cache = 2;
+      }
+  in
+  let plan app = is_cached (Srv.handle_line t (plan_line (app_graph app))) in
+  Alcotest.(check bool) "build A" false (plan "fm-radio");
+  Alcotest.(check bool) "build B" false (plan "des");
+  Alcotest.(check bool) "hit A" true (plan "fm-radio");
+  Alcotest.(check bool) "build C" false (plan "fft");
+  let plans = Filename.concat dir "plans" in
+  List.iter (fun f -> Sys.remove (Filename.concat plans f)) (plan_files plans);
+  Alcotest.(check bool) "A survives" true (plan "fm-radio");
+  Alcotest.(check bool) "C survives" true (plan "fft");
+  Alcotest.(check bool) "B evicted" false (plan "des")
 
 let truncate_file p =
   let size = (Unix.stat p).Unix.st_size in
@@ -966,6 +906,55 @@ let test_breaker_quarantines_crash_loop () =
   Alcotest.(check (option int))
     "one respawn before the breaker opened" (Some 1)
     (file_metric parent "ccs_serve_worker_restarts_total")
+
+(* /healthz counts live workers only.  Every worker dies after its first
+   response (kill@0), so two submits leave two dead workers' snapshots
+   behind: the scrape keeps them (counters never go backwards), the
+   probe must not count them. *)
+let test_healthz_counts_live_workers () =
+  let dir = tmp_dir () in
+  let sock = Filename.concat dir "d.sock" in
+  let state = Filename.concat dir "state" in
+  let config =
+    {
+      (Srv.default_config ~address:(Srv.Unix_socket sock) ~dir:state) with
+      Srv.workers = 2;
+      chaos = Ccs.Fault.parse_env "kill@0";
+      min_uptime_ms = 0;
+    }
+  in
+  with_daemon config sock @@ fun _ ->
+  List.iteri
+    (fun i app ->
+      let r =
+        Srv.request_retry ~retries:6 ~backoff_ms:20 ~timeout_ms:10_000 ~seed:i
+          config.Srv.address (plan_line (app_graph app))
+      in
+      Alcotest.(check bool) (app ^ " ok") true (is_ok r))
+    [ "fm-radio"; "des" ];
+  let parent = Filename.concat (Filename.concat state "metrics") "parent.json" in
+  let rec await what n ready =
+    if not (ready ()) then
+      if n = 0 then Alcotest.failf "timed out waiting for %s" what
+      else (
+        Unix.sleepf 0.05;
+        await what (n - 1) ready)
+  in
+  await "two respawns" 200 (fun () ->
+      match file_metric parent "ccs_serve_worker_restarts_total" with
+      | Some r -> r >= 2
+      | None -> false);
+  await "/healthz to report 2 workers" 200 (fun () ->
+      String.ends_with ~suffix:"\"workers\":2}\n"
+        (http_get config.Srv.address "/healthz"));
+  let snapshots =
+    Sys.readdir (Filename.concat state "metrics")
+    |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"worker-" f)
+  in
+  if List.length snapshots < 4 then
+    Alcotest.failf "dead workers' snapshots were dropped: %d left"
+      (List.length snapshots)
 
 let test_live_fuzz_flood () =
   let dir = tmp_dir () in
@@ -1252,7 +1241,7 @@ let test_tracing_bit_identical () =
     "stage series on the metrics page" true
     (has "ccs_serve_stage_us_count{stage=\"plan_build\"}" page)
 
-(* --- snapshot merge on histogram series ------------------------------------ *)
+(* --- the scrape merge: Metrics.absorb ---------------------------------------- *)
 
 let snapshot_doc build =
   let r = Ccs.Metrics.create () in
@@ -1261,11 +1250,10 @@ let snapshot_doc build =
   | Ok v -> v
   | Error e -> Alcotest.failf "snapshot doc does not parse: %s" e
 
-let find_series series name labels =
-  List.find_opt
-    (fun s ->
-      s.Ccs_serve.Snapshot.name = name && s.Ccs_serve.Snapshot.labels = labels)
-    series
+let absorb_all docs =
+  let r = Ccs.Metrics.create () in
+  List.iter (Ccs.Metrics.absorb r) docs;
+  r
 
 let test_snapshot_merge_histograms () =
   let doc pid observations =
@@ -1279,44 +1267,37 @@ let test_snapshot_merge_histograms () =
         in
         if pid = 1 then Ccs.Metrics.observe other 1)
   in
-  let merged = Ccs_serve.Snapshot.merge [ doc 1 [ 3; 100 ]; doc 2 [ 5 ] ] in
-  (match find_series merged "stage_us" [ ("stage", "parse") ] with
-  | None -> Alcotest.fail "merged parse series missing"
-  | Some s -> (
-      match s.Ccs_serve.Snapshot.data with
-      | Ccs_serve.Snapshot.Histo { count; sum; buckets } ->
-          Alcotest.(check int) "counts sum across workers" 3 count;
-          Alcotest.(check int) "sums sum across workers" 108 sum;
-          Alcotest.(check int)
-            "per-bucket counts sum" 3
-            (List.fold_left (fun a (_, c) -> a + c) 0 buckets)
-      | _ -> Alcotest.fail "parse series is not a histogram"));
-  (* label-set disjointness: the write series keeps its own count *)
-  (match find_series merged "stage_us" [ ("stage", "write") ] with
-  | None -> Alcotest.fail "merged write series missing"
-  | Some s -> (
-      match s.Ccs_serve.Snapshot.data with
-      | Ccs_serve.Snapshot.Histo { count; _ } ->
-          Alcotest.(check int) "disjoint labels not conflated" 1 count
-      | _ -> Alcotest.fail "write series is not a histogram"));
-  (* the rendered page has cumulative buckets ending in +Inf = count *)
-  let page = Ccs_serve.Snapshot.to_prometheus merged in
-  let lines = String.split_on_char '\n' page in
-  let bucket_counts prefix =
-    List.filter_map
-      (fun l ->
-        let n = String.length prefix in
-        if String.length l > n && String.sub l 0 n = prefix then
-          String.rindex_opt l ' '
-          |> Option.map (fun i ->
-                 int_of_string
-                   (String.sub l (i + 1) (String.length l - i - 1)))
-        else None)
-      lines
+  let merged = absorb_all [ doc 1 [ 3; 100 ]; doc 2 [ 5 ] ] in
+  let series stage =
+    Ccs.Metrics.histogram merged ~labels:[ ("stage", stage) ] "stage_us"
   in
+  let parse = series "parse" in
+  Alcotest.(check int)
+    "counts sum across workers" 3
+    (Ccs.Metrics.histogram_count parse);
+  Alcotest.(check int)
+    "sums sum across workers" 108
+    (Ccs.Metrics.histogram_sum parse);
+  Alcotest.(check int)
+    "per-bucket counts sum" 3
+    (List.fold_left ( + ) 0 (Ccs.Metrics.histogram_buckets parse));
+  (* label-set disjointness: the write series keeps its own count *)
+  Alcotest.(check int)
+    "disjoint labels not conflated" 1
+    (Ccs.Metrics.histogram_count (series "write"));
+  (* the rendered page has cumulative buckets ending in +Inf = count *)
+  let page = Ccs.Metrics.to_prometheus merged in
+  let prefix = "stage_us_bucket{stage=\"parse\"" in
   let cumulative =
-    bucket_counts "stage_us_bucket{le=\"" |> fun _ ->
-    bucket_counts "stage_us_bucket{stage=\"parse\""
+    String.split_on_char '\n' page
+    |> List.filter_map (fun l ->
+           let n = String.length prefix in
+           if String.length l > n && String.sub l 0 n = prefix then
+             String.rindex_opt l ' '
+             |> Option.map (fun i ->
+                    int_of_string
+                      (String.sub l (i + 1) (String.length l - i - 1)))
+           else None)
   in
   Alcotest.(check bool) "bucket series rendered" true (cumulative <> []);
   let rec monotone = function
@@ -1333,24 +1314,122 @@ let test_snapshot_merge_edge_cases () =
   (* zero snapshots: an empty page, not an error *)
   Alcotest.(check string)
     "empty merge renders an empty page" ""
-    (Ccs_serve.Snapshot.to_prometheus (Ccs_serve.Snapshot.merge []));
-  (* a histogram series merged with itself doubles; counters unaffected *)
+    (Ccs.Metrics.to_prometheus (absorb_all []));
+  (* a histogram series merged with itself doubles; counters likewise *)
   let d =
     snapshot_doc (fun r ->
         let h = Ccs.Metrics.histogram r "h_us" in
         Ccs.Metrics.observe h 9;
         Ccs.Metrics.inc (Ccs.Metrics.counter r "c_total"))
   in
-  let merged = Ccs_serve.Snapshot.merge [ d; d ] in
-  (match find_series merged "h_us" [] with
-  | Some { Ccs_serve.Snapshot.data = Ccs_serve.Snapshot.Histo { count; _ }; _ }
-    ->
-      Alcotest.(check int) "histogram doubled" 2 count
-  | _ -> Alcotest.fail "histogram series missing");
-  match find_series merged "c_total" [] with
-  | Some { Ccs_serve.Snapshot.data = Ccs_serve.Snapshot.Value v; _ } ->
-      Alcotest.(check int) "counter doubled" 2 v
-  | _ -> Alcotest.fail "counter series missing"
+  let merged = absorb_all [ d; d ] in
+  Alcotest.(check (option int))
+    "histogram doubled" (Some 2)
+    (Ccs.Metrics.value merged "h_us");
+  Alcotest.(check (option int))
+    "counter doubled" (Some 2)
+    (Ccs.Metrics.value merged "c_total")
+
+(* Three published snapshots (two workers and the parent) and the page
+   the daemon rendered for them before the merge moved into
+   Metrics.absorb: summed values, first-seen series order, help text
+   first seen in a later document, escaped label values. *)
+let golden_docs =
+  [
+    {|{"counters":[{"name":"ccs_serve_requests_total","labels":{},"help":"Protocol requests received.","value":7},{"name":"ccs_serve_cache_hits_total","labels":{},"help":"Plan requests answered from the hot cache or the persistent plan store.","value":4},{"name":"late_help_total","labels":{},"value":1}],"gauges":[{"name":"ccs_serve_inflight","labels":{},"help":"Connections currently being served.","value":1}],"histograms":[{"name":"ccs_serve_request_us","labels":{},"help":"End-to-end request latency, wall-clock microseconds.","count":3,"sum":1300,"buckets":[{"le":7,"count":1},{"le":1023,"count":2}]},{"name":"ccs_serve_stage_us","labels":{"stage":"parse"},"help":"Per-stage request latency, wall-clock microseconds (tracing only).","count":2,"sum":30,"buckets":[{"le":15,"count":2}]},{"name":"ccs_serve_stage_us","labels":{"stage":"write"},"help":"Per-stage request latency, wall-clock microseconds (tracing only).","count":0,"sum":0,"buckets":[]}]}|};
+    {|{"counters":[{"name":"ccs_serve_requests_total","labels":{},"help":"Protocol requests received.","value":5},{"name":"ccs_serve_cache_hits_total","labels":{},"help":"Plan requests answered from the hot cache or the persistent plan store.","value":2},{"name":"late_help_total","labels":{},"help":"Help first seen in the second doc; a back\\slash and a\nnewline.","value":2},{"name":"odd_labels_total","labels":{"path":"a\"b\\c\nd","zone":"eu"},"help":"Label values with every escaped character.","value":3}],"gauges":[{"name":"ccs_serve_inflight","labels":{},"help":"Connections currently being served.","value":0}],"histograms":[{"name":"ccs_serve_request_us","labels":{},"help":"End-to-end request latency, wall-clock microseconds.","count":4,"sum":70000,"buckets":[{"le":0,"count":1},{"le":7,"count":1},{"le":65535,"count":2}]},{"name":"ccs_serve_stage_us","labels":{"stage":"write"},"help":"Per-stage request latency, wall-clock microseconds (tracing only).","count":1,"sum":3,"buckets":[{"le":3,"count":1}]}]}|};
+    {|{"counters":[{"name":"ccs_serve_worker_restarts_total","labels":{},"help":"Worker processes respawned by the parent after an unexpected death.","value":2}],"gauges":[{"name":"ccs_serve_store_bytes","labels":{},"help":"Bytes of live plan-store records.","value":4096},{"name":"ccs_serve_store_entries","labels":{},"help":"Live plan-store records.","value":3},{"name":"ccs_serve_workers_quarantined","labels":{},"help":"Worker slots retired by the crash-loop circuit breaker.","value":0}],"histograms":[]}|};
+  ]
+
+let golden_page =
+  {|# HELP ccs_serve_requests_total Protocol requests received.
+# TYPE ccs_serve_requests_total counter
+ccs_serve_requests_total 12
+# HELP ccs_serve_cache_hits_total Plan requests answered from the hot cache or the persistent plan store.
+# TYPE ccs_serve_cache_hits_total counter
+ccs_serve_cache_hits_total 6
+# HELP late_help_total Help first seen in the second doc; a back\\slash and a\nnewline.
+# TYPE late_help_total counter
+late_help_total 3
+# HELP ccs_serve_inflight Connections currently being served.
+# TYPE ccs_serve_inflight gauge
+ccs_serve_inflight 1
+# HELP ccs_serve_request_us End-to-end request latency, wall-clock microseconds.
+# TYPE ccs_serve_request_us histogram
+ccs_serve_request_us_bucket{le="0"} 1
+ccs_serve_request_us_bucket{le="7"} 3
+ccs_serve_request_us_bucket{le="1023"} 5
+ccs_serve_request_us_bucket{le="65535"} 7
+ccs_serve_request_us_bucket{le="+Inf"} 7
+ccs_serve_request_us_sum 71300
+ccs_serve_request_us_count 7
+# HELP ccs_serve_stage_us Per-stage request latency, wall-clock microseconds (tracing only).
+# TYPE ccs_serve_stage_us histogram
+ccs_serve_stage_us_bucket{stage="parse",le="15"} 2
+ccs_serve_stage_us_bucket{stage="parse",le="+Inf"} 2
+ccs_serve_stage_us_sum{stage="parse"} 30
+ccs_serve_stage_us_count{stage="parse"} 2
+ccs_serve_stage_us_bucket{stage="write",le="3"} 1
+ccs_serve_stage_us_bucket{stage="write",le="+Inf"} 1
+ccs_serve_stage_us_sum{stage="write"} 3
+ccs_serve_stage_us_count{stage="write"} 1
+# HELP odd_labels_total Label values with every escaped character.
+# TYPE odd_labels_total counter
+odd_labels_total{path="a\"b\\c\nd",zone="eu"} 3
+# HELP ccs_serve_worker_restarts_total Worker processes respawned by the parent after an unexpected death.
+# TYPE ccs_serve_worker_restarts_total counter
+ccs_serve_worker_restarts_total 2
+# HELP ccs_serve_store_bytes Bytes of live plan-store records.
+# TYPE ccs_serve_store_bytes gauge
+ccs_serve_store_bytes 4096
+# HELP ccs_serve_store_entries Live plan-store records.
+# TYPE ccs_serve_store_entries gauge
+ccs_serve_store_entries 3
+# HELP ccs_serve_workers_quarantined Worker slots retired by the crash-loop circuit breaker.
+# TYPE ccs_serve_workers_quarantined gauge
+ccs_serve_workers_quarantined 0
+|}
+
+let test_scrape_golden_page () =
+  let docs =
+    List.map
+      (fun d ->
+        match Json.of_string d with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "golden doc does not parse: %s" e)
+      golden_docs
+  in
+  Alcotest.(check string)
+    "merged page" golden_page
+    (Ccs.Metrics.to_prometheus (absorb_all docs))
+
+(* Snapshot files are input from outside the process: a bad entry is
+   skipped, never raised, and the well-formed series still merge. *)
+let test_absorb_malformed () =
+  let doc s =
+    match Json.of_string s with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "test doc does not parse: %s" e
+  in
+  let merged =
+    absorb_all
+      [
+        doc
+          {|{"counters":[7,{"labels":{},"value":1},{"name":"bad name","value":1},{"name":"ok_total","labels":{"bad-label":"x"},"value":1},{"name":"clash","value":5},{"name":"ok_total","value":2}],"histograms":[{"name":"h_us","count":2,"sum":9,"buckets":[{"le":"x","count":1},{"le":7,"count":2}]}]}|};
+        doc
+          {|{"counters":[{"name":"ok_total","value":3}],"gauges":[{"name":"clash","value":9}],"histograms":[{"name":"clash","count":1,"sum":1,"buckets":[]}]}|};
+        doc {|[1,2]|};
+        doc {|{"counters":"nope","gauges":[null]}|};
+      ]
+  in
+  Alcotest.(check int) "only well-formed series" 3
+    (Ccs.Metrics.num_series merged);
+  Alcotest.(check string)
+    "page"
+    "# TYPE clash counter\nclash 5\n# TYPE ok_total counter\nok_total 5\n\
+     # TYPE h_us histogram\nh_us_bucket{le=\"7\"} 2\n\
+     h_us_bucket{le=\"+Inf\"} 2\nh_us_sum 9\nh_us_count 2\n"
+    (Ccs.Metrics.to_prometheus merged)
 
 let test_deadline_flight_dump () =
   (* An induced deadline-exceeded must leave a decodable black box on
@@ -1449,13 +1528,6 @@ let () =
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
         ] );
-      ( "lru index",
-        [
-          Alcotest.test_case "differential vs model" `Quick
-            test_lru_index_differential;
-          Alcotest.test_case "update and growth" `Quick
-            test_lru_index_update_and_growth;
-        ] );
       ( "bounded store",
         [
           Alcotest.test_case "entry bound, LRU eviction, rebuild" `Quick
@@ -1465,6 +1537,8 @@ let () =
             test_store_sweep_quarantines;
           Alcotest.test_case "self-heals at lookup" `Quick
             test_store_self_heals_at_lookup;
+          Alcotest.test_case "hot cache evicts least recently used" `Quick
+            test_hot_cache_lru;
         ] );
       ( "fuzz",
         [
@@ -1481,6 +1555,8 @@ let () =
             test_breaker_quarantines_crash_loop;
           Alcotest.test_case "live flood of junk lines" `Slow
             test_live_fuzz_flood;
+          Alcotest.test_case "healthz counts live workers only" `Slow
+            test_healthz_counts_live_workers;
         ] );
       ( "observability",
         [
@@ -1497,6 +1573,10 @@ let () =
             test_snapshot_merge_histograms;
           Alcotest.test_case "snapshot merge edge cases" `Quick
             test_snapshot_merge_edge_cases;
+          Alcotest.test_case "scrape page matches the golden page" `Quick
+            test_scrape_golden_page;
+          Alcotest.test_case "absorb skips malformed entries" `Quick
+            test_absorb_malformed;
           Alcotest.test_case "deadline leaves a flight dump" `Slow
             test_deadline_flight_dump;
         ] );
