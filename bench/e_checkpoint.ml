@@ -1,28 +1,13 @@
-(* E20: checkpoint overhead vs interval.  Every app in the suite is driven
-   by the crash-safe supervisor twice: without checkpointing (baseline) and
-   with checkpoints every k epochs, k in {1, 4, 16}.  The miss counts must
-   be identical — checkpointing is pure observation — and the wall-clock
-   overhead at the default interval (4) should stay under 5% on the suite,
-   the acceptance bar for the crash-safety PR. *)
+(* E20: checkpointing vs interval.  Every app in the suite is driven by the
+   crash-safe supervisor without checkpointing (baseline) and with
+   checkpoints every k epochs, k in {1, 4, 16}.  The miss counts must be
+   identical — checkpointing is pure observation.  Its wall-clock cost is
+   not measured here; perfbench/ is the repo's timer. *)
 
 open Util
 
 let intervals = [ 1; 4; 16 ]
 let default_interval = Ccs.Supervisor.default_config.Ccs.Supervisor.checkpoint_every
-
-let time_run f =
-  (* Best of 3: supervisor runs are sub-second, so take the minimum to
-     shave scheduler noise. *)
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
 
 let fresh_dir =
   let counter = ref 0 in
@@ -44,7 +29,7 @@ let remove_dir dir =
   end
 
 let e20 () =
-  section "E20-checkpoint" "checkpoint overhead vs interval (crash safety)";
+  section "E20-checkpoint" "checkpointing vs interval (crash safety)";
   let m = 2048 and b = 16 in
   let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
   let cache = Ccs.Config.cache_config cfg in
@@ -53,7 +38,6 @@ let e20 () =
      whatever the app's repetition vector. *)
   let outputs = 20_000 in
   let epoch_outputs = outputs / 16 in
-  let default_overheads = ref [] in
   let mismatches = ref 0 in
   let rows =
     List.map
@@ -73,25 +57,19 @@ let e20 () =
           | Ok report -> report
           | Error e -> failwith (Ccs.Error.to_string e)
         in
-        let base, base_s =
-          time_run (fun () -> supervised ~interval:default_interval ())
-        in
+        let base = supervised ~interval:default_interval () in
         let base_misses = base.Ccs.Supervisor.result.Ccs.Runner.misses in
         let cols =
           List.map
             (fun k ->
               let dir = fresh_dir app k in
-              let report, s =
-                time_run (fun () ->
-                    Fun.protect
-                      ~finally:(fun () -> remove_dir dir)
-                      (fun () -> supervised ~checkpoint_dir:dir ~interval:k ()))
+              let report =
+                Fun.protect
+                  ~finally:(fun () -> remove_dir dir)
+                  (fun () -> supervised ~checkpoint_dir:dir ~interval:k ())
               in
               let misses = report.Ccs.Supervisor.result.Ccs.Runner.misses in
               if misses <> base_misses then incr mismatches;
-              let overhead_pct = 100. *. ratio (s -. base_s) base_s in
-              if k = default_interval then
-                default_overheads := overhead_pct :: !default_overheads;
               if Json.enabled () then
                 Json.point
                   [
@@ -106,28 +84,18 @@ let e20 () =
                       Json.Int report.Ccs.Supervisor.checkpoints_written );
                     ("misses", Json.Int misses);
                     ("misses_match", Json.Bool (misses = base_misses));
-                    ("baseline_seconds", Json.Float base_s);
-                    ("seconds", Json.Float s);
-                    ("overhead_pct", Json.Float overhead_pct);
                   ];
-              Printf.sprintf "%s%%" (f overhead_pct))
+              Printf.sprintf "%d%s" report.Ccs.Supervisor.checkpoints_written
+                (if misses = base_misses then "" else " NO"))
             intervals
         in
-        [ app; string_of_int base_misses; f (base_s *. 1e3) ] @ cols)
+        [ app; string_of_int base_misses ] @ cols)
       Ccs_apps.Suite.all
   in
   Ccs.Table.print
     ~header:
-      ([ "app"; "misses"; "base ms" ]
-      @ List.map (fun k -> Printf.sprintf "ovh k=%d" k) intervals)
+      ([ "app"; "misses" ]
+      @ List.map (fun k -> Printf.sprintf "ckpts k=%d" k) intervals)
     ~rows;
-  let mean =
-    match !default_overheads with
-    | [] -> Float.nan
-    | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-  in
   note "miss mismatches under checkpointing: %d (must be 0)" !mismatches;
-  note
-    "mean overhead at default interval k=%d: %s%% (acceptance bar: < 5%%); \
-     checkpointing never changes a single miss count"
-    default_interval (f mean)
+  note "checkpointing never changes a single miss count"

@@ -3,36 +3,18 @@
    [Machine.fire] driven by [Schedule.run] (the interpreted hot path every
    earlier experiment uses) and once through [Compiled.run_periods] (the
    lowered, branch-free firing program) — and the compiled path must be
-   both fast and faithful: >= 10x geomean wall-clock speedup is the
-   acceptance bar, with sink checksums and output counts bit-identical to
-   the engine running the codegen-semantics kernels and the compiled
-   word-access trace replaying to the interpreted machine's exact miss
-   count. *)
+   faithful: sink checksums and output counts bit-identical to the engine
+   running the codegen-semantics kernels, and the compiled word-access
+   trace replaying to the interpreted machine's exact miss count.  Its speed
+   is measured by perfbench/ exec-fit, not here. *)
 
 open Util
-
-(* Best of 3, same discipline as E20/E21.  Setup (machine construction /
-   compilation) happens per rep but outside the timed window: both arms
-   are timed on their firing loop alone — compile once, run many. *)
-let time_run mk run =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 3 do
-    let x = mk () in
-    let t0 = Unix.gettimeofday () in
-    run x;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some x
-  done;
-  (Option.get !result, !best)
 
 let e23 () =
   section "E23-compiled" "compiled backend vs interpreted machine";
   let m = 2048 and b = 16 in
   let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
   let cache = Ccs.Config.cache_config cfg in
-  let speedups = ref [] in
   let mismatches = ref 0 in
   let rows =
     List.map
@@ -45,43 +27,30 @@ let e23 () =
           Ccs.Schedule.fire_counts ~num_nodes:(G.num_nodes g) period
         in
         let period_fires = Array.fold_left ( + ) 0 counts in
-        (* Size every app to the same firing volume so per-app timings are
-           comparable and sub-second. *)
+        (* Size every app to the same firing volume. *)
         let periods = max 1 (150_000 / period_fires) in
         (* The interpreted arm is the full interpreted execution path —
            [Machine.fire] driven through the data-carrying engine with the
-           codegen-semantics kernels — i.e. what it costs today to compute
-           the same checksums and outputs the compiled program computes.
-           The bare machine (cache accounting only, no data) is timed too
-           and reported alongside, so both denominators are on record. *)
+           codegen-semantics kernels — computing the same checksums and
+           outputs the compiled program computes.  The bare machine (cache
+           accounting only, no data) gives the reference miss count. *)
         let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
-        let engine, interp_s =
-          time_run
-            (fun () -> Ccs.Engine.of_plan ~program ~cache ~plan ())
-            (fun engine ->
-              let em = Ccs.Engine.machine engine in
-              for _ = 1 to periods do
-                Ccs.Schedule.run em period
-              done)
-        in
-        let machine, machine_s =
-          time_run
-            (fun () ->
-              Ccs.Machine.create ~graph:g ~cache
-                ~capacities:plan.Ccs.Plan.capacities ())
-            (fun mach ->
-              for _ = 1 to periods do
-                Ccs.Schedule.run mach period
-              done)
-        in
-        let lowering = Ccs.Lowering.exn g ~plan ~cache in
-        let compiled, compiled_s =
-          time_run
-            (fun () -> Ccs.Compiled.create lowering)
-            (fun c -> Ccs.Compiled.run_periods c periods)
-        in
-        let sinks = G.sinks g in
+        let engine = Ccs.Engine.of_plan ~program ~cache ~plan () in
         let em = Ccs.Engine.machine engine in
+        for _ = 1 to periods do
+          Ccs.Schedule.run em period
+        done;
+        let machine =
+          Ccs.Machine.create ~graph:g ~cache
+            ~capacities:plan.Ccs.Plan.capacities ()
+        in
+        for _ = 1 to periods do
+          Ccs.Schedule.run machine period
+        done;
+        let lowering = Ccs.Lowering.exn g ~plan ~cache in
+        let compiled = Ccs.Compiled.create lowering in
+        Ccs.Compiled.run_periods compiled periods;
+        let sinks = G.sinks g in
         let eng_outputs =
           List.fold_left (fun a v -> a + Ccs.Machine.fires em v) 0 sinks
         in
@@ -104,8 +73,6 @@ let e23 () =
         let misses_match = replayed = interp_misses in
         if not (outputs_match && checksum_match && misses_match) then
           incr mismatches;
-        let speedup = ratio interp_s compiled_s in
-        speedups := speedup :: !speedups;
         if Json.enabled () then
           Json.point
             [
@@ -121,10 +88,6 @@ let e23 () =
               ("outputs_match", Json.Bool outputs_match);
               ("checksum_match", Json.Bool checksum_match);
               ("replay_misses_match", Json.Bool misses_match);
-              ("interp_s", Json.Float interp_s);
-              ("machine_s", Json.Float machine_s);
-              ("compiled_s", Json.Float compiled_s);
-              ("speedup_pct", Json.Float (100. *. speedup));
             ];
         [
           app;
@@ -132,39 +95,20 @@ let e23 () =
           string_of_int interp_misses;
           (if outputs_match && checksum_match then "yes" else "NO");
           (if misses_match then "yes" else "NO");
-          f (interp_s *. 1e3);
-          f (machine_s *. 1e3);
-          f (compiled_s *. 1e3);
-          Printf.sprintf "%sx" (f speedup);
         ])
       Ccs_apps.Suite.all
   in
   Ccs.Table.print
-    ~header:
-      [
-        "app"; "fires"; "misses"; "identical"; "replay"; "interp ms";
-        "machine ms"; "compiled ms"; "speedup";
-      ]
+    ~header:[ "app"; "fires"; "misses"; "identical"; "replay" ]
     ~rows;
-  let geomean =
-    match !speedups with
-    | [] -> Float.nan
-    | l ->
-        exp
-          (List.fold_left (fun a x -> a +. log x) 0. l
-          /. float_of_int (List.length l))
-  in
   if Json.enabled () then
     Json.point
       [
         ("kind", Json.String "compiled_summary");
-        ("apps", Json.Int (List.length !speedups));
+        ("apps", Json.Int (List.length rows));
         ("equivalence_failures", Json.Int !mismatches);
-        ("geomean_speedup_pct", Json.Float (100. *. geomean));
       ];
   note "equivalence failures: %d (must be 0)" !mismatches;
   note
-    "geomean speedup of the compiled backend over the interpreted machine: \
-     %sx (acceptance bar: >= 10x); checksums, output counts and replayed \
-     miss counts are bit-identical on every app"
-    (f geomean)
+    "checksums, output counts and replayed miss counts are bit-identical on \
+     every app"

@@ -3,13 +3,10 @@
    partitioning and stores the artifact) and one warm request (served
    from the persistent cache).  The warm response must be bit-identical
    to the cold one apart from the cached flag and latency — the
-   equivalence the daemon's cache-key contract promises — and the warm
-   path should be orders of magnitude faster, since it replaces the
-   partitioner with one framed read.
-
-   Deterministic fields (hit flags, equivalence, the composite cache key)
-   gate the CI regression diff exactly; the [_us] latencies are warn-only
-   timing fields. *)
+   equivalence the daemon's cache-key contract promises — since the warm
+   path replaces the partitioner with one framed read.  Every field (hit
+   flags, equivalence, the composite cache key) gates the CI regression
+   diff exactly; perfbench/ serve-mix times the two paths. *)
 
 open Util
 
@@ -73,12 +70,8 @@ let e24 () =
                  ("block_words", Ccs.Json.Int b);
                ])
         in
-        let t0 = Ccs.Clock.now_us () in
         let cold = Ccs_serve.Server.handle_line daemon line in
-        let cold_us = Ccs.Clock.elapsed_us ~since:t0 in
-        let t1 = Ccs.Clock.now_us () in
         let warm = Ccs_serve.Server.handle_line daemon line in
-        let warm_us = Ccs.Clock.elapsed_us ~since:t1 in
         let hit =
           response_field warm "cached" = Some (Ccs.Json.Bool true)
         in
@@ -98,22 +91,16 @@ let e24 () =
               ("key", Json.String key);
               ("cache_hit", Json.Bool hit);
               ("roundtrip_identical", Json.Bool identical);
-              ("cold_us", Json.Int cold_us);
-              ("warm_us", Json.Int warm_us);
             ];
         [
           app;
-          string_of_int cold_us;
-          string_of_int warm_us;
-          f (ratio (float_of_int cold_us) (float_of_int (max 1 warm_us)));
+          key;
           (if hit then "yes" else "NO");
           (if identical then "yes" else "NO");
         ])
       Ccs_apps.Suite.all
   in
-  Ccs.Table.print
-    ~header:[ "app"; "cold us"; "warm us"; "speedup"; "hit"; "identical" ]
-    ~rows;
+  Ccs.Table.print ~header:[ "app"; "key"; "hit"; "identical" ] ~rows;
   note
     "warm requests skip the NP-hard partitioning entirely: one framed \
      read, validated against the composite cache key, answers \
@@ -135,9 +122,8 @@ let e24 () =
    Part 2 forks a real daemon and hammers it with concurrent client
    processes, once without shedding and once with [max_inflight] below
    the client count so the daemon sheds and clients retry with jittered
-   backoff.  The deterministic contract — every request eventually
-   completes, zero lost — gates the diff; latency and shed rates are
-   wall-clock and therefore warn-only ([_us]/[per_sec] fields). *)
+   backoff.  The contract — every request eventually completes, zero
+   lost — gates the diff. *)
 
 let plan_request g m b =
   Ccs.Json.to_string
@@ -212,33 +198,20 @@ let e25_eviction_cycle () =
     "every post-eviction rebuild bit-identical to the first build: %s"
     (if rebuilt_identical then "yes" else "NO")
 
-(* One client process: [reqs] sequential round-trips with retry/backoff,
-   writing its per-request latencies (one integer per line, -1 for a
-   failure) to [out] for the parent to aggregate. *)
-let overload_client address line reqs seed out =
-  let lat = Buffer.create 256 in
-  for i = 1 to reqs do
-    let t0 = Ccs.Clock.now_us () in
-    let ok =
-      match
-        Ccs_serve.Server.request_retry ~retries:8 ~backoff_ms:5
-          ~timeout_ms:10_000 ~seed:(seed + i) address line
-      with
-      | r -> response_field r "ok" = Some (Ccs.Json.Bool true)
-      | exception _ -> false
-    in
-    Buffer.add_string lat
-      (string_of_int (if ok then Ccs.Clock.elapsed_us ~since:t0 else -1));
-    Buffer.add_char lat '\n'
-  done;
-  let oc = open_out out in
-  output_string oc (Buffer.contents lat);
-  close_out oc
-
-let percentile p sorted =
-  match Array.length sorted with
-  | 0 -> 0
-  | n -> sorted.(min (n - 1) (p * n / 100))
+(* One client process: [reqs] sequential round-trips with retry/backoff.
+   Returns how many completed; the child reports it as its exit status
+   (at most [reqs], well under 256). *)
+let overload_client address line reqs seed =
+  List.length
+    (List.filter
+       (fun i ->
+         match
+           Ccs_serve.Server.request_retry ~retries:8 ~backoff_ms:5
+             ~timeout_ms:10_000 ~seed:(seed + i) address line
+         with
+         | r -> response_field r "ok" = Some (Ccs.Json.Bool true)
+         | exception _ -> false)
+       (List.init reqs (fun i -> i + 1)))
 
 let e25_overload_arm ~arm ~max_inflight ~clients ~reqs =
   let state = fresh_state (Printf.sprintf "e25-%s" arm) in
@@ -282,38 +255,26 @@ let e25_overload_arm ~arm ~max_inflight ~clients ~reqs =
   let line = plan_request g 2048 16 in
   (* warm the store so the arms measure serving, not one plan build *)
   ignore (Ccs_serve.Server.request_retry ~retries:8 ~backoff_ms:5 address line);
-  let t0 = Ccs.Clock.now_us () in
   let kids =
     List.init clients (fun i ->
         flush stdout;
         flush stderr;
         match Unix.fork () with
         | 0 ->
-            (try
-               overload_client address line reqs
-                 ((i * 7919) + 17)
-                 (Filename.concat state (Printf.sprintf "client-%d.lat" i))
-             with _ -> ());
-            Unix._exit 0
+            Unix._exit
+              (try overload_client address line reqs ((i * 7919) + 17)
+               with _ -> 0)
         | pid -> pid)
   in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) kids;
-  let wall_us = Ccs.Clock.elapsed_us ~since:t0 in
-  let lats =
-    List.concat_map
-      (fun i ->
-        let p = Filename.concat state (Printf.sprintf "client-%d.lat" i) in
-        if Sys.file_exists p then
-          In_channel.with_open_text p In_channel.input_lines
-          |> List.filter_map int_of_string_opt
-        else [])
-      (List.init clients Fun.id)
+  let completed =
+    List.fold_left
+      (fun acc pid ->
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED n -> acc + n
+        | _ -> acc)
+      0 kids
   in
-  let ok = List.filter (fun l -> l >= 0) lats in
-  let sorted = Array.of_list ok in
-  Array.sort compare sorted;
   let total = clients * reqs in
-  let completed = List.length ok in
   if Json.enabled () then
     Json.point
       [
@@ -324,13 +285,6 @@ let e25_overload_arm ~arm ~max_inflight ~clients ~reqs =
         ("requests", Json.Int total);
         ("completed", Json.Int completed);
         ("lost", Json.Int (total - completed));
-        ("wall_us", Json.Int wall_us);
-        ("p50_us", Json.Int (percentile 50 sorted));
-        ("p95_us", Json.Int (percentile 95 sorted));
-        ( "requests_per_sec",
-          Json.Float
-            (ratio (float_of_int completed)
-               (float_of_int (max 1 wall_us) /. 1e6)) );
       ];
   [
     arm;
@@ -338,8 +292,6 @@ let e25_overload_arm ~arm ~max_inflight ~clients ~reqs =
     string_of_int total;
     string_of_int completed;
     string_of_int (total - completed);
-    string_of_int (percentile 50 sorted);
-    string_of_int (percentile 95 sorted);
   ]
 
 let e25 () =
@@ -353,8 +305,7 @@ let e25 () =
     ]
   in
   Ccs.Table.print
-    ~header:
-      [ "arm"; "max_inflight"; "sent"; "completed"; "lost"; "p50 us"; "p95 us" ]
+    ~header:[ "arm"; "max_inflight"; "sent"; "completed"; "lost" ]
     ~rows;
   note
     "with shedding, excess clients get structured overloaded answers and \
@@ -369,9 +320,8 @@ let e25 () =
    volatile cached/elapsed_us/trace_id fields, with the client-supplied
    trace_id echoed by both arms), and the cache hit/miss counters read
    back from each daemon's registry must agree — tracing must never
-   change what the daemon computes, only record when it happened.  The
-   per-request overhead is wall-clock and therefore warn-only [_us]
-   fields. *)
+   change what the daemon computes, only record when it happened.
+   perfbench/ (obs.trace_overhead_share) times what the spans cost. *)
 
 let e26 () =
   section "E26-serve" "serve tracing overhead (spans on vs off)";
@@ -400,18 +350,14 @@ let e26 () =
              ("trace_id", Ccs.Json.String ("e26-" ^ app));
            ])
     in
-    let t0 = Ccs.Clock.now_us () in
     let cold = Ccs_serve.Server.handle_line daemon line in
-    let cold_us = Ccs.Clock.elapsed_us ~since:t0 in
-    let t1 = Ccs.Clock.now_us () in
     let warm = Ccs_serve.Server.handle_line daemon line in
-    let warm_us = Ccs.Clock.elapsed_us ~since:t1 in
     let counter name =
       Option.value
         (Ccs_serve.Server.metric_value daemon name)
         ~default:(-1)
     in
-    (cold, warm, cold_us, warm_us, counter "ccs_serve_cache_misses_total",
+    (cold, warm, counter "ccs_serve_cache_misses_total",
      counter "ccs_serve_cache_hits_total")
   in
   let rows =
@@ -419,12 +365,8 @@ let e26 () =
       (fun entry ->
         let app = entry.Ccs_apps.Suite.name in
         let g = entry.Ccs_apps.Suite.graph () in
-        let cold_off, warm_off, cold_off_us, warm_off_us, miss_off, hit_off =
-          arm ~tracing:false app g
-        in
-        let cold_on, warm_on, cold_on_us, warm_on_us, miss_on, hit_on =
-          arm ~tracing:true app g
-        in
+        let cold_off, warm_off, miss_off, hit_off = arm ~tracing:false app g in
+        let cold_on, warm_on, miss_on, hit_on = arm ~tracing:true app g in
         let identical =
           strip_volatile cold_off = strip_volatile cold_on
           && strip_volatile warm_off = strip_volatile warm_on
@@ -448,30 +390,19 @@ let e26 () =
               ("counters_equal", Json.Bool counters_equal);
               ("cache_misses", Json.Int miss_on);
               ("cache_hits", Json.Int hit_on);
-              ("cold_off_us", Json.Int cold_off_us);
-              ("cold_on_us", Json.Int cold_on_us);
-              ("warm_off_us", Json.Int warm_off_us);
-              ("warm_on_us", Json.Int warm_on_us);
             ];
         [
           app;
-          string_of_int cold_off_us;
-          string_of_int cold_on_us;
-          string_of_int warm_off_us;
-          string_of_int warm_on_us;
+          string_of_int miss_on;
+          string_of_int hit_on;
           (if identical then "yes" else "NO");
           (if counters_equal then "yes" else "NO");
         ])
       Ccs_apps.Suite.all
   in
   Ccs.Table.print
-    ~header:
-      [
-        "app"; "cold off us"; "cold on us"; "warm off us"; "warm on us";
-        "identical"; "counters";
-      ]
+    ~header:[ "app"; "misses"; "hits"; "identical"; "counters" ]
     ~rows;
   note
     "tracing is observation only: responses bit-identical and cache \
-     hit/miss counters exactly equal with spans on or off; the _us \
-     overhead columns are warn-only timing fields"
+     hit/miss counters exactly equal with spans on or off"

@@ -4,7 +4,7 @@
    the harness opens a run with [enable], each experiment is bracketed by
    [start_experiment]/[finish_experiment], and helpers sprinkled through
    the experiment code call [point] to attach structured records (simulated
-   data points, predicted bounds, micro-benchmark timings) to the current
+   data points, predicted bounds, equivalence checks) to the current
    experiment.  [write] serializes everything to the requested file. *)
 
 include Ccs.Json
@@ -15,8 +15,6 @@ type experiment = {
   id : string;
   description : string;
   mutable records : value list; (* reversed *)
-  mutable wall_s : float;
-  mutable cpu_s : float;
 }
 
 let output_path : string option ref = ref None
@@ -31,18 +29,16 @@ let set_trace_file path = trace_path := Some path
 
 let start_experiment ~id description =
   if enabled () then
-    current := Some { id; description; records = []; wall_s = 0.; cpu_s = 0. }
+    current := Some { id; description; records = [] }
 
 let point fields =
   match !current with
   | Some e when enabled () -> e.records <- Obj fields :: e.records
   | _ -> ()
 
-let finish_experiment ~wall_s ~cpu_s =
+let finish_experiment () =
   match !current with
   | Some e ->
-      e.wall_s <- wall_s;
-      e.cpu_s <- cpu_s;
       finished := e :: !finished;
       current := None
   | None -> ()
@@ -52,8 +48,6 @@ let experiment_value e =
     [
       ("experiment", String e.id);
       ("description", String e.description);
-      ("wall_s", Float e.wall_s);
-      ("cpu_s", Float e.cpu_s);
       ("records", List (List.rev e.records));
     ]
 
@@ -64,12 +58,13 @@ let write ~argv =
       let doc =
         Obj
           [
-            (* v2: adds the top-level "trace_file" pointer (null unless the
-               run exported a Chrome trace via --trace). *)
-            ("schema_version", Int 2);
+            (* v2 added the top-level "trace_file" pointer (null unless
+               the run exported a Chrome trace via --trace); v3 drops every
+               wall-clock field (unix_time, wall_s, cpu_s and the timing
+               records), so each field is deterministic. *)
+            ("schema_version", Int 3);
             ("generated_by", String "bench/main.exe");
             ("argv", List (List.map (fun a -> String a) argv));
-            ("unix_time", Float (Unix.gettimeofday ()));
             ( "trace_file",
               match !trace_path with Some p -> String p | None -> Null );
             ("experiments", List (List.rev_map experiment_value !finished));

@@ -6,13 +6,13 @@
 
    Run everything:        dune exec bench/main.exe
    Run one experiment:    dune exec bench/main.exe -- E7
-   Skip micro-benches:    dune exec bench/main.exe -- --no-micro
    CI smoke subset:       dune exec bench/main.exe -- --quick
    Machine-readable run:  dune exec bench/main.exe -- --json BENCH_2026-08-07.json
 
    With [--json FILE] every experiment appends structured records
-   (simulated data points, predicted bounds, micro-benchmark timings) plus
-   its wall/CPU time to FILE; see EXPERIMENTS.md for the schema. *)
+   (simulated data points, predicted bounds, equivalence checks) to FILE;
+   see EXPERIMENTS.md for the schema.  Every field is deterministic: wall
+   clock is measured by perfbench/, not here. *)
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -27,7 +27,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("E9", "buffer-size ablation", E_ablations.e9);
     ("E10", "augmentation ablation", E_ablations.e10);
     ("E11", "degree-limit ablation", E_ablations.e11);
-    ("E12", "algorithm micro-benchmarks", Micro.run);
     ("E13", "replacement-policy sensitivity", E_policy.e13);
     ("E14", "LRU vs clairvoyant OPT", E_policy.e14);
     ("E15", "partitioner quality", E_partitioners.e15);
@@ -44,15 +43,14 @@ let experiments : (string * string * (unit -> unit)) list =
     ("E26", "serve tracing overhead", E_serve.e26);
   ]
 
-(* Sub-second experiments plus the micro-benchmarks: the CI smoke set. *)
+(* Sub-second experiments: the CI smoke set. *)
 let quick_ids =
   [ "E1"; "E4"; "E5"; "E7"; "E9"; "E13"; "E15"; "E18"; "E19"; "E23"; "E24";
-    "E25"; "E26"; "E12" ]
+    "E25"; "E26" ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--json FILE] [--trace FILE] [--quick] [--no-micro] \
-     [EXPERIMENT...]\n\
+    "usage: main.exe [--json FILE] [--trace FILE] [--quick] [EXPERIMENT...]\n\
      available experiments:\n";
   List.iter
     (fun (id, desc, _) -> Printf.eprintf "  %-4s %s\n" id desc)
@@ -63,7 +61,6 @@ type opts = {
   json : string option;
   trace : string option;
   quick : bool;
-  no_micro : bool;
 }
 
 let parse_args args =
@@ -80,15 +77,13 @@ let parse_args args =
         usage ();
         exit 2
     | "--quick" :: rest -> go { acc with quick = true } rest
-    | "--no-micro" :: rest -> go { acc with no_micro = true } rest
     | flag :: _ when String.length flag > 0 && flag.[0] = '-' ->
         Printf.eprintf "error: unknown flag %s\n" flag;
         usage ();
         exit 2
     | id :: rest -> go { acc with ids = id :: acc.ids } rest
   in
-  go { ids = []; json = None; trace = None; quick = false; no_micro = false }
-    args
+  go { ids = []; json = None; trace = None; quick = false } args
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -109,14 +104,9 @@ let () =
   let to_run =
     match opts.ids with
     | [] ->
-        let base =
-          if opts.quick then quick_ids
-          else List.map (fun (i, _, _) -> i) experiments
-        in
-        let base =
-          if opts.no_micro then List.filter (( <> ) "E12") base else base
-        in
-        List.filter (fun (id, _, _) -> List.mem id base) experiments
+        if opts.quick then
+          List.filter (fun (id, _, _) -> List.mem id quick_ids) experiments
+        else experiments
     | ids -> List.filter (fun (id, _, _) -> List.mem id ids) experiments
   in
   (match opts.json with Some file -> Json.enable file | None -> ());
@@ -133,15 +123,10 @@ let () =
   Printf.printf
     "Cache-Conscious Scheduling of Streaming Applications (SPAA'12) — \
      experiment harness\n";
-  let t0 = Sys.time () in
   List.iter
     (fun (id, desc, run) ->
       Json.start_experiment ~id desc;
-      let w0 = Unix.gettimeofday () and c0 = Sys.time () in
       run ();
-      Json.finish_experiment
-        ~wall_s:(Unix.gettimeofday () -. w0)
-        ~cpu_s:(Sys.time () -. c0))
+      Json.finish_experiment ())
     to_run;
-  Printf.printf "\n(total CPU time: %.1fs)\n" (Sys.time () -. t0);
   Json.write ~argv:args

@@ -517,10 +517,8 @@ let run_cmd =
 (* --- bench ------------------------------------------------------------------ *)
 
 let bench_cmd =
-  let diff_run old_path new_path tolerance =
-    match
-      Ccs.Bench_diff.diff_files ~tolerance_pct:tolerance ~old_path ~new_path ()
-    with
+  let diff_run old_path new_path =
+    match Ccs.Bench_diff.diff_files ~old_path ~new_path with
     | Error msg -> or_die (Error msg)
     | Ok report ->
         Format.printf "%a@?" Ccs.Bench_diff.pp report;
@@ -538,25 +536,15 @@ let bench_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"NEW" ~doc:"Candidate bench JSON document.")
   in
-  let tolerance =
-    Arg.(
-      value & opt float 20.
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "Relative drift, in percent, a wall-clock/throughput field may \
-             show before a warning is issued.  Deterministic fields always \
-             require an exact match.")
-  in
   let diff_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Diff two bench JSON documents: deterministic fields (miss \
-            counts, bounds, buffer sizes) must match exactly or the exit \
-            status is nonzero; timing fields only warn beyond --tolerance.  \
-            Experiments are paired by id, so a --quick run diffs cleanly \
-            against a full-run baseline.")
-      Term.(const diff_run $ old_path $ new_path $ tolerance)
+           "Diff two bench JSON documents: every field (miss counts, \
+            bounds, buffer sizes, equivalence flags) must match exactly or \
+            the exit status is nonzero.  Experiments are paired by id, so a \
+            --quick run diffs cleanly against a full-run baseline.")
+      Term.(const diff_run $ old_path $ new_path)
   in
   Cmd.group
     (Cmd.info "bench" ~doc:"Benchmark result tooling (regression diffing).")

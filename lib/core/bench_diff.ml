@@ -1,10 +1,10 @@
 (* Regression diff over two bench JSON documents (bench/main.exe --json).
 
-   The harness is deterministic by construction: every simulated quantity
-   (miss counts, attribution, buffer sizes, predicted bounds) must be
-   bit-identical between two runs of the same code, so any drift in a
-   deterministic field is a FAIL.  Wall-clock and throughput fields are
-   machine noise; they only WARN, and only beyond a relative tolerance.
+   The harness is deterministic by construction: every field (miss counts,
+   attribution, buffer sizes, predicted bounds, equivalence flags) must be
+   bit-identical between two runs of the same code, so any changed,
+   added or removed field is a finding.  Wall-clock time is not recorded
+   by the harness at all; perfbench/ measures it.
 
    Experiments are paired by id.  Records within an experiment are paired
    by their "id" member when every record on both sides carries a unique
@@ -15,10 +15,7 @@
 
 module Json = Ccs_obs.Json
 
-type severity = Fail | Warn
-
 type finding = {
-  severity : severity;
   experiment : string;
   record : int option; (* record index, [None] for experiment-level *)
   field : string;
@@ -35,23 +32,7 @@ type report = {
   new_only : string list;
 }
 
-let has_failures r = List.exists (fun f -> f.severity = Fail) r.findings
-
-(* Wall-clock / throughput field names: suffixes and markers used by the
-   harness's timing fields (wall_s, cpu_s, seconds, baseline_seconds,
-   ns_per_run, ops_per_sec, overhead_pct, unix_time).  Everything else is
-   treated as deterministic. *)
-let is_timing_field name =
-  let has_suffix s = Filename.check_suffix name s in
-  has_suffix "_s" || has_suffix "_ns" || has_suffix "_us" || has_suffix "_pct"
-  || has_suffix "_sec"
-  || (String.length name >= 3 && String.sub name 0 3 = "ns_")
-  || name = "unix_time"
-  ||
-  let re = "seconds" in
-  let n = String.length name and k = String.length re in
-  let rec at i = i + k <= n && (String.sub name i k = re || at (i + 1)) in
-  at 0
+let has_failures r = r.findings <> []
 
 let show = function
   | Json.Null -> "null"
@@ -61,86 +42,15 @@ let show = function
   | Json.String s -> s
   | (Json.List _ | Json.Obj _) as v -> Json.to_string v
 
-let numeric = function
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
-
-(* Relative drift of [b] against [a], in percent; equal values (including
-   two zeros, two NaNs — serialized as null) drift 0. *)
-let drift_pct a b =
-  if a = b then 0.
-  else
-    let base = Float.max (Float.abs a) (Float.abs b) in
-    if base = 0. then 0. else 100. *. Float.abs (b -. a) /. base
-
-let compare_field ~tolerance_pct ~experiment ~record ~field old_v new_v acc =
+let compare_field ~experiment ~record ~field old_v new_v acc =
+  let finding old_value new_value detail =
+    { experiment; record; field; old_value; new_value; detail } :: acc
+  in
   match (old_v, new_v) with
   | Some ov, Some nv when ov = nv -> acc
-  | Some ov, Some nv when is_timing_field field -> (
-      match (numeric ov, numeric nv) with
-      | Some a, Some b ->
-          let d = drift_pct a b in
-          if d > tolerance_pct then
-            {
-              severity = Warn;
-              experiment;
-              record;
-              field;
-              old_value = show ov;
-              new_value = show nv;
-              detail =
-                Printf.sprintf "timing drift %.1f%% (tolerance %.0f%%)" d
-                  tolerance_pct;
-            }
-            :: acc
-          else acc
-      | _ ->
-          (* A timing field that is not a number on one side (e.g. a NaN
-             serialized as null): shape change, but still only timing. *)
-          {
-            severity = Warn;
-            experiment;
-            record;
-            field;
-            old_value = show ov;
-            new_value = show nv;
-            detail = "timing field changed type";
-          }
-          :: acc)
-  | Some ov, Some nv ->
-      {
-        severity = Fail;
-        experiment;
-        record;
-        field;
-        old_value = show ov;
-        new_value = show nv;
-        detail = "deterministic field changed";
-      }
-      :: acc
-  | Some ov, None ->
-      {
-        severity = Fail;
-        experiment;
-        record;
-        field;
-        old_value = show ov;
-        new_value = "<absent>";
-        detail = "field disappeared";
-      }
-      :: acc
-  | None, Some nv ->
-      {
-        severity = Fail;
-        experiment;
-        record;
-        field;
-        old_value = "<absent>";
-        new_value = show nv;
-        detail = "field appeared";
-      }
-      :: acc
+  | Some ov, Some nv -> finding (show ov) (show nv) "field changed"
+  | Some ov, None -> finding (show ov) "<absent>" "field disappeared"
+  | None, Some nv -> finding "<absent>" (show nv) "field appeared"
   | None, None -> acc
 
 let obj_fields = function Json.Obj fields -> fields | _ -> []
@@ -153,11 +63,11 @@ let union_keys old_fields new_fields =
        (fun acc k -> if List.mem k acc then acc else k :: acc)
        [] keys)
 
-let compare_obj ~tolerance_pct ~experiment ~record old_obj new_obj acc =
+let compare_obj ~experiment ~record old_obj new_obj acc =
   let old_fields = obj_fields old_obj and new_fields = obj_fields new_obj in
   List.fold_left
     (fun acc field ->
-      compare_field ~tolerance_pct ~experiment ~record ~field
+      compare_field ~experiment ~record ~field
         (List.assoc_opt field old_fields)
         (List.assoc_opt field new_fields)
         acc)
@@ -173,11 +83,18 @@ let record_id r =
   match Json.member "id" r with Some (Json.String s) -> Some s | _ -> None
 
 (* Id-based pairing applies only when it is unambiguous: every record has
-   a string "id" and no id repeats. *)
-let all_unique_ids rs =
-  let ids = List.filter_map record_id rs in
-  List.length ids = List.length rs
-  && List.length (List.sort_uniq compare ids) = List.length ids
+   a string "id" and no id repeats.  Returns the records tagged with their
+   index and id, or [None] to pair by position. *)
+let tag_by_id rs =
+  let rec go i acc = function
+    | [] -> Some (List.rev acc)
+    | r :: rest -> (
+        match record_id r with
+        | Some rid when not (List.exists (fun (_, id, _) -> id = rid) acc) ->
+            go (i + 1) ((i, rid, r) :: acc) rest
+        | _ -> None)
+  in
+  go 0 [] rs
 
 let experiment_records e =
   match Json.member "records" e with Some (Json.List rs) -> rs | _ -> []
@@ -188,7 +105,7 @@ let experiments doc =
       Option.map (fun id -> (id, e)) (experiment_id e)) es
   | _ -> []
 
-let diff ?(tolerance_pct = 20.) ~old_doc ~new_doc () =
+let diff ~old_doc ~new_doc =
   let old_es = experiments old_doc and new_es = experiments new_doc in
   let records_compared = ref 0 in
   let findings, compared =
@@ -199,106 +116,79 @@ let diff ?(tolerance_pct = 20.) ~old_doc ~new_doc () =
         | Some new_e ->
             let old_rs = experiment_records old_e
             and new_rs = experiment_records new_e in
-            let acc =
-              (* Experiment-level fields: wall_s/cpu_s (timing) and the
-                 description (deterministic). *)
-              compare_field ~tolerance_pct ~experiment:id ~record:None
-                ~field:"description"
-                (Json.member "description" old_e)
-                (Json.member "description" new_e)
-                (compare_field ~tolerance_pct ~experiment:id ~record:None
-                   ~field:"wall_s" (Json.member "wall_s" old_e)
-                   (Json.member "wall_s" new_e)
-                   (compare_field ~tolerance_pct ~experiment:id ~record:None
-                      ~field:"cpu_s" (Json.member "cpu_s" old_e)
-                      (Json.member "cpu_s" new_e) acc))
+            (* Experiment-level fields (id, description): everything but
+               the records, which are paired below. *)
+            let header e =
+              Json.Obj (List.remove_assoc "records" (obj_fields e))
             in
             let acc =
-              if
-                (old_rs <> [] || new_rs <> [])
-                && all_unique_ids old_rs
-                && all_unique_ids new_rs
-              then begin
-                (* Pair records by id: dropped and added ids are findings,
-                   shared ids are compared field by field. *)
-                let tag rs =
-                  List.mapi
-                    (fun i r ->
-                      match record_id r with
-                      | Some rid -> (i, rid, r)
-                      | None -> assert false)
-                    rs
-                in
-                let old_tagged = tag old_rs and new_tagged = tag new_rs in
-                let acc =
+              compare_obj ~experiment:id ~record:None (header old_e)
+                (header new_e) acc
+            in
+            let record_finding i ~old_value ~new_value detail acc =
+              {
+                experiment = id;
+                record = Some i;
+                field = "id";
+                old_value;
+                new_value;
+                detail;
+              }
+              :: acc
+            in
+            let acc =
+              match (tag_by_id old_rs, tag_by_id new_rs) with
+              | Some old_tagged, Some new_tagged ->
+                  (* Pair records by id: dropped and added ids are findings,
+                     shared ids are compared field by field. *)
+                  let acc =
+                    List.fold_left
+                      (fun acc (i, rid, o) ->
+                        match
+                          List.find_opt (fun (_, nid, _) -> nid = rid)
+                            new_tagged
+                        with
+                        | Some (_, _, n) ->
+                            incr records_compared;
+                            compare_obj ~experiment:id ~record:(Some i) o n acc
+                        | None ->
+                            record_finding i ~old_value:rid
+                              ~new_value:"<absent>" "record disappeared" acc)
+                      acc old_tagged
+                  in
                   List.fold_left
-                    (fun acc (i, rid, o) ->
-                      match
-                        List.find_opt (fun (_, nid, _) -> nid = rid) new_tagged
-                      with
-                      | Some (_, _, n) ->
-                          incr records_compared;
-                          compare_obj ~tolerance_pct ~experiment:id
-                            ~record:(Some i) o n acc
-                      | None ->
-                          {
-                            severity = Fail;
-                            experiment = id;
-                            record = Some i;
-                            field = "id";
-                            old_value = rid;
-                            new_value = "<absent>";
-                            detail = "record disappeared";
-                          }
-                          :: acc)
-                    acc old_tagged
-                in
-                List.fold_left
-                  (fun acc (i, rid, _) ->
-                    if
-                      List.exists (fun (_, oid, _) -> oid = rid) old_tagged
-                    then acc
-                    else
+                    (fun acc (i, rid, _) ->
+                      if List.exists (fun (_, oid, _) -> oid = rid) old_tagged
+                      then acc
+                      else
+                        record_finding i ~old_value:"<absent>" ~new_value:rid
+                          "record appeared" acc)
+                    acc new_tagged
+              | _ ->
+                  let n_old = List.length old_rs
+                  and n_new = List.length new_rs in
+                  let acc =
+                    if n_old <> n_new then
                       {
-                        severity = Fail;
                         experiment = id;
-                        record = Some i;
-                        field = "id";
-                        old_value = "<absent>";
-                        new_value = rid;
-                        detail = "record appeared";
+                        record = None;
+                        field = "records";
+                        old_value = string_of_int n_old;
+                        new_value = string_of_int n_new;
+                        detail = "record count changed";
                       }
-                      :: acc)
-                  acc new_tagged
-              end
-              else begin
-                let n_old = List.length old_rs
-                and n_new = List.length new_rs in
-                let acc =
-                  if n_old <> n_new then
-                    {
-                      severity = Fail;
-                      experiment = id;
-                      record = None;
-                      field = "records";
-                      old_value = string_of_int n_old;
-                      new_value = string_of_int n_new;
-                      detail = "record count changed";
-                    }
-                    :: acc
-                  else acc
-                in
-                let rec pairs i acc = function
-                  | o :: os, n :: ns ->
-                      incr records_compared;
-                      pairs (i + 1)
-                        (compare_obj ~tolerance_pct ~experiment:id
-                           ~record:(Some i) o n acc)
-                        (os, ns)
-                  | _ -> acc
-                in
-                pairs 0 acc (old_rs, new_rs)
-              end
+                      :: acc
+                    else acc
+                  in
+                  let rec pairs i acc = function
+                    | o :: os, n :: ns ->
+                        incr records_compared;
+                        pairs (i + 1)
+                          (compare_obj ~experiment:id ~record:(Some i) o n acc)
+                          (os, ns)
+                    | _ -> acc
+                  in
+                  pairs 0 acc (old_rs, new_rs)
             in
             (acc, compared + 1))
       ([], 0) old_es
@@ -330,31 +220,24 @@ let read_doc path =
       | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
       | Ok doc -> Ok doc)
 
-let diff_files ?tolerance_pct ~old_path ~new_path () =
+let diff_files ~old_path ~new_path =
   match read_doc old_path with
   | Error msg -> Error msg
   | Ok old_doc -> (
       match read_doc new_path with
       | Error msg -> Error msg
-      | Ok new_doc -> Ok (diff ?tolerance_pct ~old_doc ~new_doc ()))
+      | Ok new_doc -> Ok (diff ~old_doc ~new_doc))
 
 let pp_finding fmt f =
-  Format.fprintf fmt "%s %s%s %s: %s -> %s (%s)"
-    (match f.severity with Fail -> "FAIL" | Warn -> "warn")
-    f.experiment
+  Format.fprintf fmt "FAIL %s%s %s: %s -> %s (%s)" f.experiment
     (match f.record with
     | Some i -> Printf.sprintf "[%d]" i
     | None -> "")
     f.field f.old_value f.new_value f.detail
 
 let pp fmt r =
-  let fails, warns =
-    List.partition (fun f -> f.severity = Fail) r.findings
-  in
-  Format.fprintf fmt
-    "compared %d experiments (%d records): %d regression(s), %d warning(s)@."
-    r.experiments_compared r.records_compared (List.length fails)
-    (List.length warns);
+  Format.fprintf fmt "compared %d experiments (%d records): %d regression(s)@."
+    r.experiments_compared r.records_compared (List.length r.findings);
   if r.old_only <> [] then
     Format.fprintf fmt "only in old run (not compared): %s@."
       (String.concat " " r.old_only);

@@ -1,29 +1,23 @@
 (** Regression diff over two benchmark JSON documents.
 
-    Compares two [bench/main.exe --json] outputs (schema v2): experiments
+    Compares two [bench/main.exe --json] outputs (schema v3): experiments
     are paired by id — ids present in only one document are reported but
     not compared, so a [--quick] run diffs cleanly against a committed
     full-run baseline.  Records within an experiment are paired by their
     ["id"] member when every record on both sides carries a unique string
     id (e.g. E22's per-app adaptation records), positionally otherwise;
-    under id pairing a dropped or added record id is a {!Fail} finding.
+    under id pairing a dropped or added record id is a finding.
 
-    The harness is deterministic by construction, so fields fall into two
-    classes: {e timing} fields ([wall_s], [cpu_s], [seconds],
-    [ns_per_run], [overhead_pct], ... — see {!is_timing_field}) drift with
-    machine load and only produce {!Warn} findings beyond a relative
-    tolerance; every other field (miss counts, attribution, buffer sizes,
-    predicted bounds) must match {e exactly} and produces a {!Fail}
-    finding otherwise.  A changed record count within an experiment is
-    also a {!Fail}.
+    The harness is deterministic by construction and records no wall-clock
+    time, so every field (miss counts, attribution, buffer sizes,
+    predicted bounds, equivalence flags) must match {e exactly}: a changed,
+    added or removed field is a finding, and so is a changed record count
+    within an experiment.
 
     This is the engine behind [ccsched bench diff OLD NEW] and the CI
     [bench-regress] gate. *)
 
-type severity = Fail | Warn
-
 type finding = {
-  severity : severity;
   experiment : string;  (** Experiment id, e.g. ["E7"]. *)
   record : int option;  (** Record index, [None] for experiment-level. *)
   field : string;
@@ -33,7 +27,7 @@ type finding = {
 }
 
 type report = {
-  findings : finding list;  (** In document order. *)
+  findings : finding list;  (** In document order; each one is a failure. *)
   experiments_compared : int;
   records_compared : int;
   old_only : string list;  (** Ids only in the old document (informational). *)
@@ -41,29 +35,12 @@ type report = {
 }
 
 val has_failures : report -> bool
-(** Whether any finding is a {!Fail} — the CI gate's exit condition.
-    Warnings alone do not fail. *)
+(** Whether there is any finding — the CI gate's exit condition. *)
 
-val is_timing_field : string -> bool
-(** Whether a field name denotes wall-clock/throughput data: suffix
-    [_s]/[_ns]/[_us]/[_pct]/[_sec], prefix [ns_], containing [seconds], or
-    [unix_time]. *)
+val diff : old_doc:Ccs_obs.Json.value -> new_doc:Ccs_obs.Json.value -> report
+(** Diff two parsed documents. *)
 
-val diff :
-  ?tolerance_pct:float ->
-  old_doc:Ccs_obs.Json.value ->
-  new_doc:Ccs_obs.Json.value ->
-  unit ->
-  report
-(** Diff two parsed documents.  [tolerance_pct] (default [20.]) is the
-    relative drift, in percent, a timing field may show before warning. *)
-
-val diff_files :
-  ?tolerance_pct:float ->
-  old_path:string ->
-  new_path:string ->
-  unit ->
-  (report, string) result
+val diff_files : old_path:string -> new_path:string -> (report, string) result
 (** Read, parse and {!diff} two files; [Error] carries a parse or I/O
     message. *)
 

@@ -1,6 +1,6 @@
-(* Tests for the bench regression differ: deterministic fields must match
-   exactly (Fail), timing fields only warn beyond a tolerance, experiments
-   pair by id so a quick run diffs cleanly against a full baseline. *)
+(* Tests for the bench regression differ: every field must match exactly,
+   whatever its name, and experiments pair by id so a quick run diffs
+   cleanly against a full baseline. *)
 
 module D = Ccs.Bench_diff
 
@@ -12,7 +12,7 @@ let parse s =
 let doc ~wall ~misses ~seconds ~records () =
   parse
     (Printf.sprintf
-       {|{"schema_version":2,"experiments":[
+       {|{"schema_version":3,"experiments":[
           {"experiment":"E1","description":"upper bound","wall_s":%g,"cpu_s":0.1,
            "records":[%s]},
           {"experiment":"E7","description":"crossover","wall_s":0.5,"cpu_s":0.4,
@@ -25,7 +25,7 @@ let base () =
   doc ~wall:1.0 ~misses:100 ~seconds:2.0 ~records:base_records ()
 
 let test_identical_passes () =
-  let r = D.diff ~old_doc:(base ()) ~new_doc:(base ()) () in
+  let r = D.diff ~old_doc:(base ()) ~new_doc:(base ()) in
   Alcotest.(check bool) "no failures" false (D.has_failures r);
   Alcotest.(check int) "no findings" 0 (List.length r.D.findings);
   Alcotest.(check int) "experiments" 2 r.D.experiments_compared;
@@ -35,37 +35,33 @@ let test_miss_regression_fails () =
   let new_doc =
     doc ~wall:1.0 ~misses:101 ~seconds:2.0 ~records:base_records ()
   in
-  let r = D.diff ~old_doc:(base ()) ~new_doc () in
+  let r = D.diff ~old_doc:(base ()) ~new_doc in
   Alcotest.(check bool) "failure" true (D.has_failures r);
   match r.D.findings with
   | [ f ] ->
-      Alcotest.(check bool) "is fail" true (f.D.severity = D.Fail);
       Alcotest.(check string) "experiment" "E7" f.D.experiment;
       Alcotest.(check string) "field" "misses" f.D.field;
       Alcotest.(check string) "old" "100" f.D.old_value;
       Alcotest.(check string) "new" "101" f.D.new_value
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
 
-let test_timing_drift_warns_only () =
-  (* 2.0s -> 3.0s is 33% drift: beyond the 20% default, but timing fields
-     never fail the gate; wall_s moves too but stays within tolerance. *)
+let test_timing_named_fields_fail () =
+  (* The harness records no wall-clock time, so a field named like one
+     (an experiment-level wall_s, a record's seconds) is deterministic
+     too: any change, however small, is a failure. *)
   let new_doc =
-    doc ~wall:1.1 ~misses:100 ~seconds:3.0 ~records:base_records ()
+    doc ~wall:1.1 ~misses:100 ~seconds:2.0001 ~records:base_records ()
   in
-  let r = D.diff ~old_doc:(base ()) ~new_doc () in
-  Alcotest.(check bool) "no failures" false (D.has_failures r);
-  (match r.D.findings with
-  | [ f ] ->
-      Alcotest.(check bool) "is warn" true (f.D.severity = D.Warn);
-      Alcotest.(check string) "field" "seconds" f.D.field
-  | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
-  (* A looser tolerance silences it entirely. *)
-  let r = D.diff ~tolerance_pct:50. ~old_doc:(base ()) ~new_doc () in
-  Alcotest.(check int) "silent at 50%" 0 (List.length r.D.findings)
+  let r = D.diff ~old_doc:(base ()) ~new_doc in
+  Alcotest.(check bool) "failure" true (D.has_failures r);
+  Alcotest.(check (list (pair string (option int))))
+    "findings"
+    [ ("wall_s", None); ("seconds", Some 0) ]
+    (List.map (fun f -> (f.D.field, f.D.record)) r.D.findings)
 
 let test_record_count_change_fails () =
   let new_doc = doc ~wall:1.0 ~misses:100 ~seconds:2.0 ~records:"" () in
-  let r = D.diff ~old_doc:(base ()) ~new_doc () in
+  let r = D.diff ~old_doc:(base ()) ~new_doc in
   Alcotest.(check bool) "failure" true (D.has_failures r);
   Alcotest.(check bool) "record count finding" true
     (List.exists
@@ -77,42 +73,51 @@ let test_field_appearance_fails () =
   let new_doc =
     doc ~wall:1.0 ~misses:100 ~seconds:2.0 ~records:new_records ()
   in
-  let r = D.diff ~old_doc:(base ()) ~new_doc () in
+  let r = D.diff ~old_doc:(base ()) ~new_doc in
   Alcotest.(check bool) "failure" true (D.has_failures r);
   Alcotest.(check bool) "appearance finding" true
     (List.exists (fun f -> f.D.field = "extra") r.D.findings)
 
 let test_quick_subset_pairs_by_id () =
   (* New run missing E7 (a quick subset): E7 is informational, not a
-     failure; the shared E1 still compares. *)
+     failure; the shared E1, as [base] serializes it, still compares. *)
   let quick =
     parse
       {|{"experiments":[{"experiment":"E1","description":"upper bound",
-         "wall_s":1.0,"cpu_s":0.1,
+         "wall_s":1,"cpu_s":0.1,
          "records":[{"kind":"bound","misses_per_input":0.25}]}]}|}
   in
-  let r = D.diff ~old_doc:(base ()) ~new_doc:quick () in
+  let r = D.diff ~old_doc:(base ()) ~new_doc:quick in
   Alcotest.(check bool) "no failures" false (D.has_failures r);
   Alcotest.(check int) "one compared" 1 r.D.experiments_compared;
   Alcotest.(check (list string)) "old only" [ "E7" ] r.D.old_only;
   Alcotest.(check (list string)) "new only" [] r.D.new_only
 
-let test_timing_field_rule () =
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " is timing") true (D.is_timing_field name))
-    [
-      "wall_s"; "cpu_s"; "seconds"; "baseline_seconds"; "ns_per_run";
-      "ops_per_sec"; "overhead_pct"; "unix_time"; "save_us";
-    ];
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " is deterministic") false
-        (D.is_timing_field name))
-    [
-      "misses"; "misses_per_input"; "accesses"; "buffer_words"; "makespan";
-      "speedup"; "imbalance"; "inputs"; "description"; "checkpoints";
-    ]
+let test_records_pair_by_id () =
+  let e22 records =
+    parse
+      (Printf.sprintf
+         {|{"experiments":[{"experiment":"E22","description":"adapt",
+            "records":[%s]}]}|}
+         records)
+  in
+  let r id misses = Printf.sprintf {|{"id":"%s","misses":%d}|} id misses in
+  let diff o n =
+    List.map
+      (fun f -> (f.D.field, f.D.old_value, f.D.new_value))
+      (D.diff ~old_doc:(e22 o) ~new_doc:(e22 n)).D.findings
+  in
+  let check = Alcotest.(check (list (triple string string string))) in
+  let old_rs = String.concat "," [ r "a" 1; r "b" 2 ] in
+  (* Unique ids: order is free, a dropped or added id is a finding. *)
+  check "reordered" [] (diff old_rs (String.concat "," [ r "b" 2; r "a" 1 ]));
+  check "dropped and added"
+    [ ("id", "b", "<absent>"); ("id", "<absent>", "c") ]
+    (diff old_rs (String.concat "," [ r "a" 1; r "c" 2 ]));
+  (* A repeated id falls back to positional pairing. *)
+  check "positional"
+    [ ("records", "2", "3"); ("misses", "2", "3") ]
+    (diff old_rs (String.concat "," [ r "a" 1; r "b" 3; r "b" 2 ]))
 
 let test_diff_files_roundtrip () =
   let write path doc =
@@ -129,10 +134,10 @@ let test_diff_files_roundtrip () =
   in
   write old_path doc_text;
   write new_path doc_text;
-  (match D.diff_files ~old_path ~new_path () with
+  (match D.diff_files ~old_path ~new_path with
   | Ok r -> Alcotest.(check bool) "clean" false (D.has_failures r)
   | Error msg -> Alcotest.fail msg);
-  (match D.diff_files ~old_path ~new_path:(new_path ^ ".missing") () with
+  (match D.diff_files ~old_path ~new_path:(new_path ^ ".missing") with
   | Ok _ -> Alcotest.fail "missing file must be an error"
   | Error _ -> ());
   Sys.remove old_path;
@@ -146,18 +151,17 @@ let () =
           Alcotest.test_case "identical passes" `Quick test_identical_passes;
           Alcotest.test_case "miss regression fails" `Quick
             test_miss_regression_fails;
-          Alcotest.test_case "timing drift warns only" `Quick
-            test_timing_drift_warns_only;
+          Alcotest.test_case "timing-named fields fail" `Quick
+            test_timing_named_fields_fail;
           Alcotest.test_case "record count change fails" `Quick
             test_record_count_change_fails;
           Alcotest.test_case "field appearance fails" `Quick
             test_field_appearance_fails;
           Alcotest.test_case "quick subset pairs by id" `Quick
             test_quick_subset_pairs_by_id;
+          Alcotest.test_case "records pair by id" `Quick
+            test_records_pair_by_id;
         ] );
-      ( "fields",
-        [ Alcotest.test_case "timing field rule" `Quick test_timing_field_rule ]
-      );
       ( "files",
         [
           Alcotest.test_case "diff_files roundtrip" `Quick

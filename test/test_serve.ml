@@ -371,7 +371,9 @@ let test_metrics_accounting () =
 
 (* Poll with a real connection, not just the socket file: the file
    appears at [bind], a moment before [listen] — a connect in that
-   window is refused. *)
+   window is refused.  The probe sends EOF and waits for the daemon to
+   close its end, which it does only after dropping the connection: when
+   this returns, the probe no longer holds an in-flight slot. *)
 let wait_for_socket sock =
   let ready () =
     Sys.file_exists sock
@@ -379,7 +381,14 @@ let wait_for_socket sock =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
     match Unix.connect fd (Unix.ADDR_UNIX sock) with
-    | () -> true
+    | () -> (
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+        match Unix.read fd (Bytes.create 1) 0 1 with
+        | n -> n = 0
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            false)
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
         false
   in
@@ -390,10 +399,7 @@ let wait_for_socket sock =
       Unix.sleepf 0.05;
       go (n - 1))
   in
-  go 200;
-  (* let the daemon reap the probe connection before the test counts
-     in-flight slots *)
-  Unix.sleepf 0.15
+  go 200
 
 let http_get address target =
   let fd = Srv.connect address in
@@ -816,10 +822,11 @@ let test_overload_shed () =
       retry_after_ms = 7;
     }
   in
-  with_daemon config sock @@ fun _ ->
-  (* one idle connection fills the worker; the next is shed *)
+  with_daemon config sock @@ fun daemon ->
+  (* one idle connection fills the worker; the next is shed.  The kernel
+     queues connects in order and the one worker accepts them in that
+     order, so [a] holds the slot before [b] is accepted. *)
   let a = Srv.connect config.Srv.address in
-  Unix.sleepf 0.15;
   let b = Srv.connect config.Srv.address in
   let ic = Unix.in_channel_of_descr b in
   let r = input_line ic in
@@ -860,7 +867,22 @@ let test_overload_shed () =
         Unix._exit code
     | pid -> pid
   in
-  Unix.sleepf 0.3;
+  (* hold the slot until the client has been shed at least once: [b] was
+     the first shed, and the worker publishes its snapshot on each one *)
+  let snapshot =
+    Filename.concat
+      (Filename.concat (Filename.concat dir "state") "metrics")
+      (Printf.sprintf "worker-%d.json" daemon)
+  in
+  let rec await n =
+    match file_metric snapshot "ccs_serve_shed_total" with
+    | Some shed when shed >= 2 -> ()
+    | _ when n = 0 -> Alcotest.fail "retrying client was never shed"
+    | _ ->
+        Unix.sleepf 0.01;
+        await (n - 1)
+  in
+  await 1000;
   Unix.close a;
   (match Unix.waitpid [] client with
   | _, Unix.WEXITED 0 -> ()
