@@ -42,42 +42,29 @@ type t = {
 }
 
 let lower g ~plan ~cache =
-  let errs = ref [] in
-  let invalid reason =
-    errs :=
-      Error.Plan_invalid { plan = plan.Plan.name; reason } :: !errs
-  in
-  let period =
-    match plan.Plan.period with
-    | Some p -> Some (Schedule.compress p)
-    | None ->
-        invalid "dynamic plan has no static period to compile";
-        None
-  in
-  let caps = plan.Plan.capacities in
   (* Zero-capacity channels used to be silently clamped to 1-slot rings
      whose pushes overwrite; reject them structurally instead.  (They also
      fail [Plan.validate]'s rate floor, but the clamp hid that from the
      emitter's callers.) *)
-  if Array.length caps = Graph.num_edges g then
-    List.iter
-      (fun e ->
-        if caps.(e) <= 0 then
-          invalid
-            (Printf.sprintf "channel %s has capacity %d; buffers need >= 1"
-               (Graph.edge_name g e) caps.(e)))
-      (Graph.edges g);
-  (match Plan.validate g plan with
-  | Ok () -> ()
-  | Error es ->
-      errs :=
-        List.rev_append
-          (List.filter (fun e -> Error.severity e = `Error) es)
-          !errs);
-  match (period, List.rev !errs) with
-  | _, (_ :: _ as errs) -> Error errs
-  | None, [] -> assert false (* a missing period is itself a finding *)
-  | Some period, [] ->
+  let findings =
+    Plan.zero_capacities g ~plan:plan.Plan.name plan.Plan.capacities
+    @
+    match Plan.validate g plan with
+    | Ok () -> []
+    | Error es -> List.filter (fun e -> Error.severity e = `Error) es
+  in
+  match plan.Plan.period with
+  | None ->
+      Error
+        (Error.Plan_invalid
+           {
+             plan = plan.Plan.name;
+             reason = "dynamic plan has no static period to compile";
+           }
+        :: findings)
+  | Some _ when findings <> [] -> Error findings
+  | Some period ->
+      let period = Schedule.compress period in
       let layout = Plan.layout g ~cache plan in
       let io_of e rate =
         let r = layout.Machine.l_buffers.(e) in

@@ -41,25 +41,8 @@ let capacities g caps =
   (* Zero (or negative) capacities get their own structured finding — the
      codegen backend rejects them the same way, and Capacity_below_rate
      alone reads as a tuning problem rather than a meaningless buffer. *)
-  let zeros =
-    if Array.length caps <> Graph.num_edges g then []
-    else
-      List.filter_map
-        (fun e ->
-          if caps.(e) <= 0 then
-            Some
-              (E.Plan_invalid
-                 {
-                   plan = "capacity lint";
-                   reason =
-                     Printf.sprintf
-                       "channel %s has capacity %d; buffers need >= 1"
-                       (Graph.edge_name g e) caps.(e);
-                 })
-          else None)
-        (Graph.edges g)
-  in
-  merge (of_list zeros)
+  merge
+    (of_list (Ccs_sched.Plan.zero_capacities g ~plan:"capacity lint" caps))
     (plan g
        (Ccs_sched.Plan.dynamic ~name:"capacity lint" ~capacities:caps
           (fun _ ~target_outputs:_ -> ())))

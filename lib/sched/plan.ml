@@ -58,6 +58,24 @@ let id t =
 let layout g ~cache t =
   Ccs_exec.Machine.plan_layout ~graph:g ~cache ~capacities:t.capacities ()
 
+let zero_capacities g ~plan capacities =
+  if Array.length capacities <> Ccs_sdf.Graph.num_edges g then []
+  else
+    List.filter_map
+      (fun e ->
+        if capacities.(e) > 0 then None
+        else
+          Some
+            (Ccs_sdf.Error.Plan_invalid
+               {
+                 plan;
+                 reason =
+                   Printf.sprintf
+                     "channel %s has capacity %d; buffers need >= 1"
+                     (Ccs_sdf.Graph.edge_name g e) capacities.(e);
+               }))
+      (Ccs_sdf.Graph.edges g)
+
 let validate ?cache ?spec g t =
   let module E = Ccs_sdf.Error in
   let module Graph = Ccs_sdf.Graph in
@@ -124,21 +142,35 @@ let validate ?cache ?spec g t =
           add (E.Cache_overflow { component = c; state; cache_words })
       done
   | _ -> ());
-  (* Static plans: certify the period itself. *)
+  (* Static plans: certify the period itself, in one walk of its firings.
+     Balance comes from the fire counts: when the walk finds every firing
+     legal, a channel ends the period at [delay + counts(src)·push -
+     counts(dst)·pop], so it is restored exactly when that change is 0.
+     Capacities of the wrong length were reported above; only the walk,
+     which needs one bound per channel, is skipped for them. *)
   (match t.period with
   | None -> ()
   | Some period -> (
-      (match Simulate.validate g ~capacities:t.capacities period with
+      let counts =
+        Schedule.fire_counts ~num_nodes:(Graph.num_nodes g) period
+      in
+      let balanced e =
+        counts.(Graph.src g e) * Graph.push g e
+        = counts.(Graph.dst g e) * Graph.pop g e
+      in
+      let walked =
+        if Array.length t.capacities = Graph.num_edges g then
+          Simulate.validate g ~capacities:t.capacities period
+        else Ok ()
+      in
+      (match walked with
       | Ok () ->
-          if not (Simulate.is_periodic g period) then
+          if not (List.for_all balanced (Graph.edges g)) then
             invalid "period does not restore channel state"
       | Error e -> add e);
       match analysis with
       | None -> ()
       | Some a -> (
-          let counts =
-            Schedule.fire_counts ~num_nodes:(Graph.num_nodes g) period
-          in
           match Graph.sinks g with
           | [ sink ] when counts.(sink) = 0 ->
               invalid "period never fires the sink"

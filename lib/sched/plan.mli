@@ -55,6 +55,16 @@ val layout :
     @raise Invalid_argument on a capacity below [max push pop] or a
     capacity vector of the wrong length. *)
 
+val zero_capacities :
+  Ccs_sdf.Graph.t -> plan:string -> int array -> Ccs_sdf.Error.t list
+(** [zero_capacities g ~plan capacities]: one [Plan_invalid] finding per
+    channel whose capacity is zero or negative ("channel a->b#0 has
+    capacity 0; buffers need >= 1"), in channel order, for the plan named
+    [plan].  Such a buffer cannot hold a token at all, which reads
+    differently from a capacity merely below the channel's rate.  Empty
+    when [capacities] does not have one entry per channel ({!validate}
+    reports that mismatch). *)
+
 val validate :
   ?cache:Ccs_cache.Cache.config ->
   ?spec:Ccs_partition.Spec.t ->
@@ -76,4 +86,11 @@ val validate :
       its repetition count ([Plan_invalid]).
 
     Dynamic plans (no [period]) skip the period checks — their legality is
-    enforced at run time by the machine and {!Watchdog}. *)
+    enforced at run time by the machine and {!Watchdog}.
+
+    Cost: one walk of the period's firings ({!Simulate.validate}, skipped
+    when the capacity vector has the wrong length) plus work linear in the
+    period's schedule tree and the graph: fire counts come from the tree
+    without unrolling it, and periodicity from the fire counts.  The
+    feasibility check replays one repetition-vector period, not the
+    plan's (batched) period. *)

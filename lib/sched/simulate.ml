@@ -1,89 +1,54 @@
 module Graph = Ccs_sdf.Graph
+module Error = Ccs_sdf.Error
 
-exception Illegal of {
-  node : Graph.node;
-  edge : Graph.edge;
-  at_firing : int;
-}
-
-let replay g sched ~on_fire =
-  let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let count = ref 0 in
-  Schedule.iter sched ~f:(fun v ->
-      List.iter
-        (fun e ->
-          tokens.(e) <- tokens.(e) - Graph.pop g e;
-          if tokens.(e) < 0 then
-            raise (Illegal { node = v; edge = e; at_firing = !count }))
-        (Graph.in_edges g v);
-      List.iter
-        (fun e -> tokens.(e) <- tokens.(e) + Graph.push g e)
-        (Graph.out_edges g v);
-      on_fire tokens;
-      incr count);
-  tokens
+(* The one token walker: fires [sched] on counters from the channel
+   delays, keeping each channel's peak, and stops at the first firing that
+   underflows an input or pushes an output past [bound]. *)
+let walk g ~bound sched =
+  let n = Graph.num_nodes g in
+  let ins = Array.init n (fun v -> Array.of_list (Graph.in_edges g v)) in
+  let outs = Array.init n (fun v -> Array.of_list (Graph.out_edges g v)) in
+  let pop = Array.init (Graph.num_edges g) (Graph.pop g) in
+  let push = Array.init (Graph.num_edges g) (Graph.push g) in
+  let tokens = Array.init (Graph.num_edges g) (Graph.delay g) in
+  let peak = Array.copy tokens in
+  let fired = ref 0 in
+  let exception Bad of Error.t in
+  let bad v e kind =
+    raise_notrace
+      (Bad
+         (Error.Schedule_illegal
+            {
+              node = Graph.node_name g v;
+              edge = Graph.edge_name g e;
+              at_firing = !fired;
+              kind;
+            }))
+  in
+  let fire v =
+    Array.iter
+      (fun e ->
+        let t = tokens.(e) - pop.(e) in
+        tokens.(e) <- t;
+        if t < 0 then bad v e `Underflow)
+      ins.(v);
+    Array.iter
+      (fun e ->
+        let t = tokens.(e) + push.(e) in
+        tokens.(e) <- t;
+        if t > bound.(e) then bad v e `Overflow;
+        if t > peak.(e) then peak.(e) <- t)
+      outs.(v);
+    incr fired
+  in
+  match Schedule.iter sched ~f:fire with
+  | () -> Ok peak
+  | exception Bad err -> Error err
 
 let peaks g sched =
-  let peak = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let _ =
-    replay g sched ~on_fire:(fun tokens ->
-        Array.iteri (fun e t -> if t > peak.(e) then peak.(e) <- t) tokens)
-  in
-  peak
-
-let final_tokens g sched = replay g sched ~on_fire:(fun _ -> ())
-
-let is_periodic g sched =
-  match final_tokens g sched with
-  | final ->
-      let ok = ref true in
-      Array.iteri (fun e t -> if t <> Graph.delay g e then ok := false) final;
-      !ok
-  | exception Illegal _ -> false
+  match walk g ~bound:(Array.make (Graph.num_edges g) max_int) sched with
+  | Ok peak -> peak
+  | Error err -> Error.fail err
 
 let validate g ~capacities sched =
-  let module E = Ccs_sdf.Error in
-  let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let count = ref 0 in
-  let err = ref None in
-  let report v e kind =
-    if !err = None then
-      err :=
-        Some
-          (E.Schedule_illegal
-             {
-               node = Graph.node_name g v;
-               edge = Graph.edge_name g e;
-               at_firing = !count;
-               kind;
-             })
-  in
-  Schedule.iter sched ~f:(fun v ->
-      if !err = None then begin
-        List.iter
-          (fun e ->
-            tokens.(e) <- tokens.(e) - Graph.pop g e;
-            if tokens.(e) < 0 then report v e `Underflow)
-          (Graph.in_edges g v);
-        List.iter
-          (fun e ->
-            tokens.(e) <- tokens.(e) + Graph.push g e;
-            if tokens.(e) > capacities.(e) then report v e `Overflow)
-          (Graph.out_edges g v);
-        incr count
-      end);
-  match !err with Some e -> Result.error e | None -> Ok ()
-
-let legal g ~capacities sched =
-  match
-    let _ =
-      replay g sched ~on_fire:(fun tokens ->
-          Array.iteri
-            (fun e t -> if t > capacities.(e) then raise Exit)
-            tokens)
-    in
-    ()
-  with
-  | () -> true
-  | exception Exit -> false
-  | exception Illegal _ -> false
+  Result.map ignore (walk g ~bound:capacities sched)

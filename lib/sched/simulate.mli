@@ -1,42 +1,32 @@
 (** Cache-free token simulation of firing sequences.
 
     Schedulers need to know how much buffering a candidate schedule uses
-    {e before} committing to capacities; this module replays a schedule on
-    token counters only (no cache, no addresses) and reports per-channel
-    peak occupancy, or rejects the schedule as illegal. *)
+    {e before} committing to capacities, and a plan's period must be
+    certified token-legal before it runs.  Both replay the schedule on
+    token counters only (no cache, no addresses), starting from the
+    channel delays, in one walk that stops at the first bad firing.  A bad
+    firing is reported as [Error.Schedule_illegal], naming the module, the
+    channel and the firing's index in the schedule (from 0):
 
-exception Illegal of {
-  node : Ccs_sdf.Graph.node;
-  edge : Ccs_sdf.Graph.edge;
-  at_firing : int;
-}
-(** The [at_firing]-th firing tried to consume more tokens than channel
-    [edge] held. *)
+    - [`Underflow]: the firing consumed tokens its input channel did not
+      hold (the first such input, in {!Ccs_sdf.Graph.in_edges} order);
+    - [`Overflow]: the firing pushed a channel past its capacity (the
+      first such output, in {!Ccs_sdf.Graph.out_edges} order, and only
+      when no input underflowed). *)
 
 val peaks : Ccs_sdf.Graph.t -> Schedule.t -> int array
-(** [peaks g sched] replays [sched] from the initial token state (channel
-    delays) with unbounded buffers and returns each channel's maximum
-    occupancy.  A channel that is never written still reports its delay.
-    @raise Illegal if the schedule underflows a channel. *)
-
-val final_tokens : Ccs_sdf.Graph.t -> Schedule.t -> int array
-(** Token counts on every channel after the schedule completes.
-    @raise Illegal as for {!peaks}. *)
-
-val is_periodic : Ccs_sdf.Graph.t -> Schedule.t -> bool
-(** Whether the schedule returns every channel to its initial occupancy —
-    i.e. it can be repeated indefinitely with bounded buffers. *)
-
-val legal : Ccs_sdf.Graph.t -> capacities:int array -> Schedule.t -> bool
-(** Whether the schedule respects both token availability and the given
-    capacities throughout. *)
+(** [peaks g sched] replays [sched] with unbounded buffers and returns
+    each channel's maximum occupancy.  A channel that is never written
+    still reports its delay.
+    @raise Ccs_sdf.Error.Error with the [`Underflow] witness if the
+    schedule underflows a channel. *)
 
 val validate :
   Ccs_sdf.Graph.t ->
   capacities:int array ->
   Schedule.t ->
   (unit, Ccs_sdf.Error.t) result
-(** Like {!legal} but with a witness: the first firing that underflows a
-    channel (consumes tokens it does not have) or overflows one (exceeds
-    its capacity), as [Error.Schedule_illegal] naming the module, the
-    channel and the firing index. *)
+(** [validate g ~capacities sched] is [Ok ()] if every firing of [sched]
+    finds its input tokens and keeps every channel within its capacity
+    ([capacities] has one entry per channel), and the witness of the first
+    firing that does not otherwise. *)

@@ -177,6 +177,32 @@ let test_empty_graph () =
   let r = Ccs.Check.builder b in
   Alcotest.(check bool) "flagged" true (has "empty-graph" (codes r))
 
+(* A static plan whose capacity vector is shorter than its channel list
+   gets the same structured finding as a longer one from every entry
+   point, not an index-out-of-bounds from the period walk. *)
+let test_capacities_wrong_length () =
+  let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:1 () in
+  let plan = Ccs.Baseline.minimal_memory g (Ccs.Rates.analyze_exn g) in
+  let cache = Ccs.Cache.config ~size_words:256 ~block_words:8 () in
+  List.iter
+    (fun capacities ->
+      let plan = { plan with Ccs.Plan.capacities } in
+      let expected =
+        [
+          Printf.sprintf "plan minimal-memory: %d capacities for 2 channels"
+            (Array.length capacities);
+        ]
+      in
+      let strings = List.map E.to_string in
+      let show r = Result.fold ~ok:(fun _ -> []) ~error:strings r in
+      Alcotest.(check (list string)) "Plan.validate" expected
+        (show (Ccs.Plan.validate g plan));
+      Alcotest.(check (list string)) "Lowering.lower" expected
+        (show (Ccs.Lowering.lower g ~plan ~cache));
+      Alcotest.(check (list string)) "Check.plan" expected
+        (strings (Ccs.Check.plan g plan).Ccs.Check.errors))
+    [ [| 4 |]; [| 4; 4; 4; 4 |] ]
+
 let () =
   Alcotest.run "check"
     [
@@ -195,6 +221,8 @@ let () =
           Alcotest.test_case "capacity infeasible" `Quick
             test_capacity_infeasible;
           Alcotest.test_case "deadlock cycle" `Quick test_deadlock_cycle;
+          Alcotest.test_case "capacities wrong length" `Quick
+            test_capacities_wrong_length;
         ] );
       ( "reports",
         [

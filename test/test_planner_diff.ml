@@ -2,7 +2,10 @@
    Minbuf.compute/feasible, Pipeline.optimal_dp, Partitioned.batch) must
    return exactly what the rescanning originals in [Planner_oracle]
    return — the same partition, schedule and capacities, or the same
-   exception text. *)
+   exception text.  Plan certification (Plan.validate, Simulate.peaks)
+   must return exactly what the replaying original in [Certify_oracle]
+   returns — the same findings in the same order, with the same witness
+   firing. *)
 
 module G = Ccs.Graph
 module R = Ccs.Rates
@@ -174,6 +177,165 @@ let batch_agrees g =
     specs;
   true
 
+module C = Certify_oracle
+module Sch = Ccs.Schedule
+
+let show_validation = function
+  | Ok () -> "ok"
+  | Error es -> String.concat "; " (List.map Ccs.Error.to_string es)
+
+let show_caps caps =
+  String.concat ";" (Array.to_list (Array.map string_of_int caps))
+
+let oracle_peaks g sched =
+  match C.Simulate.peaks g sched with
+  | peak -> Ok peak
+  | exception C.Simulate.Illegal { node; edge; at_firing } ->
+      Error
+        (Ccs.Error.Schedule_illegal
+           {
+             node = G.node_name g node;
+             edge = G.edge_name g edge;
+             at_firing;
+             kind = `Underflow;
+           })
+
+let new_peaks g sched =
+  match Ccs.Simulate.peaks g sched with
+  | peak -> Ok peak
+  | exception Ccs.Error.Error e -> Error e
+
+let peaks_agree g sched =
+  let old_ = oracle_peaks g sched and new_ = new_peaks g sched in
+  if old_ <> new_ then
+    fail "%s: peaks differ:@.old %s@.new %s" (G.name g)
+      (show_outcome show_caps (Result.map_error Ccs.Error.to_string old_))
+      (show_outcome show_caps (Result.map_error Ccs.Error.to_string new_))
+
+let validate_agrees ?cache ?spec g (plan : Ccs.Plan.t) =
+  let old_ = C.Plan.validate ?cache ?spec g plan
+  and new_ = Ccs.Plan.validate ?cache ?spec g plan in
+  if old_ <> new_ then
+    fail "%s: Plan.validate differs for %s at [%s]:@.old %s@.new %s"
+      (G.name g) plan.name (show_caps plan.capacities)
+      (show_validation old_) (show_validation new_)
+
+(* A plan's capacities, and the same with one of up to three channels a
+   token short, which turns a legal period into an overflowing one. *)
+let tightened caps =
+  let m = Array.length caps in
+  caps
+  :: List.map
+       (fun e ->
+         let c = Array.copy caps in
+         c.(e) <- c.(e) - 1;
+         c)
+       (List.sort_uniq compare (if m = 0 then [] else [ 0; m / 2; m - 1 ]))
+
+let plan_agrees ?cache ?spec g (plan : Ccs.Plan.t) =
+  Option.iter (peaks_agree g) plan.period;
+  List.iter
+    (fun capacities -> validate_agrees ?cache ?spec g { plan with capacities })
+    (tightened plan.capacities)
+
+(* Firing sequences of every kind: empty, legal and balanced (PASS, and
+   PASS twice as a loop), unbalanced (one extra firing), underflowing
+   (PASS reversed, random modules), and legal but unbalanced random
+   walks over modules whose inputs hold enough tokens. *)
+let random_schedules g =
+  let rng = Random.State.make [| G.num_edges g; Hashtbl.hash (G.name g) |] in
+  let pass = Sch.of_list (Ccs.Minbuf.compute g (R.analyze_exn g)).schedule in
+  let walk ~legal len =
+    let tokens = Array.init (G.num_edges g) (G.delay g) in
+    let fireable v =
+      List.for_all (fun e -> tokens.(e) >= G.pop g e) (G.in_edges g v)
+    in
+    let fired = ref [] in
+    for _ = 1 to len do
+      let candidates =
+        List.filter (fun v -> fireable v || not legal) (G.nodes g)
+      in
+      if candidates <> [] then begin
+        let v =
+          List.nth candidates (Random.State.int rng (List.length candidates))
+        in
+        List.iter
+          (fun e -> tokens.(e) <- tokens.(e) - G.pop g e)
+          (G.in_edges g v);
+        List.iter
+          (fun e -> tokens.(e) <- tokens.(e) + G.push g e)
+          (G.out_edges g v);
+        fired := v :: !fired
+      end
+    done;
+    Sch.of_list (List.rev !fired)
+  in
+  [
+    Sch.seq [];
+    pass;
+    Sch.repeat 2 pass;
+    Sch.seq [ pass; Sch.fire (Random.State.int rng (G.num_nodes g)) ];
+    Sch.of_list (List.rev (Sch.to_list pass));
+    walk ~legal:false 40;
+    walk ~legal:true 40;
+  ]
+
+(* Each random schedule at its own peaks (raised to the rate floor), at
+   the rate floor, with a channel a token short, and unbounded. *)
+let schedules_agree g =
+  let floor =
+    Array.init (G.num_edges g) (fun e -> max (G.push g e) (G.pop g e))
+  in
+  List.iter
+    (fun sched ->
+      let fits =
+        match C.Simulate.peaks g sched with
+        | peak -> Array.map2 max peak floor
+        | exception C.Simulate.Illegal _ -> floor
+      in
+      peaks_agree g sched;
+      List.iter
+        (fun capacities ->
+          validate_agrees g
+            (Ccs.Plan.of_period ~name:"random" ~capacities sched))
+        ((floor :: tightened fits) @ [ Array.make (G.num_edges g) max_int ]))
+    (random_schedules g);
+  true
+
+(* Every static planner's output: Auto.plan at two cache sizes (checked
+   with its partition and cache, as Check.plan does), the three baselines,
+   execution scaling, and the partitioned batch and homogeneous plans. *)
+let planners_agree g =
+  let a = R.analyze_exn g in
+  List.iter
+    (fun cache_words ->
+      let cfg = Ccs.Config.make ~cache_words ~block_words:16 () in
+      let c = Ccs.Auto.plan ~dynamic:false g cfg in
+      plan_agrees ~cache:(Ccs.Config.cache_config cfg) ~spec:c.partition g
+        c.plan)
+    [ 256; 2048 ];
+  let spec = D.greedy g ~bound:(max (max_state g) (G.total_state g / 3)) in
+  (* Scaling a PASS that starts by consuming initial tokens can underflow
+     them; Scaling.plan then raises, and there is no plan to certify. *)
+  let scaled s =
+    match Ccs.Scaling.plan g a ~s with
+    | plan -> [ plan ]
+    | exception Ccs.Error.Error (Ccs.Error.Schedule_illegal _) -> []
+  in
+  List.iter (plan_agrees g)
+    ([
+       Ccs.Baseline.single_appearance g a;
+       Ccs.Baseline.minimal_memory g a;
+       Ccs.Baseline.round_robin g a;
+       Ccs.Partitioned.batch g a spec ~t:(R.granularity g a ~at_least:64);
+     ]
+    @ scaled 1 @ scaled 3
+    @
+    if G.is_homogeneous g then
+      [ Ccs.Partitioned.homogeneous g a spec ~m_tokens:64 ]
+    else []);
+  true
+
 (* --- inputs ------------------------------------------------------------ *)
 
 let gen_unit_dag =
@@ -284,6 +446,10 @@ let () =
             dp_agrees;
           prop "batch + local_period == oracle" ~count:150 gen_any
             batch_agrees;
+          prop "certify random schedules == oracle" ~count:200 gen_any
+            schedules_agree;
+          prop "certify planner plans == oracle" ~count:60 gen_any
+            planners_agree;
         ] );
       ( "suite",
         [
@@ -294,5 +460,9 @@ let () =
             (on_suite (fun g -> (not (G.is_pipeline g)) || dp_agrees g));
           Alcotest.test_case "batch + local_period == oracle" `Quick
             (on_suite batch_agrees);
+          Alcotest.test_case "certify random schedules == oracle" `Quick
+            (on_suite schedules_agree);
+          Alcotest.test_case "certify planner plans == oracle" `Quick
+            (on_suite planners_agree);
         ] );
     ]

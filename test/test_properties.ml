@@ -4,7 +4,6 @@
 module G = Ccs.Graph
 module R = Ccs.Rates
 module S = Ccs.Schedule
-module Sim = Ccs.Simulate
 module Sp = Ccs.Spec
 module Q = Ccs.Rational
 
@@ -67,9 +66,11 @@ let prop_pass_legal_and_periodic =
     gen_any_graph (fun g ->
       let a = R.analyze_exn g in
       let mb = Ccs.Minbuf.compute g a in
-      let period = S.of_list mb.Ccs.Minbuf.schedule in
-      Sim.legal g ~capacities:mb.Ccs.Minbuf.capacity period
-      && Sim.is_periodic g period)
+      let plan =
+        Ccs.Plan.of_period ~name:"pass" ~capacities:mb.Ccs.Minbuf.capacity
+          (S.of_list mb.Ccs.Minbuf.schedule)
+      in
+      Ccs.Plan.validate g plan = Ok ())
 
 (* --- Partition invariants ------------------------------------------------ *)
 
@@ -125,11 +126,7 @@ let prop_partitioned_batch_legal =
       let spec = Ccs.Dag_partition.greedy g ~bound in
       let t = R.granularity g a ~at_least:32 in
       let plan = Ccs.Partitioned.batch g a spec ~t in
-      match plan.Ccs.Plan.period with
-      | None -> false
-      | Some period ->
-          Sim.legal g ~capacities:plan.Ccs.Plan.capacities period
-          && Sim.is_periodic g period)
+      Option.is_some plan.Ccs.Plan.period && Ccs.Plan.validate g plan = Ok ())
 
 let prop_partitioned_runs_on_machine =
   QCheck2.Test.make ~name:"partitioned plan reaches output target" ~count:60
@@ -159,11 +156,7 @@ let prop_single_appearance_periodic =
     ~count:100 gen_any_graph (fun g ->
       let a = R.analyze_exn g in
       let plan = Ccs.Baseline.single_appearance g a in
-      match plan.Ccs.Plan.period with
-      | None -> false
-      | Some period ->
-          Sim.legal g ~capacities:plan.Ccs.Plan.capacities period
-          && Sim.is_periodic g period)
+      Option.is_some plan.Ccs.Plan.period && Ccs.Plan.validate g plan = Ok ())
 
 (* --- Cache invariants ----------------------------------------------------- *)
 

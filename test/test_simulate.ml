@@ -25,39 +25,65 @@ let test_peaks_includes_delay () =
   Alcotest.(check (array int)) "delay is the floor" [| 3 |]
     (Sim.peaks g (S.seq []))
 
+let illegal ~node ~edge ~at_firing kind =
+  Error (Ccs.Error.Schedule_illegal { node; edge; at_firing; kind })
+
+let witness = Alcotest.testable Ccs.Error.pp ( = )
+let outcome = Alcotest.(result unit witness)
+
 let test_illegal_underflow () =
   let g = chain3 () in
+  let underflow = illegal ~node:"m1" ~edge:"m0->m1#0" ~at_firing:0 `Underflow in
+  Alcotest.check outcome "validate names the witness" underflow
+    (Sim.validate g ~capacities:[| 9; 9 |] (S.of_list [ 1 ]));
   match Sim.peaks g (S.of_list [ 1 ]) with
   | _ -> Alcotest.fail "consuming from an empty channel must fail"
-  | exception Sim.Illegal { node; edge; at_firing } ->
-      Alcotest.(check int) "node" 1 node;
-      Alcotest.(check int) "edge" 0 edge;
-      Alcotest.(check int) "at firing" 0 at_firing
+  | exception Ccs.Error.Error e ->
+      Alcotest.check outcome "peaks raises the same witness" underflow
+        (Error e)
 
-let test_final_tokens () =
-  let g = chain3 () in
-  Alcotest.(check (array int)) "residue" [| 1; 0 |]
-    (Sim.final_tokens g (S.of_list [ 0; 0; 1; 2 ]))
+(* Plan.validate decides periodicity from the fire counts. *)
+let periodicity g sched =
+  match
+    Ccs.Plan.validate g
+      (Ccs.Plan.of_period ~name:"p" ~capacities:(Sim.peaks g sched) sched)
+  with
+  | Ok () -> []
+  | Error es -> List.map Ccs.Error.to_string es
 
-let test_is_periodic () =
+let test_period_restores_state () =
   let g = chain3 () in
-  Alcotest.(check bool) "balanced period" true
-    (Sim.is_periodic g (S.of_list [ 0; 1; 2 ]));
-  Alcotest.(check bool) "unbalanced" false
-    (Sim.is_periodic g (S.of_list [ 0; 0; 1; 2 ]));
-  Alcotest.(check bool) "illegal is not periodic" false
-    (Sim.is_periodic g (S.of_list [ 1; 0; 2 ]))
+  Alcotest.(check (list string)) "balanced period" []
+    (periodicity g (S.of_list [ 0; 1; 2 ]));
+  Alcotest.(check (list string)) "unbalanced"
+    [
+      "plan p: period does not restore channel state";
+      "plan p: firing counts are not a multiple of the repetition vector";
+    ]
+    (periodicity g (S.of_list [ 0; 0; 1; 2 ]));
+  match
+    Ccs.Plan.validate g
+      (Ccs.Plan.of_period ~name:"p" ~capacities:[| 1; 1 |]
+         (S.of_list [ 1; 0; 2 ]))
+  with
+  | Error [ e ] ->
+      Alcotest.check outcome "illegal: the witness, not a balance finding"
+        (illegal ~node:"m1" ~edge:"m0->m1#0" ~at_firing:0 `Underflow)
+        (Error e)
+  | _ -> Alcotest.fail "an illegal period has exactly one finding"
 
 let test_legal () =
   let g = chain3 () in
-  Alcotest.(check bool) "fits capacity 1" true
-    (Sim.legal g ~capacities:[| 1; 1 |] (S.of_list [ 0; 1; 2 ]));
-  Alcotest.(check bool) "exceeds capacity 1" false
-    (Sim.legal g ~capacities:[| 1; 1 |] (S.of_list [ 0; 0; 1; 1; 2; 2 ]));
-  Alcotest.(check bool) "fits capacity 2" true
-    (Sim.legal g ~capacities:[| 2; 2 |] (S.of_list [ 0; 0; 1; 1; 2; 2 ]));
-  Alcotest.(check bool) "underflow illegal" false
-    (Sim.legal g ~capacities:[| 9; 9 |] (S.of_list [ 1 ]))
+  Alcotest.check outcome "fits capacity 1" (Ok ())
+    (Sim.validate g ~capacities:[| 1; 1 |] (S.of_list [ 0; 1; 2 ]));
+  Alcotest.check outcome "exceeds capacity 1"
+    (illegal ~node:"m0" ~edge:"m0->m1#0" ~at_firing:1 `Overflow)
+    (Sim.validate g ~capacities:[| 1; 1 |] (S.of_list [ 0; 0; 1; 1; 2; 2 ]));
+  Alcotest.check outcome "fits capacity 2" (Ok ())
+    (Sim.validate g ~capacities:[| 2; 2 |] (S.of_list [ 0; 0; 1; 1; 2; 2 ]));
+  Alcotest.check outcome "underflow illegal"
+    (illegal ~node:"m1" ~edge:"m0->m1#0" ~at_firing:0 `Underflow)
+    (Sim.validate g ~capacities:[| 9; 9 |] (S.of_list [ 1 ]))
 
 let test_multirate () =
   (* src -3/2-> snk: firing src twice then snk three times is balanced. *)
@@ -65,17 +91,20 @@ let test_multirate () =
     Ccs.Generators.pipeline ~n:2 ~state:(fun _ -> 1) ~rates:(fun _ -> (3, 2)) ()
   in
   let s = S.of_list [ 0; 0; 1; 1; 1 ] in
-  Alcotest.(check bool) "periodic" true (Sim.is_periodic g s);
-  Alcotest.(check (array int)) "peak 6" [| 6 |] (Sim.peaks g s)
+  Alcotest.(check (list string)) "periodic" [] (periodicity g s);
+  Alcotest.(check (array int)) "peak 6" [| 6 |] (Sim.peaks g s);
+  Alcotest.check outcome "overflow at capacity 5"
+    (illegal ~node:"m0" ~edge:"m0->m1#0" ~at_firing:1 `Overflow)
+    (Sim.validate g ~capacities:[| 5 |] s)
 
 let test_machine_agreement () =
-  (* Simulate.legal must agree with what the machine accepts. *)
+  (* Simulate.validate must agree with what the machine accepts. *)
   let g = Ccs_apps.Beamformer.graph ~channels:2 ~beams:2 ~taps:4 () in
   let a = Ccs.Rates.analyze_exn g in
   let mb = Ccs.Minbuf.compute g a in
   let sched = S.of_list mb.Ccs.Minbuf.schedule in
-  Alcotest.(check bool) "minbuf schedule legal at minbuf caps" true
-    (Sim.legal g ~capacities:mb.Ccs.Minbuf.capacity sched);
+  Alcotest.check outcome "minbuf schedule legal at minbuf caps" (Ok ())
+    (Sim.validate g ~capacities:mb.Ccs.Minbuf.capacity sched);
   let m =
     Ccs.Machine.create ~graph:g
       ~cache:(Ccs.Cache.config ~size_words:256 ~block_words:8 ())
@@ -95,8 +124,8 @@ let () =
           Alcotest.test_case "peaks include delay" `Quick
             test_peaks_includes_delay;
           Alcotest.test_case "illegal underflow" `Quick test_illegal_underflow;
-          Alcotest.test_case "final tokens" `Quick test_final_tokens;
-          Alcotest.test_case "is_periodic" `Quick test_is_periodic;
+          Alcotest.test_case "period restores channel state" `Quick
+            test_period_restores_state;
           Alcotest.test_case "legal" `Quick test_legal;
           Alcotest.test_case "multirate" `Quick test_multirate;
           Alcotest.test_case "machine agreement" `Quick test_machine_agreement;
