@@ -142,14 +142,19 @@ let validate ?cache ?spec g t =
           add (E.Cache_overflow { component = c; state; cache_words })
       done
   | _ -> ());
-  (* Static plans: certify the period itself, in one walk of its firings.
-     Balance comes from the fire counts: when the walk finds every firing
-     legal, a channel ends the period at [delay + counts(src)·push -
-     counts(dst)·pop], so it is restored exactly when that change is 0.
-     Capacities of the wrong length were reported above; only the walk,
-     which needs one bound per channel, is skipped for them. *)
+  (* Static plans: certify the period itself from its schedule tree
+     ({!Simulate.validate}).  Balance comes from the fire counts: when
+     every firing is legal, a channel ends the period at [delay +
+     counts(src)·push - counts(dst)·pop], so it is restored exactly when
+     that change is 0.  Capacities of the wrong length were reported
+     above; only the token check, which needs one bound per channel, is
+     skipped for them.  A period too long to count has no exact fire
+     counts or firing indices, so it gets that one finding. *)
   (match t.period with
   | None -> ()
+  | Some period when Schedule.length period = max_int ->
+      invalid
+        (Printf.sprintf "period has %d (max_int) firings or more" max_int)
   | Some period -> (
       let counts =
         Schedule.fire_counts ~num_nodes:(Graph.num_nodes g) period

@@ -83,14 +83,17 @@ val validate :
     - for static plans, the period must additionally be token-legal at the
       plan's capacities ([Schedule_illegal] with the witness firing),
       periodic, fire the sink, and fire every module a whole multiple of
-      its repetition count ([Plan_invalid]).
+      its repetition count ([Plan_invalid]).  A period of [max_int]
+      firings or more gets one [Plan_invalid] instead: its fire counts
+      and firing indices do not fit in an [int].
 
     Dynamic plans (no [period]) skip the period checks — their legality is
     enforced at run time by the machine and {!Watchdog}.
 
-    Cost: one walk of the period's firings ({!Simulate.validate}, skipped
-    when the capacity vector has the wrong length) plus work linear in the
-    period's schedule tree and the graph: fire counts come from the tree
-    without unrolling it, and periodicity from the fire counts.  The
+    Cost: O(schedule tree × channels touched) for the period, never
+    O(firings): {!Simulate.validate} certifies it from per-subtree
+    channel summaries (skipped when the capacity vector has the wrong
+    length), fire counts come from the tree without unrolling it, and
+    periodicity from the fire counts.  Add work linear in the graph; the
     feasibility check replays one repetition-vector period, not the
     plan's (batched) period. *)

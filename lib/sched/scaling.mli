@@ -13,13 +13,19 @@
 val scaled_schedule :
   Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> s:int -> Schedule.t
 (** The minimal-memory PASS with every invocation replaced by [s]
-    back-to-back invocations of the same module.  One period of the scaled
-    schedule equals [s] periods of the base schedule, so it is always
-    token-legal and periodic. *)
+    back-to-back invocations of the same module.  It fires every module
+    [s] times as often as the PASS, so it is periodic.  It is token-legal
+    for [s = 1], and for larger [s] on a graph without channel delays; a
+    PASS that starts by consuming a channel's initial tokens underflows
+    them once [s] copies of that block ask for more than the delay
+    holds.  Legality is monotone: if [s] is legal, so is every smaller
+    factor. *)
 
 val plan : Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> s:int -> Plan.t
 (** Plan for a fixed scaling factor; capacities are the scaled schedule's
-    measured peaks. *)
+    measured peaks.
+    @raise Ccs_sdf.Error.Error with the [Schedule_illegal] underflow
+    witness when the scaled schedule is not token-legal. *)
 
 val auto :
   Ccs_sdf.Graph.t ->
@@ -29,5 +35,7 @@ val auto :
   unit ->
   Plan.t
 (** Choose the largest [s] (up to [max_s], default 4096, by doubling then
-    bisection) such that total scaled buffering plus the largest single
-    module state fits in [cache_words]; falls back to [s = 1]. *)
+    bisection) whose scaled schedule is token-legal and whose total
+    buffering plus the largest single module state fits in
+    [cache_words]; falls back to [s = 1].  Each candidate is certified
+    from the schedule tree ({!Simulate.peaks}), not by replaying it. *)

@@ -14,8 +14,15 @@ let of_list l = Seq (List.map (fun v -> Fire v) l)
 
 let rec length = function
   | Fire _ -> 1
-  | Seq l -> List.fold_left (fun acc s -> acc + length s) 0 l
-  | Repeat (k, body) -> k * length body
+  | Seq l ->
+      List.fold_left
+        (fun acc s ->
+          let n = length s in
+          if acc > max_int - n then max_int else acc + n)
+        0 l
+  | Repeat (k, body) ->
+      let n = length body in
+      if n <> 0 && k > max_int / n then max_int else k * n
 
 let rec iter t ~f =
   match t with

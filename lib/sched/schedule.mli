@@ -19,7 +19,8 @@ val repeat : int -> t -> t
 val of_list : Ccs_sdf.Graph.node list -> t
 
 val length : t -> int
-(** Total number of firings when executed. *)
+(** Total number of firings when executed, computed without unrolling;
+    [max_int] when there are [max_int] firings or more. *)
 
 val iter : t -> f:(Ccs_sdf.Graph.node -> unit) -> unit
 (** Visit every firing in execution order. *)

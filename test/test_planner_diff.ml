@@ -238,10 +238,43 @@ let plan_agrees ?cache ?spec g (plan : Ccs.Plan.t) =
     (fun capacities -> validate_agrees ?cache ?spec g { plan with capacities })
     (tightened plan.capacities)
 
+(* Nested trees, 3 to 5 levels deep: [Repeat] counts 0 to 5 and [Seq]s
+   of one to three children, one of which keeps the full depth.  Most
+   leaves fire the modules of [walk], a legal firing sequence, in turn,
+   so a tree runs legally for a while before a repeated body underflows
+   or outgrows the capacities, which puts the first bad firing deep in
+   the tree; the others fire a random module.  Trees the oracle could
+   not replay quickly (over 2,000 firings) are dropped. *)
+let nested_trees rng g walk =
+  let walk = Array.of_list (Sch.to_list walk) in
+  let next = ref 0 in
+  let leaf () =
+    if Array.length walk = 0 || Random.State.int rng 4 = 0 then
+      Sch.fire (Random.State.int rng (G.num_nodes g))
+    else begin
+      let v = walk.(!next mod Array.length walk) in
+      incr next;
+      Sch.fire v
+    end
+  in
+  let rec tree depth =
+    if depth = 0 then leaf ()
+    else if Random.State.bool rng then
+      Sch.repeat (Random.State.int rng 6) (tree (depth - 1))
+    else
+      let width = 1 + Random.State.int rng 3 in
+      let deep = Random.State.int rng width in
+      Sch.seq
+        (List.init width (fun i ->
+             tree (if i = deep then depth - 1 else Random.State.int rng depth)))
+  in
+  List.init 12 (fun _ -> tree (3 + Random.State.int rng 3))
+  |> List.filter (fun t -> Sch.length t <= 2_000)
+
 (* Firing sequences of every kind: empty, legal and balanced (PASS, and
    PASS twice as a loop), unbalanced (one extra firing), underflowing
-   (PASS reversed, random modules), and legal but unbalanced random
-   walks over modules whose inputs hold enough tokens. *)
+   (PASS reversed, random modules), legal but unbalanced random walks
+   over modules whose inputs hold enough tokens, and nested trees. *)
 let random_schedules g =
   let rng = Random.State.make [| G.num_edges g; Hashtbl.hash (G.name g) |] in
   let pass = Sch.of_list (Ccs.Minbuf.compute g (R.analyze_exn g)).schedule in
@@ -279,6 +312,8 @@ let random_schedules g =
     walk ~legal:false 40;
     walk ~legal:true 40;
   ]
+  @ nested_trees rng g (walk ~legal:true 40)
+  @ nested_trees rng g pass
 
 (* Each random schedule at its own peaks (raised to the rate floor), at
    the rate floor, with a channel a token short, and unbounded. *)
@@ -316,12 +351,26 @@ let planners_agree g =
     [ 256; 2048 ];
   let spec = D.greedy g ~bound:(max (max_state g) (G.total_state g / 3)) in
   (* Scaling a PASS that starts by consuming initial tokens can underflow
-     them; Scaling.plan then raises, and there is no plan to certify. *)
+     them: Scaling.plan then raises the oracle's underflow witness, and
+     Scaling.auto keeps to the factors that stay legal. *)
   let scaled s =
     match Ccs.Scaling.plan g a ~s with
     | plan -> [ plan ]
-    | exception Ccs.Error.Error (Ccs.Error.Schedule_illegal _) -> []
+    | exception Ccs.Error.Error e ->
+        let old_ = oracle_peaks g (Ccs.Scaling.scaled_schedule g a ~s) in
+        if old_ <> Error e then
+          fail "%s: Scaling.plan ~s:%d raised %s, the oracle %s" (G.name g) s
+            (Ccs.Error.to_string e)
+            (show_outcome show_caps
+               (Result.map_error Ccs.Error.to_string old_));
+        []
   in
+  let auto = Ccs.Scaling.auto g a ~cache_words:256 () in
+  (match Ccs.Plan.validate g auto with
+  | Ok () -> ()
+  | Error es ->
+      fail "%s: Scaling.auto's %s does not certify: %s" (G.name g) auto.name
+        (show_validation (Error es)));
   List.iter (plan_agrees g)
     ([
        Ccs.Baseline.single_appearance g a;
@@ -329,7 +378,8 @@ let planners_agree g =
        Ccs.Baseline.round_robin g a;
        Ccs.Partitioned.batch g a spec ~t:(R.granularity g a ~at_least:64);
      ]
-    @ scaled 1 @ scaled 3
+    @ (auto :: scaled 1)
+    @ scaled 3
     @
     if G.is_homogeneous g then
       [ Ccs.Partitioned.homogeneous g a spec ~m_tokens:64 ]

@@ -70,6 +70,28 @@ let test_scaling_invalid_s () =
     (Invalid_argument "Scaling.scaled_schedule: s must be >= 1") (fun () ->
       ignore (Ccs.Scaling.scaled_schedule g a ~s:0))
 
+(* A PASS that starts by consuming initial tokens: src->mid holds two,
+   so scaling by 2 stays legal and scaling by 3 underflows them. *)
+let test_scaling_with_delay () =
+  let b = G.Builder.create () in
+  let src = G.Builder.add_module b ~state:4 "src" in
+  let mid = G.Builder.add_module b ~state:4 "mid" in
+  let snk = G.Builder.add_module b ~state:4 "snk" in
+  ignore (G.Builder.add_channel b ~delay:2 ~src ~dst:mid ~push:1 ~pop:1 ());
+  ignore (G.Builder.add_channel b ~src:mid ~dst:snk ~push:1 ~pop:1 ());
+  let g = G.Builder.build b in
+  let a = R.analyze_exn g in
+  let plan = Ccs.Scaling.auto g a ~cache_words:2048 () in
+  Alcotest.(check string) "largest legal factor" "scaling-x2" plan.P.name;
+  Alcotest.(check bool) "certifies" true (P.validate g plan = Ok ());
+  match Ccs.Scaling.plan g a ~s:3 with
+  | _ -> Alcotest.fail "scaling by 3 must underflow src->mid"
+  | exception Ccs.Error.Error e ->
+      Alcotest.(check string)
+        "underflow witness"
+        "firing 2 (module mid) underflows channel src->mid#0"
+        (Ccs.Error.to_string e)
+
 let test_scaling_reduces_misses () =
   (* The heuristic's raison d'être: on a state-heavy pipeline, scaling must
      beat the unscaled baseline. *)
@@ -147,6 +169,7 @@ let () =
             test_auto_respects_cache;
           Alcotest.test_case "auto falls back" `Quick test_auto_falls_back_to_1;
           Alcotest.test_case "invalid s" `Quick test_scaling_invalid_s;
+          Alcotest.test_case "channel delay" `Quick test_scaling_with_delay;
           Alcotest.test_case "reduces misses" `Quick test_scaling_reduces_misses;
         ] );
       ( "kohli",

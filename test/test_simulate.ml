@@ -115,6 +115,104 @@ let test_machine_agreement () =
   Alcotest.(check int) "one period ran" (List.length mb.Ccs.Minbuf.schedule)
     (Ccs.Machine.total_fires m)
 
+(* Certification never enumerates a period's firings: each of these
+   periods denotes at least a billion firings, more than a walk could
+   replay within a test's time, and its witness comes from arithmetic on
+   the repeated body's net change. *)
+let billion = 1_000_000_000
+
+let test_huge_repeat () =
+  let g = chain3 () in
+  let one = S.of_list [ 0; 1; 2 ] in
+  Alcotest.check outcome "balanced body" (Ok ())
+    (Sim.validate g ~capacities:[| 1; 1 |] (S.repeat billion one));
+  Alcotest.(check (array int)) "peaks of a balanced body" [| 1; 1 |]
+    (Sim.peaks g (S.repeat billion one));
+  Alcotest.(check (array int)) "peaks of a growing body" [| billion; 0 |]
+    (Sim.peaks g (S.repeat billion (S.fire 0)));
+  (* m0->m1 gains a token per iteration and takes two pushes, so it
+     overflows capacity c in iteration c-1, at that iteration's second
+     firing. *)
+  let c = 1_000_000 in
+  Alcotest.check outcome "late overflow"
+    (illegal ~node:"m0" ~edge:"m0->m1#0"
+       ~at_firing:((3 * (c - 1)) + 1)
+       `Overflow)
+    (Sim.validate g ~capacities:[| c; 2 * c |]
+       (S.repeat billion (S.of_list [ 0; 0; 1 ])));
+  (* x->y starts with [delay] tokens and loses one per iteration, so the
+     second pop of iteration [delay] underflows. *)
+  let delay = 123_456_789 in
+  let b = G.Builder.create () in
+  let x = G.Builder.add_module b "x" in
+  let y = G.Builder.add_module b "y" in
+  ignore (G.Builder.add_channel b ~delay ~src:x ~dst:y ~push:1 ~pop:1 ());
+  let g = G.Builder.build b in
+  let body = S.of_list [ x; y; y ] in
+  let underflow =
+    illegal ~node:"y" ~edge:"x->y#0" ~at_firing:((3 * delay) + 2) `Underflow
+  in
+  Alcotest.check outcome "late underflow" underflow
+    (Sim.validate g ~capacities:[| max_int |] (S.repeat billion body));
+  match Sim.peaks g (S.repeat billion body) with
+  | _ -> Alcotest.fail "peaks of an underflowing period must fail"
+  | exception Ccs.Error.Error e ->
+      Alcotest.check outcome "peaks raises the same witness" underflow
+        (Error e)
+
+(* Net changes and firing counts past [max_int] give structured findings,
+   never a wrapped [Ok] or an exception. *)
+let test_int_overflow () =
+  let b = G.Builder.create () in
+  let x = G.Builder.add_module b "x" in
+  let y = G.Builder.add_module b "y" in
+  ignore (G.Builder.add_channel b ~src:x ~dst:y ~push:(1 lsl 31) ~pop:1 ());
+  let g = G.Builder.build b in
+  (* k·d = 2^63: the channel passes max_int = 2^62 - 1 at the push of
+     iteration 2^31 - 1. *)
+  let wide = S.repeat (1 lsl 32) (S.fire x) in
+  let overflow =
+    illegal ~node:"x" ~edge:"x->y#0" ~at_firing:((1 lsl 31) - 1) `Overflow
+  in
+  Alcotest.check outcome "k·d past max_int" overflow
+    (Sim.validate g ~capacities:[| max_int |] wide);
+  (match Sim.peaks g wide with
+  | _ -> Alcotest.fail "an occupancy past max_int has no peak"
+  | exception Ccs.Error.Error e ->
+      Alcotest.check outcome "peaks raises the overflow" overflow (Error e));
+  (* 2^62 pushes of one token, as 2^31 x 2^31: the last one, firing
+     max_int, takes the channel past max_int. *)
+  let g = chain3 () in
+  let long = S.repeat (1 lsl 31) (S.repeat (1 lsl 31) (S.fire 0)) in
+  Alcotest.check outcome "2^62 firings"
+    (illegal ~node:"m0" ~edge:"m0->m1#0" ~at_firing:max_int `Overflow)
+    (Sim.validate g ~capacities:[| max_int; max_int |] long);
+  (* Legal for 3·2^80 firings, then an underflow: its index does not fit,
+     and reads max_int. *)
+  let legal =
+    S.repeat (1 lsl 40) (S.repeat (1 lsl 40) (S.of_list [ 0; 1; 2 ]))
+  in
+  Alcotest.check outcome "witness past max_int"
+    (illegal ~node:"m1" ~edge:"m0->m1#0" ~at_firing:max_int `Underflow)
+    (Sim.validate g ~capacities:[| 1; 1 |] (S.seq [ legal; S.fire 1 ]));
+  (* Plan.validate reports a period too long to count, and nothing else
+     about it: its fire counts would wrap. *)
+  List.iter
+    (fun (name, period) ->
+      Alcotest.(check (list string))
+        name
+        [
+          Printf.sprintf "plan p: period has %d (max_int) firings or more"
+            max_int;
+        ]
+        (match
+           Ccs.Plan.validate g
+             (Ccs.Plan.of_period ~name:"p" ~capacities:[| 1; 1 |] period)
+         with
+        | Ok () -> []
+        | Error es -> List.map Ccs.Error.to_string es))
+    [ ("legal, too long", legal); ("illegal, too long", long) ]
+
 let () =
   Alcotest.run "simulate"
     [
@@ -129,5 +227,7 @@ let () =
           Alcotest.test_case "legal" `Quick test_legal;
           Alcotest.test_case "multirate" `Quick test_multirate;
           Alcotest.test_case "machine agreement" `Quick test_machine_agreement;
+          Alcotest.test_case "billion-firing periods" `Quick test_huge_repeat;
+          Alcotest.test_case "int overflow" `Quick test_int_overflow;
         ] );
     ]
