@@ -1,5 +1,6 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
+module Minbuf = Ccs_sdf.Minbuf
 module Spec = Ccs_partition.Spec
 module Pipeline = Ccs_partition.Pipeline
 module Dag = Ccs_partition.Dag
@@ -34,22 +35,20 @@ let fitting_bound g cfg =
 let partition g analysis cfg =
   let bound = fitting_bound g cfg in
   (* Cache footprint of running the whole graph resident: module states
-     rounded up to whole blocks (they are block-aligned), plus the packed
-     minimum buffers, plus one block of slack for boundary sharing. *)
-  let whole_footprint =
-    let bw = cfg.Config.block_words in
-    let rounded_state =
-      List.fold_left
-        (fun acc v -> acc + ((Graph.state g v + bw - 1) / bw * bw))
-        0 (Graph.nodes g)
-    in
-    let minbuf_total =
-      let mb = Ccs_sdf.Minbuf.compute g analysis in
-      Array.fold_left ( + ) 0 mb.Ccs_sdf.Minbuf.capacity
-    in
-    rounded_state + minbuf_total + bw
+     rounded up to whole blocks (they are block-aligned), one block of
+     slack for boundary sharing, and the packed minimum buffers, sized
+     only when the rest fits (every buffer holds at least one token). *)
+  let bw = cfg.Config.block_words and cache = cfg.Config.cache_words in
+  let rest =
+    List.fold_left
+      (fun acc v -> acc + ((Graph.state g v + bw - 1) / bw * bw))
+      bw (Graph.nodes g)
   in
-  if whole_footprint <= cfg.Config.cache_words then
+  if
+    rest <= cache
+    && rest + Array.fold_left ( + ) 0 (Minbuf.compute g analysis).capacity
+       <= cache
+  then
     (* Everything — state and minimum buffers — fits at once: the whole
        graph is a single component and no tokens ever cross a partition
        boundary. *)

@@ -1,7 +1,6 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
 module Minbuf = Ccs_sdf.Minbuf
-module Q = Ccs_sdf.Rational
 
 type mapping = {
   graph : Graph.t;
@@ -9,22 +8,6 @@ type mapping = {
   component_of_node : int array;
   edge_of_cross : (Graph.edge * Graph.edge) list;
 }
-
-(* Local repetition of component [c]: smallest positive integral vector
-   proportional to the members' gains (how often each member fires per
-   firing of the fused module). *)
-let local_repetition (a : Rates.analysis) members =
-  let denom =
-    List.fold_left (fun acc v -> Q.lcm acc (Q.den a.Rates.node_gain.(v))) 1
-      members
-  in
-  let ints =
-    List.map
-      (fun v -> (v, Q.to_int_exn (Q.mul_int a.Rates.node_gain.(v) denom)))
-      members
-  in
-  let g = List.fold_left (fun acc (_, x) -> Q.gcd acc x) 0 ints in
-  List.map (fun (v, x) -> (v, x / g)) ints
 
 let contract g a spec =
   if not (Spec.is_well_ordered spec) then
@@ -37,19 +20,12 @@ let contract g a spec =
   let node_of_component = Array.make k (-1) in
   for c = 0 to k - 1 do
     let members = Spec.members spec c in
-    local_rep.(c) <- local_repetition a members;
+    local_rep.(c) <- Rates.local_repetition a members;
     let state =
       List.fold_left (fun acc v -> acc + Graph.state g v) 0 members
     in
     let internal_buf =
-      List.fold_left
-        (fun acc e ->
-          if
-            Spec.component_of spec (Graph.src g e) = c
-            && Spec.component_of spec (Graph.dst g e) = c
-          then acc + mb.Minbuf.capacity.(e)
-          else acc)
-        0 (Graph.edges g)
+      Minbuf.total g mb ~subset:(fun v -> Spec.component_of spec v = c)
     in
     let name =
       match members with
@@ -100,7 +76,7 @@ let hierarchical g a ~bound ?(coarsen_to = 8) ?max_degree () =
   let coarse_spec = Dag.greedy g ~bound:cluster_bound in
   let m = contract g a coarse_spec in
   let cg = m.graph in
-  let ca = Ccs_sdf.Rates.analyze_exn cg in
+  let ca = Rates.analyze_exn cg in
   let coarse_partition =
     if Graph.num_nodes cg <= 20 then
       match Dag.exact cg ca ~bound ~max_nodes:20 () with

@@ -1,22 +1,9 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
-module Q = Ccs_sdf.Rational
 module Minbuf = Ccs_sdf.Minbuf
+module Latest_first = Ccs_sdf.Latest_first
 module Spec = Ccs_partition.Spec
 module Machine = Ccs_exec.Machine
-
-(* Local repetition vector of a component: the smallest positive integral
-   vector proportional to the members' gains. *)
-let local_repetition (a : Rates.analysis) members =
-  let denoms =
-    List.fold_left (fun acc v -> Q.lcm acc (Q.den a.node_gain.(v))) 1 members
-  in
-  let ints =
-    List.map (fun v -> (v, Q.to_int_exn (Q.mul_int a.node_gain.(v) denoms)))
-      members
-  in
-  let g = List.fold_left (fun acc (_, x) -> Q.gcd acc x) 0 ints in
-  List.map (fun (v, x) -> (v, x / g)) ints
 
 (* Members (in topological order) and internal edges of every component,
    in one pass over the nodes and one over the edges. *)
@@ -43,64 +30,35 @@ let positions order =
   pos
 
 (* Latest-first simulation of one local period of component [c] (each
-   member [v] fires [local_rep]'s count for it): internal edges are
-   token-tracked from their delays into [tokens] and [peaks]; cross edges
-   are treated as unbounded supply/void.  [remaining] must be zero outside
-   the component, and is zero everywhere again on return.  Returns the
-   firing order. *)
-let run_local_period g spec driver ~remaining ~tokens ~peaks c ~members
-    ~internal ~local_rep =
-  List.iter
-    (fun e ->
-      tokens.(e) <- Graph.delay g e;
-      peaks.(e) <- Graph.delay g e)
-    internal;
+   member [v] fires [local_rep]'s count for it) on [driver]: internal
+   edges are tracked from their delays, and their peaks are left in the
+   driver; cross edges are unbounded supply/void.  [remaining] must be
+   zero outside the component, and is zero everywhere again on return.
+   Returns the firing order. *)
+let run_local_period driver ~remaining c ~internal ~local_rep =
   List.iter (fun (v, k) -> remaining.(v) <- k) local_rep;
-  let inside v = Spec.component_of spec v = c in
-  let ready v =
-    List.for_all
-      (fun e -> (not (inside (Graph.src g e))) || tokens.(e) >= Graph.pop g e)
-      (Graph.in_edges g v)
+  let fired, order =
+    Latest_first.run driver ~remaining ~candidates:(List.map fst local_rep)
+      ~channels:internal ~record:true
   in
-  let order = ref [] in
-  let fire v =
-    List.iter
-      (fun e ->
-        if inside (Graph.src g e) then tokens.(e) <- tokens.(e) - Graph.pop g e)
-      (Graph.in_edges g v);
-    List.iter
-      (fun e ->
-        if inside (Graph.dst g e) then begin
-          tokens.(e) <- tokens.(e) + Graph.push g e;
-          if tokens.(e) > peaks.(e) then peaks.(e) <- tokens.(e)
-        end)
-      (Graph.out_edges g v);
-    order := v :: !order
-  in
-  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 local_rep in
-  if
-    Ccs_sdf.Latest_first.run driver ~remaining ~candidates:members ~ready
-      ~fire
-    < total
-  then
+  if fired < List.fold_left (fun acc (_, k) -> acc + k) 0 local_rep then
     raise
       (Graph.Invalid_graph
          (Printf.sprintf "Partitioned.local_period: component %d deadlocked"
             c));
-  List.rev !order
+  order
 
 let local_period g (a : Rates.analysis) spec c =
   let members, internal = components g spec in
-  let m = Graph.num_edges g in
-  let peaks = Array.make m 0 in
+  let driver = Latest_first.create g in
   let order =
-    run_local_period g spec
-      (Ccs_sdf.Latest_first.create g)
+    run_local_period driver
       ~remaining:(Array.make (Graph.num_nodes g) 0)
-      ~tokens:(Array.make m 0) ~peaks c ~members:members.(c)
-      ~internal:internal.(c)
-      ~local_rep:(local_repetition a members.(c))
+      c ~internal:internal.(c)
+      ~local_rep:(Rates.local_repetition a members.(c))
   in
+  let peaks = Array.make (Graph.num_edges g) 0 in
+  List.iter (fun e -> peaks.(e) <- Latest_first.peak driver e) internal.(c);
   (order, peaks)
 
 let batch g (a : Rates.analysis) spec ~t =
@@ -121,16 +79,15 @@ let batch g (a : Rates.analysis) spec ~t =
       capacities.(e) <- Rates.tokens_per_batch a ~t e + Graph.delay g e)
     (Spec.cross_edges spec);
   let members, internal = components g spec in
-  let driver = Ccs_sdf.Latest_first.create g in
+  let driver = Latest_first.create g in
   let remaining = Array.make (Graph.num_nodes g) 0 in
-  let tokens = Array.make m 0 and peaks = Array.make m 0 in
   let component_schedules =
     Array.to_list (Spec.component_topo_order spec)
     |> List.map (fun c ->
-           let local_rep = local_repetition a members.(c) in
+           let local_rep = Rates.local_repetition a members.(c) in
            let firing_order =
-             run_local_period g spec driver ~remaining ~tokens ~peaks c
-               ~members:members.(c) ~internal:internal.(c) ~local_rep
+             run_local_period driver ~remaining c ~internal:internal.(c)
+               ~local_rep
            in
            (* Internal capacities: the local period's peak occupancies,
               and at least a single push/pop even if the peak analysis
@@ -138,7 +95,9 @@ let batch g (a : Rates.analysis) spec ~t =
            List.iter
              (fun e ->
                capacities.(e) <-
-                 max peaks.(e) (max (Graph.push g e) (Graph.pop g e)))
+                 max
+                   (Latest_first.peak driver e)
+                   (max (Graph.push g e) (Graph.pop g e)))
              internal.(c);
            (* Repeat count: firings per batch divided by the local period. *)
            let v0, p0 =
@@ -168,7 +127,6 @@ let dag_dynamic g (a : Rates.analysis) spec ~m_tokens =
     invalid_arg "Partitioned.dag_dynamic: channel delays are not supported";
   if not (Spec.is_well_ordered spec) then
     invalid_arg "Partitioned.dag_dynamic: partition is not well-ordered";
-  ignore a;
   let mb = Minbuf.compute g a in
   let m = Graph.num_edges g in
   let capacities =

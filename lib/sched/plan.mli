@@ -94,6 +94,7 @@ val validate :
     O(firings): {!Simulate.validate} certifies it from per-subtree
     channel summaries (skipped when the capacity vector has the wrong
     length), fire counts come from the tree without unrolling it, and
-    periodicity from the fire counts.  Add work linear in the graph; the
-    feasibility check replays one repetition-vector period, not the
-    plan's (batched) period. *)
+    periodicity from the fire counts.  Add work linear in the graph and
+    the feasibility check, which walks one repetition-vector period, not
+    the plan's (batched) period, on {!Ccs_sdf.Latest_first}: time linear
+    in its firings, and O(n + m) words, none per firing. *)

@@ -1,74 +1,43 @@
 type t = { capacity : int array; schedule : Graph.node list }
 
-(* One period of a latest-first demand-driven schedule.  A module is enabled
-   when every input channel holds at least [pop] tokens and it still has
-   firings remaining in the period.  Among enabled modules we fire the one
-   with the greatest topological rank, so tokens are consumed as soon as
-   they are produced and occupancies stay near the per-edge minimum. *)
-let compute g (a : Rates.analysis) =
-  let remaining = Array.copy a.repetition in
-  let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let peak = Array.copy tokens in
-  let total_fires = Array.fold_left ( + ) 0 remaining in
-  let schedule = ref [] in
-  let ready v =
-    List.for_all (fun e -> tokens.(e) >= Graph.pop g e) (Graph.in_edges g v)
+(* One period of a latest-first demand-driven schedule over every channel:
+   among the modules with firings left whose inputs hold a pop (and, under
+   [capacities], whose outputs have room for a push) fire the one of
+   greatest topological rank, so tokens are consumed as soon as they are
+   produced and occupancies stay near the per-edge minimum.  Returns the
+   driver, whether the whole period fired, and the firing order when
+   [record]. *)
+let period ?capacities g (a : Rates.analysis) ~record =
+  let walker = Latest_first.create g in
+  let fired, order =
+    Latest_first.run ?capacities walker
+      ~remaining:(Array.copy a.repetition) ~candidates:(Graph.nodes g)
+      ~channels:(Graph.edges g) ~record
   in
-  let fire v =
-    List.iter
-      (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
-      (Graph.in_edges g v);
-    List.iter
-      (fun e ->
-        tokens.(e) <- tokens.(e) + Graph.push g e;
-        if tokens.(e) > peak.(e) then peak.(e) <- tokens.(e))
-      (Graph.out_edges g v);
-    schedule := v :: !schedule
-  in
-  let fired =
-    Latest_first.run (Latest_first.create g) ~remaining
-      ~candidates:(Graph.nodes g) ~ready ~fire
-  in
-  if fired < total_fires then
+  (walker, fired = Array.fold_left ( + ) 0 a.repetition, order)
+
+let compute g a =
+  let walker, complete, schedule = period g a ~record:true in
+  if not complete then
     raise (Graph.Invalid_graph "Minbuf.compute: schedule deadlocked");
   (* After one period every channel must return to its initial occupancy. *)
-  Array.iteri
-    (fun e occ ->
-      if occ <> Graph.delay g e then
-        raise
-          (Graph.Invalid_graph
-             (Printf.sprintf
-                "Minbuf.compute: channel %d not balanced after one period" e)))
-    tokens;
+  for e = 0 to Graph.num_edges g - 1 do
+    if Latest_first.tokens walker e <> Graph.delay g e then
+      raise
+        (Graph.Invalid_graph
+           (Printf.sprintf
+              "Minbuf.compute: channel %d not balanced after one period" e))
+  done;
   (* A channel that never held a token still needs capacity for transit. *)
   let capacity =
-    Array.mapi (fun e p -> Stdlib.max p (Graph.push g e)) peak
+    Array.init (Graph.num_edges g) (fun e ->
+        Stdlib.max (Latest_first.peak walker e) (Graph.push g e))
   in
-  { capacity; schedule = List.rev !schedule }
+  { capacity; schedule }
 
-(* The same latest-first run with bounded channels: a module is also
-   blocked while an output lacks room for its push. *)
-let feasible g (a : Rates.analysis) ~capacities =
-  let remaining = Array.copy a.repetition in
-  let tokens = Array.init (Graph.num_edges g) (fun e -> Graph.delay g e) in
-  let total_fires = Array.fold_left ( + ) 0 remaining in
-  let ready v =
-    List.for_all (fun e -> tokens.(e) >= Graph.pop g e) (Graph.in_edges g v)
-    && List.for_all
-         (fun e -> capacities.(e) - tokens.(e) >= Graph.push g e)
-         (Graph.out_edges g v)
-  in
-  let fire v =
-    List.iter
-      (fun e -> tokens.(e) <- tokens.(e) - Graph.pop g e)
-      (Graph.in_edges g v);
-    List.iter
-      (fun e -> tokens.(e) <- tokens.(e) + Graph.push g e)
-      (Graph.out_edges g v)
-  in
-  Latest_first.run (Latest_first.create g) ~remaining
-    ~candidates:(Graph.nodes g) ~ready ~fire
-  = total_fires
+let feasible g a ~capacities =
+  let _, complete, _ = period ~capacities g a ~record:false in
+  complete
 
 let tighten g a ?capacities () =
   let caps =

@@ -21,9 +21,10 @@ type t = {
 }
 
 val compute : Graph.t -> Rates.analysis -> t
-(** Minimum-buffer capacities and a witnessing single-period schedule.
-    Runs on {!Latest_first}: O(n + F·(d² + log n)) for [F] firings per
-    period and degree [d].
+(** Minimum-buffer capacities and a witnessing single-period schedule,
+    from one {!Latest_first} run over every channel: O(n + F·(d² + log n))
+    time for [F] firings per period and degree [d], and O(n + m) words
+    plus 6 per firing (the recorded schedule).
     @raise Graph.Invalid_graph if the graph deadlocks even with unbounded
     buffers (cannot happen for rate-matched acyclic graphs, but guarded
     against). *)
@@ -40,14 +41,12 @@ val total : Graph.t -> t -> subset:(Graph.node -> bool) -> int
     bounds by [O(Σ state)]. *)
 
 val feasible : Graph.t -> Rates.analysis -> capacities:int array -> bool
-(** Whether {e some} single-period schedule exists under the given
-    capacities: greedy latest-first simulation with full backtracking-free
-    firing (latest-first is deadlock-optimal for this check in practice;
-    a [false] answer means latest-first gets stuck, which for the bounded
-    dataflow graphs here coincides with infeasibility of the capacities).
-    Same cost as {!compute}: after a firing, only the module and its
-    neighbours (consumers gain tokens, producers gain room) are examined
-    again. *)
+(** Whether the latest-first run of one period completes under the given
+    capacities, a module also waiting while an output lacks room for its
+    push.  A [false] answer means latest-first gets stuck, which for the
+    bounded dataflow graphs here coincides with infeasibility of the
+    capacities.  Same time as {!compute}, in O(n + m) words: nothing is
+    allocated per firing. *)
 
 val tighten :
   Graph.t -> Rates.analysis -> ?capacities:int array -> unit -> int array

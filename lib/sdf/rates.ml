@@ -139,3 +139,14 @@ let tokens_per_batch a ~t e =
   if not (Q.is_integer q) then
     invalid_arg "Rates.tokens_per_batch: t is not a granularity multiple"
   else Q.to_int_exn q
+
+let local_repetition a members =
+  let denom =
+    List.fold_left (fun acc v -> Q.lcm acc (Q.den a.node_gain.(v))) 1 members
+  in
+  let ints =
+    List.map (fun v -> (v, Q.to_int_exn (Q.mul_int a.node_gain.(v) denom)))
+      members
+  in
+  let g = List.fold_left (fun acc (_, x) -> Q.gcd acc x) 0 ints in
+  List.map (fun (v, x) -> (v, x / g)) ints

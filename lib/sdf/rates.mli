@@ -57,3 +57,9 @@ val tokens_per_batch : analysis -> t:int -> Graph.edge -> int
 (** [tokens_per_batch a ~t e] is [t * edge_gain e], the number of tokens
     crossing channel [e] during a batch of [t] source firings.
     @raise Invalid_argument if not integral. *)
+
+val local_repetition : analysis -> Graph.node list -> (Graph.node * int) list
+(** [local_repetition a members] pairs each member with its count in the
+    smallest positive integral vector proportional to the members' gains:
+    how often each fires per local period of a component, or per firing
+    of the module it is fused into. *)

@@ -24,7 +24,18 @@ let test_auto_whole_when_fits () =
   let cfg = C.make ~cache_words:1024 ~block_words:16 () in
   let choice = A.plan g cfg in
   Alcotest.(check int) "single component" 1
-    (Sp.num_components choice.A.partition)
+    (Sp.num_components choice.A.partition);
+  (* Four one-block states plus a block of slack take 80 words, and the
+     three unit minimum buffers 3 more: at 80 words the states fit but
+     the buffers do not, at 83 both do. *)
+  let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:16 () in
+  let components cache_words =
+    Sp.num_components
+      (A.plan g (C.make ~cache_words ~block_words:16 ())).A.partition
+  in
+  Alcotest.(check bool) "states fit, buffers do not: partitioned" true
+    (components 80 > 1);
+  Alcotest.(check int) "states and buffers fit: whole" 1 (components 83)
 
 let test_auto_partitions_when_too_big () =
   let g = Ccs.Generators.uniform_pipeline ~n:16 ~state:64 () in

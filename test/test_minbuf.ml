@@ -121,6 +121,48 @@ let test_pass_on_random_dags () =
     pass_respects_capacities g mb
   done
 
+(* A chain whose first 12 channels downsample by 2 and 3 in turn and whose
+   last 12 upsample back: 80 modules, 168,014 firings per period. *)
+let multirate_chain () =
+  let n = 80 and depth = 12 in
+  let factor k = if k mod 2 = 0 then 2 else 3 in
+  Ccs.Generators.pipeline ~name:"multirate80" ~n
+    ~state:(fun _ -> 8)
+    ~rates:(fun i ->
+      if i < depth then (1, factor i)
+      else if i >= n - 1 - depth then (factor (n - 2 - i), 1)
+      else (1, 1))
+    ()
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* The walker allocates per run, not per firing: nothing per firing when
+   only a verdict is asked for, and the recorded firing order otherwise. *)
+let test_allocation_per_firing () =
+  let g = multirate_chain () in
+  let a = R.analyze_exn g in
+  let firings = float_of_int (Array.fold_left ( + ) 0 a.R.repetition) in
+  Alcotest.(check (float 0.)) "firings per period" 168_014. firings;
+  let graph_words = float_of_int (64 * (G.num_nodes g + G.num_edges g)) in
+  let capacities = (M.compute g a).M.capacity in
+  let check name words ~per_firing =
+    if words > (per_firing *. firings) +. graph_words then
+      Alcotest.failf "%s allocated %.0f words (%.2f per firing)" name words
+        (words /. firings)
+  in
+  let feasible = minor_words (fun () -> M.feasible g a ~capacities) in
+  if feasible >= 0.1 *. firings then
+    Alcotest.failf "feasible allocated %.0f words" feasible;
+  check "feasible" feasible ~per_firing:0.;
+  check "compute" (minor_words (fun () -> M.compute g a)) ~per_firing:8.;
+  check "local_period"
+    (minor_words (fun () ->
+         Ccs.Partitioned.local_period g a (Ccs.Spec.whole g) 0))
+    ~per_firing:8.
+
 let () =
   Alcotest.run "minbuf"
     [
@@ -140,5 +182,7 @@ let () =
             test_buffer_state_assumption_on_apps;
           Alcotest.test_case "PASS on random dags" `Quick
             test_pass_on_random_dags;
+          Alcotest.test_case "allocation per firing" `Quick
+            test_allocation_per_firing;
         ] );
     ]
