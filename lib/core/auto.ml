@@ -70,10 +70,8 @@ let partition g analysis cfg =
              if the heuristic cannot do better under the cap. *)
           let h = heuristic () in
           if
-            Ccs_sdf.Rational.compare
-              (Spec.bandwidth h analysis)
-              (Spec.bandwidth spec analysis)
-            <= 0
+            Spec.period_bandwidth h analysis
+            <= Spec.period_bandwidth spec analysis
           then h
           else spec
       | None -> heuristic ()

@@ -1,6 +1,5 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
-module Q = Ccs_sdf.Rational
 
 let check_states g ~bound ~what =
   List.iter
@@ -40,8 +39,12 @@ let interval g ~order ~bound =
 (* Depth-first topological order: Kahn's algorithm with a LIFO worklist, so
    a module's successors are emitted right after it whenever possible.
    Keeps producer/consumer pairs adjacent, which interval chunking turns
-   into internal edges. *)
-let dfs_topo_order g =
+   into internal edges.  Successors that become ready together are pushed
+   in increasing [key] of the connecting edge (a stable sort, so a
+   constant key keeps adjacency order): the one reached through the
+   heaviest edge is popped first, leaving light edges for chunk
+   boundaries. *)
+let dfs_order g key =
   let n = Graph.num_nodes g in
   let indeg = Array.make n 0 in
   List.iter
@@ -55,57 +58,27 @@ let dfs_topo_order g =
     let v = Stack.pop stack in
     order.(!count) <- v;
     incr count;
-    List.iter
+    List.filter_map
       (fun e ->
         let w = Graph.dst g e in
         indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Stack.push w stack)
+        if indeg.(w) = 0 then Some (key e, w) else None)
       (Graph.out_edges g v)
-  done;
-  assert (!count = n);
-  order
-
-let greedy g ~bound = interval g ~order:(dfs_topo_order g) ~bound
-
-(* Breadth-first topological order (Kahn with a FIFO). *)
-let bfs_topo_order g = Graph.topological_order g
-
-(* Gain-weighted depth-first order: like dfs_topo_order, but when a node's
-   successors become ready they are pushed so that the successor reached
-   through the highest-gain edge is popped first — heavy edges stay
-   adjacent in the order, leaving cheap edges for chunk boundaries. *)
-let weighted_dfs_topo_order g analysis =
-  let n = Graph.num_nodes g in
-  let indeg = Array.make n 0 in
-  List.iter
-    (fun v -> indeg.(v) <- List.length (Graph.in_edges g v))
-    (Graph.nodes g);
-  let stack = Stack.create () in
-  List.iter (fun v -> if indeg.(v) = 0 then Stack.push v stack) (Graph.nodes g);
-  let order = Array.make n (-1) in
-  let count = ref 0 in
-  while not (Stack.is_empty stack) do
-    let v = Stack.pop stack in
-    order.(!count) <- v;
-    incr count;
-    (* Collect newly-ready successors with the gain of the connecting
-       edge; push in increasing gain so the heaviest is on top. *)
-    let ready =
-      List.filter_map
-        (fun e ->
-          let w = Graph.dst g e in
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Some (Rates.edge_gain analysis e, w) else None)
-        (Graph.out_edges g v)
-    in
-    List.sort (fun (g1, _) (g2, _) -> Q.compare g1 g2) ready
+    |> List.stable_sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
     |> List.iter (fun (_, w) -> Stack.push w stack)
   done;
   assert (!count = n);
   order
 
-let candidate_orders g analysis =
-  [ dfs_topo_order g; bfs_topo_order g; weighted_dfs_topo_order g analysis ]
+let greedy g ~bound = interval g ~order:(dfs_order g (fun _ -> 0)) ~bound
+
+let candidate_orders g (analysis : Rates.analysis) =
+  [
+    dfs_order g (fun _ -> 0);
+    (* breadth-first: Kahn with a FIFO *)
+    Graph.topological_order g;
+    dfs_order g (fun e -> analysis.period_tokens.(e));
+  ]
 
 let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
     () =
@@ -125,18 +98,20 @@ let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
       if pos.(Graph.src g e) >= pos.(Graph.dst g e) then
         invalid_arg "Dag.order_dp: order is not topological")
     (Graph.edges g);
-  (* dp.(i) = min bandwidth chunking of order[0..i-1]; when segment [j..i]
-     closes we pay the gains of edges leaving it rightwards (edges entering
-     it were paid by their source's segment). *)
-  let dp = Array.make (n + 1) None in
+  (* dp.(i) = min period bandwidth chunking of order[0..i-1], max_int if
+     there is none; when segment [j..i] closes we pay the period tokens of
+     edges leaving it rightwards (edges entering it were paid by their
+     source's segment). *)
+  let tokens = analysis.Rates.period_tokens in
+  let dp = Array.make (n + 1) max_int in
   let choice = Array.make (n + 1) (-1) in
-  dp.(0) <- Some Q.zero;
+  dp.(0) <- 0;
   for i = 1 to n do
     let hi = i - 1 in
     (* Scan segment starts j = hi downto 0, maintaining the segment's
-       state, outgoing gain past position hi, and cross-edge degree. *)
+       state, outgoing tokens past position hi, and cross-edge degree. *)
     let state = ref 0 in
-    let outgo = ref Q.zero in
+    let outgo = ref 0 in
     let degree = ref 0 in
     let j = ref hi in
     let feasible = ref true in
@@ -144,13 +119,13 @@ let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
     while !feasible && !j >= 0 do
       let v = order.(!j) in
       state := !state + Graph.state g v;
-      (* Out-edges of v: those past hi add gain and degree; those inside
+      (* Out-edges of v: those past hi add tokens and degree; those inside
          [j+1..hi] are internal (they were never counted). *)
       List.iter
         (fun e ->
           let d = pos.(Graph.dst g e) in
           if d > hi then begin
-            outgo := Q.add !outgo (Rates.edge_gain analysis e);
+            outgo := !outgo + tokens.(e);
             incr degree
           end)
         (Graph.out_edges g v);
@@ -184,25 +159,20 @@ let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
           | None -> true
           | Some d -> !degree <= d || !j = hi
         in
-        (if degree_ok then
-           match dp.(!j) with
-           | Some c ->
-               let total = Q.add c !outgo in
-               (match dp.(i) with
-               | Some best when Q.compare best total <= 0 -> ()
-               | _ ->
-                   dp.(i) <- Some total;
-                   choice.(i) <- !j)
-           | None -> ());
+        (* The strict [<] keeps the latest-starting segment among equal costs.
+           Rates keeps every sum of period tokens below max_int. *)
+        (if degree_ok && dp.(!j) < max_int then
+           let total = dp.(!j) + !outgo in
+           if total < dp.(i) then begin
+             dp.(i) <- total;
+             choice.(i) <- !j
+           end);
         decr j
       end
     done
   done;
-  (match dp.(n) with
-  | None ->
-      invalid_arg
-        "Dag.order_dp: no feasible chunking (degree cap too strict?)"
-  | Some _ -> ());
+  if dp.(n) = max_int then
+    invalid_arg "Dag.order_dp: no feasible chunking (degree cap too strict?)";
   let a = Array.make n 0 in
   let comp = ref 0 in
   let stop = ref n in
@@ -219,17 +189,14 @@ let order_dp g analysis ~order ~bound ?max_degree ?(pinned = fun _ -> false)
 (* Refinement stops after this many passes even if the last one moved. *)
 let refine_passes = 8
 
-(* Each candidate move is scored from [v]'s own edges: bandwidth in integer
-   period weights [repetition (src e) * push e], a fixed positive multiple
-   of [edge_gain e], so integer sums order partitions exactly as their
-   rational bandwidths do; state, size and cross degree kept per
+(* Each candidate move is scored from [v]'s own edges: bandwidth in
+   period tokens; state, size and cross degree kept per
    component, so only the source and target components change.  Only a
    move that passes all that builds the candidate [Spec.t] for the O(n+m)
    well-ordered check, and an accepted one renumbers the components. *)
 let refine g analysis ~bound ?max_degree spec =
   let n = Graph.num_nodes g and m = Graph.num_edges g in
-  let rep = analysis.Rates.repetition in
-  let weight = Array.init m (fun e -> rep.(Graph.src g e) * Graph.push g e) in
+  let tokens = analysis.Rates.period_tokens in
   let current = ref spec in
   let comp = Spec.assignment spec in
   (* Component ids stay below n. *)
@@ -281,13 +248,13 @@ let refine g analysis ~bound ?max_degree spec =
       let x = comp.(u) in
       if x = c then begin
         (* internal to c, becomes a c-t cross edge *)
-        gain := !gain + weight.(e);
+        gain := !gain + tokens.(e);
         incr deg_c;
         incr deg_t
       end
       else if x = t then begin
         (* a c-t cross edge, becomes internal to t *)
-        gain := !gain - weight.(e);
+        gain := !gain - tokens.(e);
         decr deg_c;
         decr deg_t
       end
@@ -359,9 +326,8 @@ let best g analysis ~bound ?max_degree ?pinned () =
         List.fold_left
           (fun acc sp ->
             if
-              Q.compare (Spec.bandwidth sp analysis)
-                (Spec.bandwidth acc analysis)
-              < 0
+              Spec.period_bandwidth sp analysis
+              < Spec.period_bandwidth acc analysis
             then sp
             else acc)
           first rest
@@ -395,35 +361,44 @@ let exact g analysis ~bound ?(max_nodes = 20) () =
     let full = (1 lsl n) - 1 in
     let state_of = Array.init n (fun v -> Graph.state g v) in
     let pred_mask = Array.make n 0 in
-    let edges =
-      List.map
-        (fun e ->
-          let s = Graph.src g e and d = Graph.dst g e in
-          pred_mask.(d) <- pred_mask.(d) lor (1 lsl s);
-          (s, d, Rates.edge_gain analysis e))
-        (Graph.edges g)
+    List.iter
+      (fun e ->
+        let s = Graph.src g e and d = Graph.dst g e in
+        pred_mask.(d) <- pred_mask.(d) lor (1 lsl s))
+      (Graph.edges g);
+    (* Each module's out-edges as (destination, period tokens). *)
+    let out =
+      Array.init n (fun v ->
+          Array.of_list
+            (List.map
+               (fun e -> (Graph.dst g e, analysis.Rates.period_tokens.(e)))
+               (Graph.out_edges g v)))
     in
-    (* f(ideal) = min bandwidth to peel the remaining nodes; memoized. *)
-    let memo : (int, Q.t * (int * int) list) Hashtbl.t = Hashtbl.create 4096 in
-    (* Stored value: (cost, trail) where trail lists (component_mask, _)
-       choices from this ideal to completion. *)
+    (* f(ideal) = (min period bandwidth to peel the remaining nodes, the
+       component masks peeled from this ideal to completion); memoized. *)
+    let memo : (int, int * int list) Hashtbl.t = Hashtbl.create 4096 in
     let cost_of_component ideal s_mask =
-      (* Gains of edges from S to nodes outside ideal ∪ S. *)
+      (* Tokens of edges from S to nodes outside ideal ∪ S. *)
       let outside = full land lnot (ideal lor s_mask) in
-      List.fold_left
-        (fun acc (s, d, gain) ->
-          if (s_mask lsr s) land 1 = 1 && (outside lsr d) land 1 = 1 then
-            Q.add acc gain
-          else acc)
-        Q.zero edges
+      let cost = ref 0 in
+      for v = 0 to n - 1 do
+        if (s_mask lsr v) land 1 = 1 then
+          Array.iter
+            (fun (d, tokens) ->
+              if (outside lsr d) land 1 = 1 then cost := !cost + tokens)
+            out.(v)
+      done;
+      !cost
     in
     let rec solve ideal =
-      if ideal = full then (Q.zero, [])
+      if ideal = full then (0, [])
       else
         match Hashtbl.find_opt memo ideal with
         | Some r -> r
         | None ->
-            let best = ref None in
+            (* A single ready node always fits, since states are
+               individually <= bound, so some component sets [best]. *)
+            let best = ref (max_int, []) in
             (* Enumerate candidate next components S: grow from the ready
                frontier, deduplicating by mask. *)
             let seen = Hashtbl.create 64 in
@@ -438,20 +413,16 @@ let exact g analysis ~bound ?(max_nodes = 20) () =
               done;
               !r
             in
-            let consider s_mask s_state =
-              if s_mask <> 0 then begin
-                let cost = cost_of_component ideal s_mask in
-                let sub_cost, sub_trail = solve (ideal lor s_mask) in
-                let total = Q.add cost sub_cost in
-                match !best with
-                | Some (b, _) when Q.compare total b >= 0 -> ()
-                | _ -> best := Some (total, (s_mask, s_state) :: sub_trail)
-              end
+            let consider s_mask =
+              let cost = cost_of_component ideal s_mask in
+              let sub_cost, sub_trail = solve (ideal lor s_mask) in
+              let total = cost + sub_cost in
+              if total < fst !best then best := (total, s_mask :: sub_trail)
             in
             let rec grow s_mask s_state =
               if not (Hashtbl.mem seen s_mask) then begin
                 Hashtbl.add seen s_mask ();
-                if s_mask <> 0 then consider s_mask s_state;
+                if s_mask <> 0 then consider s_mask;
                 List.iter
                   (fun v ->
                     let st = s_state + state_of.(v) in
@@ -460,29 +431,16 @@ let exact g analysis ~bound ?(max_nodes = 20) () =
               end
             in
             grow 0 0;
-            let r =
-              match !best with
-              | Some r -> r
-              | None ->
-                  (* Unreachable: a single ready node always fits since
-                     states are individually <= bound. *)
-                  assert false
-            in
-            Hashtbl.add memo ideal r;
-            r
+            Hashtbl.add memo ideal !best;
+            !best
     in
     let _, trail = solve 0 in
     let a = Array.make n 0 in
     List.iteri
-      (fun i (mask, _) ->
+      (fun i mask ->
         for v = 0 to n - 1 do
           if (mask lsr v) land 1 = 1 then a.(v) <- i
         done)
       trail;
     Some (Spec.of_assignment g a)
   end
-
-let min_bandwidth g analysis ~bound ?max_nodes () =
-  Option.map
-    (fun sp -> Spec.bandwidth sp analysis)
-    (exact g analysis ~bound ?max_nodes ())

@@ -14,7 +14,13 @@
     order, listing each component's members consecutively).  Hence interval
     partitions of topological orders are exactly the well-ordered
     partitions, and both the heuristic and the exact search explore that
-    space. *)
+    space.
+
+    Every algorithm here measures bandwidth in the integer unit
+    [Ccs_sdf.Rates.analysis.period_tokens] (tokens per repetition
+    period, [period_inputs] times the gain) and compares partitions by
+    {!Spec.period_bandwidth}: a fixed positive multiple of the rational
+    bandwidth, so sums and ties order exactly as the rationals would. *)
 
 val interval : Ccs_sdf.Graph.t -> order:Ccs_sdf.Graph.node array -> bound:int -> Spec.t
 (** Greedy interval chunking of the given topological order: scan the order
@@ -44,8 +50,8 @@ val order_dp :
     [max_degree] — softly: single-node components are always admitted, as
     a node wider than the cap cannot be split and the paper's
     degree-limited hypothesis simply fails for such graphs), minimize
-    bandwidth — by an O(n²·deg) dynamic program.
-    When a segment is closed, the gains of its outgoing edges are paid once
+    bandwidth — by an O(n²·deg) dynamic program over integers.
+    When a segment is closed, the tokens of its outgoing edges are paid once
     (edges into a segment were paid by the segment of their source, so
     nothing is double-counted).  Subsumes {!interval} (same search space,
     optimal instead of first-fit).
@@ -61,7 +67,7 @@ val order_dp :
 val candidate_orders :
   Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> Ccs_sdf.Graph.node array list
 (** Topological orders worth trying: depth-first (locality), breadth-first,
-    and gain-weighted depth-first (heavy edges kept adjacent so cheap edges
+    and token-weighted depth-first (heavy edges kept adjacent so cheap edges
     land on chunk boundaries). *)
 
 val best :
@@ -91,7 +97,7 @@ val refine :
     or 8 passes have run.
 
     Each move is scored in O(deg v) from per-component state, size and
-    cross degree and integer period weights; only a move that passes
+    cross degree and period tokens; only a move that passes
     those tests pays the O(n+m) well-ordered check, and only an accepted
     move pays an O(n+m) renumbering.  A pass therefore costs
     O(n + m + (a+w)·(n+m)) for [a] accepted moves and [w] moves that
@@ -108,17 +114,10 @@ val exact :
     memoized search over order ideals: a state is the set of already-peeled
     modules (always a down-closed set); a transition peels one more
     component — a subset of the ready frontier closed under the ideal
-    property — paying the gains of its outgoing edges.  Worst-case
-    exponential; refuses graphs with more than [max_nodes] (default 20)
-    modules by returning [None].  Also returns [None] if some module's
-    state exceeds [bound]. *)
-
-val min_bandwidth :
-  Ccs_sdf.Graph.t ->
-  Ccs_sdf.Rates.analysis ->
-  bound:int ->
-  ?max_nodes:int ->
-  unit ->
-  Ccs_sdf.Rational.t option
-(** Bandwidth of the {!exact} partition — the paper's [minBW_c(G)] with
-    [bound = c*M]. *)
+    property — paying the period tokens of its edges that leave the
+    ideal.  A transition costs O(Σ out-degree of the component's
+    modules), read from per-module arrays of (destination, tokens).
+    Worst-case exponential; refuses graphs with more than [max_nodes]
+    (default 20) modules by returning [None].  Also returns [None] if
+    some module's state exceeds [bound].  Its {!Spec.bandwidth} is the
+    paper's [minBW_c(G)] with [bound = c*M]. *)

@@ -1,6 +1,5 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
-module Q = Ccs_sdf.Rational
 
 let chain_order g =
   if not (Graph.is_pipeline g) then
@@ -16,19 +15,13 @@ let edge_after g chain i =
 let gain_minimizing_edge g analysis chain ~lo ~hi =
   if lo >= hi then
     invalid_arg "Pipeline.gain_minimizing_edge: segment has no internal edge";
+  let tokens = analysis.Rates.period_tokens in
   let best = ref (edge_after g chain lo) in
   for i = lo + 1 to hi - 1 do
     let e = edge_after g chain i in
-    if Q.compare (Rates.edge_gain analysis e) (Rates.edge_gain analysis !best)
-       < 0
-    then best := e
+    if tokens.(e) < tokens.(!best) then best := e
   done;
   !best
-
-let bandwidth_of_cuts _g analysis cuts =
-  List.fold_left
-    (fun acc e -> Q.add acc (Rates.edge_gain analysis e))
-    Q.zero cuts
 
 (* Partition a chain given the set of cut edges: component id increments
    after each cut.  Cut positions are found through a node -> chain-position
@@ -108,20 +101,15 @@ let optimal_dp g analysis ~bound =
              "Pipeline.optimal_dp: module %s has state %d > bound=%d"
              (Graph.node_name g v) (Graph.state g v) bound))
     chain;
-  (* dp.(i) = minimum total cut weight for partitioning chain[0..i-1] into
+  (* dp.(i) = minimum total cut tokens for partitioning chain[0..i-1] into
      segments of state <= bound, max_int if there is none; cutting before
-     position j (j > 0) costs the period weight [repetition (src e) *
-     push e] of the edge e = chain[j-1] -> chain[j], a fixed positive
-     multiple of its gain, so integer sums order segmentations exactly as
-     their rational bandwidths do. *)
-  let rep = analysis.Rates.repetition in
+     position j (j > 0) costs the period tokens of the edge
+     e = chain[j-1] -> chain[j]. *)
   let state = Array.map (Graph.state g) chain in
   let cut =
     Array.init n (fun j ->
         if j = 0 then 0
-        else
-          let e = edge_after g chain (j - 1) in
-          rep.(Graph.src g e) * Graph.push g e)
+        else analysis.Rates.period_tokens.(edge_after g chain (j - 1)))
   in
   let dp = Array.make (n + 1) max_int in
   let choice = Array.make (n + 1) (-1) in

@@ -29,18 +29,10 @@ val optimal_dp :
     dynamic program over cut positions.  This is the "simple dynamic
     program" the paper invokes after Theorem 5.  It costs O(n·w) integer
     steps, where [w] is the most consecutive stages whose state fits in
-    [bound]: cut costs are integer period weights, which order
+    [bound]: a cut costs its edge's [period_tokens], which order
     segmentations exactly as their rational gains do.
     @raise Invalid_argument if some module's state exceeds [bound] (no
     feasible segmentation exists). *)
-
-val bandwidth_of_cuts :
-  Ccs_sdf.Graph.t ->
-  Ccs_sdf.Rates.analysis ->
-  Ccs_sdf.Graph.edge list ->
-  Ccs_sdf.Rational.t
-(** Total gain of a set of cut edges — convenience for tests comparing
-    segmentations. *)
 
 val gain_minimizing_edge :
   Ccs_sdf.Graph.t ->
@@ -50,7 +42,7 @@ val gain_minimizing_edge :
   hi:int ->
   Ccs_sdf.Graph.edge
 (** [gain_minimizing_edge g a chain ~lo ~hi] is an internal edge of minimum
-    gain in the segment [chain.(lo) .. chain.(hi)] — the paper's
-    [gainMin(u,v)].
+    gain (compared by [period_tokens]; the first among equals) in the
+    segment [chain.(lo) .. chain.(hi)] — the paper's [gainMin(u,v)].
     @raise Invalid_argument if the segment has no internal edge
     ([lo >= hi]). *)

@@ -1,6 +1,5 @@
 module Graph = Ccs_sdf.Graph
 module Rates = Ccs_sdf.Rates
-module Q = Ccs_sdf.Rational
 
 type t = {
   graph : Graph.t;
@@ -200,10 +199,15 @@ let validate ?bound ?degree_bound t =
       done);
   List.rev !errs
 
+let period_bandwidth t (analysis : Rates.analysis) =
+  let total = ref 0 in
+  for e = 0 to Graph.num_edges t.graph - 1 do
+    if is_cross t e then total := !total + analysis.period_tokens.(e)
+  done;
+  !total
+
 let bandwidth t analysis =
-  List.fold_left
-    (fun acc e -> Q.add acc (Rates.edge_gain analysis e))
-    Q.zero (cross_edges t)
+  Ccs_sdf.Rational.make (period_bandwidth t analysis) analysis.period_inputs
 
 let equal a b = a.graph == b.graph && a.component = b.component
 

@@ -82,9 +82,16 @@ val validate : ?bound:int -> ?degree_bound:int -> t -> Ccs_sdf.Error.t list
     Omitting [bound] / [degree_bound] skips those checks.  Empty means the
     partition satisfies everything that was checked. *)
 
+val period_bandwidth : t -> Ccs_sdf.Rates.analysis -> int
+(** [Σ period_tokens(e)] over cross edges [e]: the tokens crossing
+    component boundaries in one repetition period, which is
+    [period_inputs] times the bandwidth.  Every partitioner compares
+    partitions by this integer. *)
+
 val bandwidth : t -> Ccs_sdf.Rates.analysis -> Ccs_sdf.Rational.t
-(** [Σ gain(e)] over cross edges [e] (Definition 3).  For homogeneous
-    graphs this is the number of cross edges. *)
+(** [Σ gain(e)] over cross edges [e] (Definition 3), that is
+    [period_bandwidth t a / a.period_inputs], for reporting.  For
+    homogeneous graphs this is the number of cross edges. *)
 
 val component_topo_order : t -> int array
 (** Component ids in a topological order of the contracted graph.

@@ -25,7 +25,8 @@ val dag_lower_bound :
   unit ->
   float option
 (** Theorem 7/10's lower bound [(1/b) · minBW₃(G)], using the exact
-    branch-and-bound partitioner with bound [3m].  [None] if the graph is
+    search over order ideals ({!Ccs_partition.Dag.exact}) with bound
+    [3m].  [None] if the graph is
     too large for exact search or the bound is infeasible.  Returns
     [Some 0.] when the whole graph fits in [3m] (vacuous). *)
 

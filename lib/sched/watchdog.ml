@@ -47,7 +47,7 @@ let default_budget ?capacities g ~cache_words ~outputs =
             let acc = ref 0 in
             Array.iteri
               (fun e cap ->
-                let per = max 1 (rep.(Graph.src g e) * Graph.push g e) in
+                let per = max 1 a.Ccs_sdf.Rates.period_tokens.(e) in
                 acc := sat_add !acc (sat_add cap (per - 1) / per))
               caps;
             !acc

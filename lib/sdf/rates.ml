@@ -2,7 +2,7 @@ module Q = Rational
 
 type analysis = {
   node_gain : Q.t array;
-  edge_gain : Q.t array;
+  period_tokens : int array;
   repetition : int array;
   period_inputs : int;
 }
@@ -35,7 +35,40 @@ let reachable_undirected g =
     !count
   end
 
-let analyze_checked g =
+let overflow reason = Error.Failure_msg { context = "rate analysis"; reason }
+
+(* The repetition vector (gains scaled to the smallest integral vector)
+   and each channel's tokens per period, [repetition (src e) * push e].
+   Every bandwidth the partitioners sum is a sum over a subset of the
+   channels, so the total over all of them must stay below [max_int]. *)
+let integral g node_gain ~start =
+  let denom_lcm =
+    Array.fold_left (fun acc q -> Q.lcm acc (Q.den q)) 1 node_gain
+  in
+  let scaled =
+    Array.map (fun q -> Q.to_int_exn (Q.mul_int q denom_lcm)) node_gain
+  in
+  let num_gcd = Array.fold_left Q.gcd 0 scaled in
+  let repetition = Array.map (fun x -> x / num_gcd) scaled in
+  let total = ref 0 in
+  let period_tokens =
+    Array.init (Graph.num_edges g) (fun e ->
+        let rep = repetition.(Graph.src g e) and push = Graph.push g e in
+        match Q.mul_exact rep push with
+        | tokens when tokens < max_int - !total ->
+            total := !total + tokens;
+            tokens
+        | _ | (exception Q.Overflow) ->
+            Error.fail
+              (overflow
+                 (Printf.sprintf
+                    "channel %s carries %d x %d tokens per period, which \
+                     takes the channels' total past the native int range"
+                    (Graph.edge_name g e) rep push)))
+  in
+  { node_gain; period_tokens; repetition; period_inputs = repetition.(start) }
+
+let analyze_rates g =
   let n = Graph.num_nodes g in
   if not (Graph.is_connected g) then
     Result.error
@@ -83,29 +116,16 @@ let analyze_checked g =
     done;
     match !consistent with
     | Some err -> Result.error err
-    | None ->
-        let node_gain = Array.map Option.get gain in
-        let m = Graph.num_edges g in
-        let edge_gain =
-          Array.init m (fun e ->
-              Q.mul_int node_gain.(Graph.src g e) (Graph.push g e))
-        in
-        (* Repetition vector: scale gains to the smallest integral vector. *)
-        let denom_lcm =
-          Array.fold_left (fun acc q -> Q.lcm acc (Q.den q)) 1 node_gain
-        in
-        let scaled =
-          Array.map (fun q -> Q.to_int_exn (Q.mul_int q denom_lcm)) node_gain
-        in
-        let num_gcd = Array.fold_left Q.gcd 0 scaled in
-        let repetition = Array.map (fun x -> x / num_gcd) scaled in
-        let period_inputs =
-          match Graph.sources g with
-          | [ s ] -> repetition.(s)
-          | _ -> repetition.(start)
-        in
-        Ok { node_gain; edge_gain; repetition; period_inputs }
+    | None -> Ok (integral g (Array.map Option.get gain) ~start)
   end
+
+let analyze_checked g =
+  match analyze_rates g with
+  | result -> result
+  | exception Error.Error e -> Result.error e
+  | exception Q.Overflow ->
+      Result.error
+        (overflow "a gain or the repetition vector passes the native int range")
 
 let analyze g = Result.map_error Error.to_string (analyze_checked g)
 
@@ -116,7 +136,7 @@ let analyze_exn g =
 
 let is_rate_matched g = Result.is_ok (analyze g)
 let gain a v = a.node_gain.(v)
-let edge_gain a e = a.edge_gain.(e)
+let edge_gain a e = Q.make a.period_tokens.(e) a.period_inputs
 
 let granularity _g a ~at_least =
   (* T must be a multiple of lcm over nodes of den(gain v); then every
@@ -135,7 +155,7 @@ let firings_per_batch a ~t v =
   else Q.to_int_exn q
 
 let tokens_per_batch a ~t e =
-  let q = Q.mul_int a.edge_gain.(e) t in
+  let q = Q.mul_int (edge_gain a e) t in
   if not (Q.is_integer q) then
     invalid_arg "Rates.tokens_per_batch: t is not a granularity multiple"
   else Q.to_int_exn q

@@ -10,7 +10,15 @@
 type analysis = {
   node_gain : Rational.t array;  (** [gain(v)], normalized so the gain of
                                      the reference source is 1. *)
-  edge_gain : Rational.t array;  (** [gain(e) = gain(src e) * push e]. *)
+  period_tokens : int array;
+      (** Tokens crossing channel [e] in one period,
+          [q.(src e) * push e = gain(e) * period_inputs].  This is the
+          integer unit every partitioner sums and compares: a fixed
+          positive multiple of the gain, so integer sums order partitions
+          exactly as their rational bandwidths do.  Computed with
+          overflow-checked multiplication, and the sum over all channels
+          is below [max_int], so no bandwidth sum over a subset of the
+          channels can wrap. *)
   repetition : int array;
       (** Smallest positive integral firing vector [q] such that every
           channel is balanced over one period:
@@ -27,7 +35,9 @@ val analyze : Graph.t -> (analysis, string) result
 val analyze_checked : Graph.t -> (analysis, Error.t) result
 (** Like {!analyze} with a structured error: [Rate_inconsistent] names the
     witness module and its two conflicting gains; [Disconnected] counts
-    reachable modules. *)
+    reachable modules; [Failure_msg] with context ["rate analysis"] says a
+    gain, the repetition vector or a channel's [period_tokens] (or their
+    total over all channels) passes the native int range. *)
 
 val analyze_exn : Graph.t -> analysis
 (** @raise Graph.Invalid_graph when {!analyze} would return [Error]. *)
@@ -36,6 +46,8 @@ val is_rate_matched : Graph.t -> bool
 
 val gain : analysis -> Graph.node -> Rational.t
 val edge_gain : analysis -> Graph.edge -> Rational.t
+(** [gain(e) = gain(src e) * push e], that is
+    [period_tokens e / period_inputs]. *)
 
 val granularity : Graph.t -> analysis -> at_least:int -> int
 (** [granularity g a ~at_least] is the smallest batch size [T >= at_least]

@@ -62,5 +62,8 @@ val gcd : int -> int -> int
 val lcm : int -> int -> int
 (** Least common multiple. @raise Overflow on native overflow. *)
 
+val mul_exact : int -> int -> int
+(** [mul_exact a b] is [a * b]. @raise Overflow on native overflow. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -161,8 +161,8 @@ let test_min_bandwidth () =
   let a = R.analyze_exn g in
   (* bound 20: components of at most 2 modules; chain of 6 needs >= 2 cuts;
      optimal is exactly 2 cuts of gain 1 each. *)
-  match D.min_bandwidth g a ~bound:20 () with
-  | Some bw -> Alcotest.check q "minBW" (Q.of_int 2) bw
+  match D.exact g a ~bound:20 () with
+  | Some sp -> Alcotest.check q "minBW" (Q.of_int 2) (S.bandwidth sp a)
   | None -> Alcotest.fail "should solve"
 
 (* Auto.plan on large layered DAGs with a 1024-word cache.  Refinement

@@ -5,7 +5,11 @@
    exception text.  Plan certification (Plan.validate, Simulate.peaks)
    must return exactly what the replaying original in [Certify_oracle]
    returns — the same findings in the same order, with the same witness
-   firing. *)
+   firing.  The partitioners that compare integer period tokens
+   (candidate orders, order_dp, best, exact, Auto.partition) and the
+   Analysis bounds over them must return exactly what their rational
+   originals in [Planner_oracle.Rational_partition] return, float for
+   float. *)
 
 module G = Ccs.Graph
 module R = Ccs.Rates
@@ -175,6 +179,149 @@ let batch_agrees g =
           fail "%s: local_period differs for component %d" (G.name g) c
       done)
     specs;
+  true
+
+module Q_partition = O.Rational_partition
+
+let show_spec = Format.asprintf "%a" S.pp
+
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Every candidate order, each order's order_dp, best and exact at every
+   bound and degree cap, and the Analysis floats over the results. *)
+let partition_agrees g =
+  let a = R.analyze_exn g in
+  let orders = D.candidate_orders g a in
+  if orders <> Q_partition.Dag.candidate_orders g a then
+    fail "%s: candidate_orders differ" (G.name g);
+  let cost_agrees spec =
+    let t = R.granularity g a ~at_least:64 in
+    let old_ = Q_partition.Analysis.partition_cost_prediction spec a ~b:16 ~t
+    and new_ = Ccs.Analysis.partition_cost_prediction spec a ~b:16 ~t in
+    if not (same_float old_ new_) then
+      fail "%s: partition_cost_prediction %h, oracle %h on %s" (G.name g)
+        new_ old_ (show_spec spec)
+  in
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun max_degree ->
+          List.iter
+            (fun order ->
+              let old_ =
+                outcome (fun () ->
+                    Q_partition.Dag.order_dp g a ~order ~bound ?max_degree ())
+              and new_ =
+                outcome (fun () -> D.order_dp g a ~order ~bound ?max_degree ())
+              in
+              if not (same S.equal old_ new_) then
+                fail "%s: order_dp differs at bound %d, degree cap %s:@.old \
+                      %s@.new %s"
+                  (G.name g) bound (show_degree max_degree)
+                  (show_outcome show_spec old_) (show_outcome show_spec new_))
+            orders;
+          let old_ =
+            outcome (fun () -> Q_partition.Dag.best g a ~bound ?max_degree ())
+          and new_ = outcome (fun () -> D.best g a ~bound ?max_degree ()) in
+          if not (same S.equal old_ new_) then
+            fail "%s: best differs at bound %d, degree cap %s:@.old %s@.new %s"
+              (G.name g) bound (show_degree max_degree)
+              (show_outcome show_spec old_) (show_outcome show_spec new_);
+          Result.iter cost_agrees new_)
+        degrees;
+      let old_ = Q_partition.Dag.exact g a ~bound ()
+      and new_ = D.exact g a ~bound () in
+      if not (Option.equal S.equal old_ new_) then
+        fail "%s: exact differs at bound %d:@.old %s@.new %s" (G.name g) bound
+          (Option.fold ~none:"none" ~some:show_spec old_)
+          (Option.fold ~none:"none" ~some:show_spec new_);
+      Option.iter cost_agrees new_)
+    (bounds g);
+  if G.is_pipeline g then begin
+    let chain = P.chain_order g in
+    let n = Array.length chain in
+    for lo = 0 to n - 2 do
+      for hi = lo + 1 to n - 1 do
+        if
+          P.gain_minimizing_edge g a chain ~lo ~hi
+          <> Q_partition.Pipeline.gain_minimizing_edge g a chain ~lo ~hi
+        then
+          fail "%s: gain_minimizing_edge differs on [%d, %d]" (G.name g) lo hi
+      done
+    done
+  end;
+  cost_agrees (S.singletons g);
+  cost_agrees (S.whole g);
+  (* Small caches, where Auto.partition runs the exact search under a
+     tight degree cap and weighs it against the heuristic. *)
+  List.iter
+    (fun cache_words ->
+      let cfg = Ccs.Config.make ~cache_words ~block_words:4 () in
+      let old_ = outcome (fun () -> Q_partition.Auto.partition g a cfg)
+      and new_ = outcome (fun () -> Ccs.Auto.partition g a cfg) in
+      if not (same S.equal old_ new_) then
+        fail "%s: Auto.partition differs at M=%d:@.old %s@.new %s" (G.name g)
+          cache_words
+          (show_outcome show_spec old_) (show_outcome show_spec new_))
+    [ 32; 64; 128 ];
+  List.iter
+    (fun m ->
+      let old_ = Q_partition.Analysis.dag_lower_bound g a ~m ~b:16 ()
+      and new_ = Ccs.Analysis.dag_lower_bound g a ~m ~b:16 () in
+      if not (Option.equal same_float old_ new_) then
+        fail "%s: dag_lower_bound differs at m %d" (G.name g) m;
+      if G.is_pipeline g then begin
+        let old_ = Q_partition.Analysis.pipeline_lower_bound g a ~m ~b:16
+        and new_ = Ccs.Analysis.pipeline_lower_bound g a ~m ~b:16 in
+        if not (same_float old_ new_) then
+          fail "%s: pipeline_lower_bound %h, oracle %h at m %d" (G.name g) new_
+            old_ m
+      end)
+    (List.sort_uniq compare
+       (List.map (fun bound -> max 1 (bound / 3)) (bounds g)));
+  true
+
+(* Auto.partition of a suite application at three cache sizes, and the
+   Analysis floats for its partition and graph. *)
+let auto_agrees g =
+  let a = R.analyze_exn g in
+  List.iter
+    (fun cache_words ->
+      let cfg = Ccs.Config.make ~cache_words ~block_words:16 () in
+      let old_ = outcome (fun () -> Q_partition.Auto.partition g a cfg)
+      and new_ = outcome (fun () -> Ccs.Auto.partition g a cfg) in
+      if not (same S.equal old_ new_) then
+        fail "%s: Auto.partition differs at M=%d:@.old %s@.new %s" (G.name g)
+          cache_words
+          (show_outcome show_spec old_) (show_outcome show_spec new_);
+      let t = R.granularity g a ~at_least:cache_words in
+      Result.iter
+        (fun spec ->
+          if
+            not
+              (same_float
+                 (Q_partition.Analysis.partition_cost_prediction spec a ~b:16
+                    ~t)
+                 (Ccs.Analysis.partition_cost_prediction spec a ~b:16 ~t))
+          then
+            fail "%s: partition_cost_prediction differs at M=%d" (G.name g)
+              cache_words)
+        new_;
+      let m = cache_words / 4 in
+      if
+        not
+          (Option.equal same_float
+             (Q_partition.Analysis.dag_lower_bound g a ~m ~b:16 ~max_nodes:16 ())
+             (Ccs.Analysis.dag_lower_bound g a ~m ~b:16 ~max_nodes:16 ()))
+      then fail "%s: dag_lower_bound differs at m=%d" (G.name g) m;
+      if
+        G.is_pipeline g
+        && not
+             (same_float
+                (Q_partition.Analysis.pipeline_lower_bound g a ~m ~b:16)
+                (Ccs.Analysis.pipeline_lower_bound g a ~m ~b:16))
+      then fail "%s: pipeline_lower_bound differs at m=%d" (G.name g) m)
+    [ 256; 1024; 2048 ];
   true
 
 module C = Certify_oracle
@@ -454,6 +601,27 @@ let with_delays seed g =
     (G.edges g);
   G.Builder.build b
 
+(* The same graph with non-unit rates: each module gets a random
+   repetition k(v) in 1..3 and each channel (u, v) pushes k(v) and pops
+   k(u), which keeps it rate-matched.  Successors that become ready
+   together then differ in period tokens, which is what orders the
+   token-weighted depth-first order. *)
+let with_rates seed g =
+  let rng = Random.State.make [| seed |] in
+  let k = Array.init (G.num_nodes g) (fun _ -> 1 + Random.State.int rng 3) in
+  let b = G.Builder.create ~name:(G.name g ^ "-multirate") () in
+  List.iter
+    (fun v ->
+      ignore (G.Builder.add_module b ~state:(G.state g v) (G.node_name g v)))
+    (G.nodes g);
+  List.iter
+    (fun e ->
+      let u = G.src g e and v = G.dst g e in
+      ignore
+        (G.Builder.add_channel b ~src:u ~dst:v ~push:k.(v) ~pop:k.(u) ()))
+    (G.edges g);
+  G.Builder.build b
+
 let gen_any =
   QCheck2.Gen.(
     oneof
@@ -463,6 +631,48 @@ let gen_any =
         gen_pipeline;
         map2 with_delays (int_range 0 10_000)
           (oneof [ gen_unit_dag; gen_sdf_dag; gen_pipeline ]);
+      ])
+
+(* Graphs small enough for the exact search (at most 16 modules): layered
+   DAGs with unit and with random rates, random_sdf_dag with rates up to
+   4, short pipelines, and the same with random channel delays.  Layers are at most 7 wide:
+   the search visits every pair of nested order ideals that fit the
+   bound, about 3^14 of them for one layer of 14, which takes the two
+   searches tens of seconds. *)
+let gen_small_dag =
+  let layered =
+    QCheck2.Gen.(
+      map
+        (fun (seed, (layers, width), p) ->
+          Ccs.Generators.layered
+            ~name:(Printf.sprintf "layered-s%d" seed)
+            ~seed ~layers ~width
+            ~state:(fun k -> 1 + (((k * 37) + seed) mod 40))
+            ~edge_prob:p ())
+        (triple (int_range 0 10_000)
+           (int_range 1 4 >>= fun layers ->
+            map
+              (fun width -> (layers, width))
+              (int_range 1 (min 7 (14 / layers))))
+           (float_range 0.1 0.7)))
+  and sdf =
+    QCheck2.Gen.(
+      map
+        (fun (seed, n, (max_rate, extra_edges)) ->
+          Ccs.Generators.random_sdf_dag
+            ~name:(Printf.sprintf "sdf-dag-s%d" seed)
+            ~seed ~n ~max_state:40 ~max_rate ~extra_edges ())
+        (triple (int_range 0 10_000) (int_range 3 16)
+           (pair (int_range 1 4) (int_range 0 10))))
+  in
+  QCheck2.Gen.(
+    oneof
+      [
+        layered;
+        map2 with_rates (int_range 0 10_000) layered;
+        sdf;
+        gen_pipeline;
+        map2 with_delays (int_range 0 10_000) (oneof [ layered; sdf ]);
       ])
 
 let print = Ccs.Serial.to_text
@@ -500,6 +710,8 @@ let () =
             schedules_agree;
           prop "certify planner plans == oracle" ~count:60 gen_any
             planners_agree;
+          prop "integer partitioners == rational oracle" ~count:300
+            gen_small_dag partition_agrees;
         ] );
       ( "suite",
         [
@@ -514,5 +726,12 @@ let () =
             (on_suite schedules_agree);
           Alcotest.test_case "certify planner plans == oracle" `Quick
             (on_suite planners_agree);
+          Alcotest.test_case "Auto.partition == rational oracle" `Quick
+            (fun () ->
+              List.iter
+                (fun (entry : Ccs_apps.Suite.entry) ->
+                  let g = entry.graph () in
+                  Alcotest.(check bool) (G.name g) true (auto_agrees g))
+                Ccs_apps.Suite.all);
         ] );
     ]

@@ -165,6 +165,58 @@ let test_gain_of_generated_dag () =
       true (R.is_rate_matched g)
   done
 
+let test_period_tokens () =
+  let g = Ccs_apps.Beamformer.graph ~channels:2 ~beams:2 ~taps:4 () in
+  let a = R.analyze_exn g in
+  List.iter
+    (fun e ->
+      let tokens = a.R.period_tokens.(e) in
+      Alcotest.(check int)
+        (Printf.sprintf "edge %d tokens = repetition(src) * push" e)
+        (a.R.repetition.(G.src g e) * G.push g e)
+        tokens;
+      Alcotest.check q
+        (Printf.sprintf "edge %d gain = tokens / period_inputs" e)
+        (Q.make tokens a.R.period_inputs) (R.edge_gain a e))
+    (G.edges g)
+
+(* A chain whose repetition vector is small but whose middle channel moves
+   2 x (2^61 + 1) tokens per period: the product wraps a native int.  The
+   partitioners compare these products, so rate analysis must refuse the
+   graph rather than let a negative channel weight through. *)
+let chain rates =
+  let b = B.create ~name:"overflow" () in
+  let nodes =
+    List.init (List.length rates + 1) (fun i ->
+        B.add_module b ~state:10 (Printf.sprintf "m%d" i))
+  in
+  List.iteri
+    (fun i (push, pop) ->
+      ignore
+        (B.add_channel b ~src:(List.nth nodes i) ~dst:(List.nth nodes (i + 1))
+           ~push ~pop ()))
+    rates;
+  B.build b
+
+let expect_overflow name g =
+  match R.analyze_checked g with
+  | Error (Ccs.Error.Failure_msg { context; _ }) ->
+      Alcotest.(check string) (name ^ ": context") "rate analysis" context;
+      Alcotest.(check bool) (name ^ ": not rate matched") false
+        (R.is_rate_matched g)
+  | Error e -> Alcotest.fail (name ^ ": unexpected " ^ Ccs.Error.to_string e)
+  | Ok _ -> Alcotest.fail (name ^ ": overflowing graph accepted")
+
+let test_overflow_rejected () =
+  let big = 2305843009213693953 in
+  expect_overflow "period tokens" (chain [ (2, 3); (big, big); (1, 1) ]);
+  (* Each channel fits, their total does not. *)
+  let half = 1 lsl 61 in
+  expect_overflow "total" (chain [ (half, half); (half, half) ]);
+  (* Gains 1, 2^-40, 2^-80: the gain propagation itself overflows. *)
+  let wide = 1 lsl 40 in
+  expect_overflow "gain" (chain [ (1, wide); (1, wide) ])
+
 let () =
   Alcotest.run "rates"
     [
@@ -186,5 +238,7 @@ let () =
           Alcotest.test_case "bad t rejected" `Quick test_firings_rejects_bad_t;
           Alcotest.test_case "generated dags rate-matched" `Quick
             test_gain_of_generated_dag;
+          Alcotest.test_case "period tokens" `Quick test_period_tokens;
+          Alcotest.test_case "overflow rejected" `Quick test_overflow_rejected;
         ] );
     ]
