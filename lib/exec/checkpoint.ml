@@ -7,7 +7,7 @@ module Tracer = Ccs_obs.Tracer
 module Metrics = Ccs_obs.Metrics
 
 let magic = "CCSCKPT1"
-let version = 1
+let version = 2
 
 type t = {
   graph_digest : string;
@@ -15,28 +15,34 @@ type t = {
   epoch : int;
   cache_config : Cache.config;
   capacities : int array;
+  placement : int array;
   machine : Machine.persisted;
-  cache : Cache.persisted;
+  caches : Cache.persisted array;
   counters : (int array * int array) option;
   tracer : (int * int) option; (* logical clock, dropped-event count *)
 }
 
 let graph_digest = Plan_key.graph_digest
 
+let placement_of machine =
+  Array.init
+    (Graph.num_nodes (Machine.graph machine))
+    (Machine.cache_of machine)
+
 let capture ~plan_name ~epoch machine =
   let g = Machine.graph machine in
-  let cache = Machine.cache machine in
   {
     graph_digest = graph_digest g;
     plan_name;
     epoch;
-    cache_config = Cache.config_of cache;
+    cache_config = Cache.config_of (Machine.cache machine);
     capacities =
       Array.init
         (Graph.num_edges g)
         (fun e -> Machine.capacity machine e);
+    placement = placement_of machine;
     machine = Machine.persist machine;
-    cache = Cache.persist cache;
+    caches = Array.map Cache.persist (Machine.caches machine);
     counters = Option.map Counters.dump (Machine.counters machine);
     tracer =
       Option.map
@@ -49,6 +55,32 @@ let capture ~plan_name ~epoch machine =
 let policy_tag = Plan_key.policy_tag
 let policy_of_tag = Plan_key.policy_of_tag
 
+let encode_cache w (p : Cache.persisted) =
+  Binio.W.int w p.Cache.p_accesses;
+  Binio.W.int w p.Cache.p_hits;
+  Binio.W.int w p.Cache.p_misses;
+  Binio.W.int w p.Cache.p_flushes;
+  Binio.W.int w (Array.length p.Cache.p_sets);
+  Array.iter (Binio.W.int_array w) p.Cache.p_sets
+
+(* Counts read from the payload are bounded by its length: every element
+   they announce takes at least one byte. *)
+let plausible_count ~path ~what payload k =
+  if k < 0 || k > String.length payload then
+    E.fail
+      (E.Checkpoint_corrupt
+         { path; reason = Printf.sprintf "implausible %s count %d" what k })
+
+let decode_cache ~path payload r =
+  let p_accesses = Binio.R.int r in
+  let p_hits = Binio.R.int r in
+  let p_misses = Binio.R.int r in
+  let p_flushes = Binio.R.int r in
+  let num_sets = Binio.R.int r in
+  plausible_count ~path ~what:"set" payload num_sets;
+  let p_sets = Array.init num_sets (fun _ -> Binio.R.int_array r) in
+  { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets }
+
 let encode t =
   let w = Binio.W.create () in
   Binio.W.string w t.graph_digest;
@@ -60,6 +92,7 @@ let encode t =
   Binio.W.int w tag;
   Binio.W.int w ways;
   Binio.W.int_array w t.capacities;
+  Binio.W.int_array w t.placement;
   Binio.W.int_array w t.machine.Machine.p_fire_count;
   Binio.W.int w t.machine.Machine.p_total_fires;
   Binio.W.int_array w t.machine.Machine.p_heads;
@@ -71,12 +104,8 @@ let encode t =
   | Some b ->
       Binio.W.int w 1;
       Binio.W.int w b);
-  Binio.W.int w t.cache.Cache.p_accesses;
-  Binio.W.int w t.cache.Cache.p_hits;
-  Binio.W.int w t.cache.Cache.p_misses;
-  Binio.W.int w t.cache.Cache.p_flushes;
-  Binio.W.int w (Array.length t.cache.Cache.p_sets);
-  Array.iter (Binio.W.int_array w) t.cache.Cache.p_sets;
+  Binio.W.int w (Array.length t.caches);
+  Array.iter (encode_cache w) t.caches;
   (match t.counters with
   | None -> Binio.W.int w 0
   | Some (accesses, misses) ->
@@ -107,6 +136,7 @@ let decode ~path payload =
       E.fail (E.Checkpoint_corrupt { path; reason = msg })
   in
   let capacities = Binio.R.int_array r in
+  let placement = Binio.R.int_array r in
   let p_fire_count = Binio.R.int_array r in
   let p_total_fires = Binio.R.int r in
   let p_heads = Binio.R.int_array r in
@@ -116,16 +146,9 @@ let decode ~path payload =
   let p_budget =
     match Binio.R.int r with 0 -> None | _ -> Some (Binio.R.int r)
   in
-  let p_accesses = Binio.R.int r in
-  let p_hits = Binio.R.int r in
-  let p_misses = Binio.R.int r in
-  let p_flushes = Binio.R.int r in
-  let num_sets = Binio.R.int r in
-  if num_sets < 0 || num_sets > String.length payload then
-    E.fail
-      (E.Checkpoint_corrupt
-         { path; reason = Printf.sprintf "implausible set count %d" num_sets });
-  let p_sets = Array.init num_sets (fun _ -> Binio.R.int_array r) in
+  let num_caches = Binio.R.int r in
+  plausible_count ~path ~what:"cache" payload num_caches;
+  let caches = Array.init num_caches (fun _ -> decode_cache ~path payload r) in
   let counters =
     match Binio.R.int r with
     | 0 -> None
@@ -149,6 +172,7 @@ let decode ~path payload =
     epoch;
     cache_config;
     capacities;
+    placement;
     machine =
       {
         Machine.p_fire_count;
@@ -159,7 +183,7 @@ let decode ~path payload =
         p_produced;
         p_budget;
       };
-    cache = { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets };
+    caches;
     counters;
     tracer;
   }
@@ -229,17 +253,26 @@ let validate ~path t machine =
   match Plan_key.check ~path ~expected:(key_of t) ~found:(machine_key machine) with
   | Error _ as e -> e
   | Ok () -> (
+      let mismatch field expected found =
+        Error (E.Checkpoint_mismatch { path; field; expected; found })
+      in
+      let caches = Array.length (Machine.caches machine) in
+      let placement = placement_of machine in
+      let ints a =
+        String.concat "," (Array.to_list (Array.map string_of_int a))
+      in
       match (t.counters, Machine.counters machine) with
+      | _ when Array.length t.caches <> caches ->
+          mismatch "processors"
+            (string_of_int (Array.length t.caches))
+            (string_of_int caches)
+      | _ when t.placement <> placement ->
+          mismatch "placement" (ints t.placement) (ints placement)
       | Some (accesses, _), Some c
         when Array.length accesses <> Counters.entities c ->
-          Error
-            (E.Checkpoint_mismatch
-               {
-                 path;
-                 field = "counters";
-                 expected = string_of_int (Array.length accesses);
-                 found = string_of_int (Counters.entities c);
-               })
+          mismatch "counters"
+            (string_of_int (Array.length accesses))
+            (string_of_int (Counters.entities c))
       | _ -> Ok ())
 
 let restore ~path t machine =
@@ -249,7 +282,9 @@ let restore ~path t machine =
       E.protect (fun () ->
           (try
              Machine.restore machine t.machine;
-             Cache.restore (Machine.cache machine) t.cache
+             Array.iteri
+               (fun i p -> Cache.restore (Machine.caches machine).(i) p)
+               t.caches
            with Invalid_argument msg ->
              E.fail (E.Checkpoint_corrupt { path; reason = msg }));
           (match (t.counters, Machine.counters machine) with

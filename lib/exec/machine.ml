@@ -34,7 +34,11 @@ type mstats = {
 
 type t = {
   graph : Graph.t;
-  cache : Cache.t;
+  (* One address space, one cache per processor: module [v]'s firings
+     touch [caches.(cache_of.(v))].  A uniprocessor machine has one cache
+     and [cache_of] all zeros. *)
+  caches : Cache.t array;
+  cache_of : int array;
   states : Layout.region array;
   chans : chan array;
   (* Firing-loop specialization: per-node edge ids and per-edge rates as
@@ -114,10 +118,25 @@ let make_mstats registry labels =
   }
 
 let create ?(align_to_block = true) ?(record_trace = false) ?counters ?tracer
-    ?metrics ?(metrics_labels = []) ~graph ~cache ~capacities () =
+    ?metrics ?(metrics_labels = []) ?(caches = 1) ?cache_of ~graph ~cache
+    ~capacities () =
   let m = Graph.num_edges graph in
+  let n = Graph.num_nodes graph in
   if Array.length capacities <> m then
     invalid_arg "Machine.create: capacities length mismatch";
+  let cache_of =
+    match cache_of with None -> Array.make n 0 | Some a -> Array.copy a
+  in
+  if
+    caches < 1
+    || Array.length cache_of <> n
+    || Array.exists (fun p -> p < 0 || p >= caches) cache_of
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Machine.create: cache_of must place each of %d modules on one of \
+          %d caches"
+         n caches);
   (match counters with
   | Some c
     when Counters.entities c <> Graph.num_nodes graph + m ->
@@ -142,10 +161,10 @@ let create ?(align_to_block = true) ?(record_trace = false) ?counters ?tracer
         })
   in
   let single = function [ v ] -> Some v | _ -> None in
-  let n = Graph.num_nodes graph in
   {
     graph;
-    cache = Cache.create cache;
+    caches = Array.init caches (fun _ -> Cache.create cache);
+    cache_of;
     states;
     chans;
     in_edges = Array.init n (fun v -> Array.of_list (Graph.in_edges graph v));
@@ -168,7 +187,9 @@ let create ?(align_to_block = true) ?(record_trace = false) ?counters ?tracer
   }
 
 let graph t = t.graph
-let cache t = t.cache
+let cache t = t.caches.(0)
+let caches t = t.caches
+let cache_of t v = t.cache_of.(v)
 let capacity t e = t.chans.(e).capacity
 let tokens t e = t.chans.(e).tail - t.chans.(e).head
 let space t e = t.chans.(e).capacity - tokens t e
@@ -242,15 +263,15 @@ let snapshot t =
    when tracing, advance the logical clock and emit load/evict events.
    Lives off the fast path — [touch_span] only enters here when at least
    one observer is attached. *)
-let touch_block_observed t owner blk =
+let touch_block_observed t cache owner blk =
   match t.tracer with
   | None ->
-      let hit = Cache.touch_block t.cache blk in
+      let hit = Cache.touch_block cache blk in
       (match t.counters with
       | Some c -> Counters.record c owner ~hit
       | None -> ())
   | Some tr ->
-      let hit, victim = Cache.touch_block_traced t.cache blk in
+      let hit, victim = Cache.touch_block_traced cache blk in
       (match t.counters with
       | Some c -> Counters.record c owner ~hit
       | None -> ());
@@ -260,40 +281,41 @@ let touch_block_observed t owner blk =
         if victim >= 0 then Tracer.evict tr ~owner ~block:victim
       end
 
-let touch_span t owner addr len =
+let touch_span t cache owner addr len =
   if len > 0 then begin
-    let b = Cache.block_words t.cache in
+    let b = Cache.block_words cache in
     let first = addr / b and last = (addr + len - 1) / b in
     if t.observed then
       for blk = first to last do
         (match t.recorder with
         | Some r -> Intvec.push r (blk * b)
         | None -> ());
-        touch_block_observed t owner blk
+        touch_block_observed t cache owner blk
       done
     else
       match t.recorder with
       | None ->
           for blk = first to last do
-            ignore (Cache.touch_block t.cache blk)
+            ignore (Cache.touch_block cache blk)
           done
       | Some r ->
           for blk = first to last do
             Intvec.push r (blk * b);
-            ignore (Cache.touch_block t.cache blk)
+            ignore (Cache.touch_block cache blk)
           done
   end
 
 (* Touch [k] logical ring-buffer slots starting at absolute index [pos]:
    at most two contiguous spans (wrap-around). *)
-let touch_ring t owner (region : Layout.region) pos k =
+let touch_ring t cache owner (region : Layout.region) pos k =
   if k > 0 then begin
     let len = region.Layout.length in
     let start = pos mod len in
-    if start + k <= len then touch_span t owner (region.Layout.base + start) k
+    if start + k <= len then
+      touch_span t cache owner (region.Layout.base + start) k
     else begin
-      touch_span t owner (region.Layout.base + start) (len - start);
-      touch_span t owner region.Layout.base (k - (len - start))
+      touch_span t cache owner (region.Layout.base + start) (len - start);
+      touch_span t cache owner region.Layout.base (k - (len - start))
     end
   end
 
@@ -345,16 +367,18 @@ let fire t v =
     | Some tr -> Tracer.begin_fire tr ~node:v
     | None -> -1
   in
+  (* The firing's cache, picked once: every touch below goes through it. *)
+  let cache = t.caches.(t.cache_of.(v)) in
   (* Load the module's entire state. *)
   let st = t.states.(v) in
-  touch_span t v st.Layout.base st.Layout.length;
+  touch_span t cache v st.Layout.base st.Layout.length;
   (* Consume inputs. *)
   let ins = t.in_edges.(v) in
   for i = 0 to Array.length ins - 1 do
     let e = Array.unsafe_get ins i in
     let c = t.chans.(e) in
     let k = t.pop_rate.(e) in
-    touch_ring t (t.num_nodes + e) c.region c.head k;
+    touch_ring t cache (t.num_nodes + e) c.region c.head k;
     c.head <- c.head + k;
     c.consumed_total <- c.consumed_total + k
   done;
@@ -364,7 +388,7 @@ let fire t v =
     let e = Array.unsafe_get outs i in
     let c = t.chans.(e) in
     let k = t.push_rate.(e) in
-    touch_ring t (t.num_nodes + e) c.region c.tail k;
+    touch_ring t cache (t.num_nodes + e) c.region c.tail k;
     c.tail <- c.tail + k;
     c.produced_total <- c.produced_total + k
   done;
@@ -388,7 +412,9 @@ let total_fires t = t.total_fires
 let consumed t e = t.chans.(e).consumed_total
 let produced t e = t.chans.(e).produced_total
 
-let misses t = Cache.misses t.cache
+(* Sum of a cache statistic over every processor's cache. *)
+let total stat t = Array.fold_left (fun acc c -> acc + stat c) 0 t.caches
+let misses t = total Cache.misses t
 
 let misses_per_input t =
   let inputs = source_inputs t in
@@ -419,11 +445,11 @@ let sync_metrics t =
   match t.mstats with
   | None -> ()
   | Some ms ->
-      Metrics.set ms.m_accesses (Cache.accesses t.cache);
-      Metrics.set ms.m_hits (Cache.hits t.cache);
-      Metrics.set ms.m_misses (Cache.misses t.cache);
-      Metrics.set ms.m_evictions (Cache.evictions t.cache);
-      Metrics.set ms.m_flushes (Cache.flushes t.cache)
+      Metrics.set ms.m_accesses (total Cache.accesses t);
+      Metrics.set ms.m_hits (total Cache.hits t);
+      Metrics.set ms.m_misses (total Cache.misses t);
+      Metrics.set ms.m_evictions (total Cache.evictions t);
+      Metrics.set ms.m_flushes (total Cache.flushes t)
 
 let entity_label t i =
   if i < t.num_nodes then Graph.node_name t.graph i
@@ -444,22 +470,25 @@ let fire_budget t = t.fire_budget
    renormalizing cursors preserves execution exactly; the destination cache
    starts cold, which is the honest cost of moving state to a new layout. *)
 
-let resize_cache t cfg = Cache.resize t.cache cfg
+let resize_cache t cfg = Array.iter (fun c -> Cache.resize c cfg) t.caches
 
 let migrate ~src dst =
   let n = Array.length src.chans in
   if
     Array.length src.fire_count <> Array.length dst.fire_count
     || Array.length dst.chans <> n
+    || Array.length dst.caches <> Array.length src.caches
   then
     invalid_arg
       (Printf.sprintf
-         "Machine.migrate: source has %d nodes / %d channels, destination %d \
-          nodes / %d channels"
+         "Machine.migrate: source has %d nodes / %d channels / %d caches, \
+          destination %d nodes / %d channels / %d caches"
          (Array.length src.fire_count)
          n
+         (Array.length src.caches)
          (Array.length dst.fire_count)
-         (Array.length dst.chans));
+         (Array.length dst.chans)
+         (Array.length dst.caches));
   for e = 0 to n - 1 do
     let toks = src.chans.(e).tail - src.chans.(e).head in
     if toks > dst.chans.(e).capacity then
@@ -480,7 +509,7 @@ let migrate ~src dst =
     d.produced_total <- s.produced_total
   done;
   dst.fire_budget <- src.fire_budget;
-  Cache.carry_stats ~src:src.cache dst.cache
+  Array.iteri (fun i c -> Cache.carry_stats ~src:c dst.caches.(i)) src.caches
 
 (* --- checkpoint persistence ---------------------------------------------- *)
 

@@ -12,7 +12,12 @@
     unless every input buffer holds enough tokens and every output buffer
     has enough space, so any schedule that runs to completion is a
     certified-legal schedule.  Token counts are tracked per channel for
-    conservation checks in tests. *)
+    conservation checks in tests.
+
+    A machine may hold several private caches over its one address space
+    (the multiprocessor model of {!Ccs_multi.Multi_machine}): each module
+    is placed on one cache, and all of its firing's touches go through
+    that cache.  The uniprocessor machine is the one-cache case. *)
 
 type t
 
@@ -53,6 +58,8 @@ val create :
   ?tracer:Ccs_obs.Tracer.t ->
   ?metrics:Ccs_obs.Metrics.t ->
   ?metrics_labels:(string * string) list ->
+  ?caches:int ->
+  ?cache_of:int array ->
   graph:Ccs_sdf.Graph.t ->
   cache:Ccs_cache.Cache.config ->
   capacities:int array ->
@@ -80,10 +87,25 @@ val create :
     registry.  Only the fires counter is pushed from the firing path (one
     branch, one store); the cache series are gauges refreshed by
     {!sync_metrics}, so attaching a registry cannot change replacement
-    behavior — miss counts stay bit-identical. *)
+    behavior — miss counts stay bit-identical.
+
+    [caches] (default 1) private caches of configuration [cache] share
+    the one address space; module [v]'s firings touch cache
+    [cache_of.(v)] (default: every module on cache 0).
+    @raise Invalid_argument if [caches < 1], or [cache_of] does not have
+    one entry in [\[0, caches)] per module. *)
 
 val graph : t -> Ccs_sdf.Graph.t
+
 val cache : t -> Ccs_cache.Cache.t
+(** Cache 0: the machine's only cache unless [create] was given
+    [caches > 1]. *)
+
+val caches : t -> Ccs_cache.Cache.t array
+(** Every private cache, indexed as [cache_of] places modules on them. *)
+
+val cache_of : t -> Ccs_sdf.Graph.node -> int
+(** The index in {!caches} of the cache a module's firings touch. *)
 
 val capacity : t -> Ccs_sdf.Graph.edge -> int
 val tokens : t -> Ccs_sdf.Graph.edge -> int
@@ -145,7 +167,8 @@ val sink_outputs : t -> int
 (** Firings of the graph's unique sink. *)
 
 val misses : t -> int
-(** Shorthand for [Ccs_cache.Cache.misses (cache t)]. *)
+(** Misses summed over {!caches}; [Ccs_cache.Cache.misses (cache t)] on a
+    one-cache machine. *)
 
 val misses_per_input : t -> float
 (** [misses / source_inputs]; [nan] before any input. *)
@@ -184,9 +207,10 @@ val metrics : t -> Ccs_obs.Metrics.t option
 (** The registry passed to {!create}, if any. *)
 
 val sync_metrics : t -> unit
-(** Refresh the cache-level gauges ([ccs_cache_*]) from the cache's
-    statistics.  A no-op without an attached registry.  Drivers call this
-    at epoch and run boundaries — the access hot path never does. *)
+(** Refresh the cache-level gauges ([ccs_cache_*]) from the caches'
+    statistics, summed over {!caches}.  A no-op without an attached
+    registry.  Drivers call this at epoch and run boundaries — the access
+    hot path never does. *)
 
 val fire_budget : t -> int option
 (** The currently installed firing cap, if any (see {!set_fire_budget}). *)
@@ -200,7 +224,8 @@ val fire_budget : t -> int option
 val resize_cache : t -> Ccs_cache.Cache.config -> unit
 (** Apply {!Ccs_cache.Cache.resize} to this machine's cache: capacity or
     associativity changes mid-run, residents surviving by the deterministic
-    hottest-first rule.  Regions, cursors and firing state are untouched.
+    hottest-first rule, on every one of {!caches}.  Regions, cursors and
+    firing state are untouched.
     @raise Invalid_argument if the block size differs. *)
 
 val migrate : src:t -> t -> unit
@@ -216,7 +241,10 @@ val migrate : src:t -> t -> unit
     transferred: [dst]'s cache starts cold — migrating to a new memory
     layout forfeits cache residency, and the adaptation layer pays that
     cost honestly.
-    @raise Invalid_argument on shape mismatch or if a channel's buffered
+    With several caches, each one's statistics fold into the destination
+    cache of the same index.
+    @raise Invalid_argument on shape mismatch (nodes, channels or number
+    of caches) or if a channel's buffered
     tokens exceed the destination capacity. *)
 
 (** {2 Checkpoint persistence}

@@ -1,12 +1,11 @@
 module Graph = Ccs_sdf.Graph
-module Rates = Ccs_sdf.Rates
 module E = Ccs_sdf.Error
-module Binio = Ccs_sdf.Binio
 module Spec = Ccs_partition.Spec
 module Cache = Ccs_cache.Cache
-module Layout = Ccs_cache.Layout
-module Counters = Ccs_obs.Counters
-module Tracer = Ccs_obs.Tracer
+module Machine = Ccs_exec.Machine
+module Checkpoint = Ccs_exec.Checkpoint
+module Plan = Ccs_sched.Plan
+module Schedule = Ccs_sched.Schedule
 module Metrics = Ccs_obs.Metrics
 
 type config = {
@@ -26,194 +25,77 @@ type result = {
   inputs : int;
 }
 
-type chan = {
-  region : Layout.region;
-  mutable head : int;
-  mutable tail : int;
-}
-
 type session = {
-  graph : Graph.t;
   cfg : config;
-  plan_name : string;
-  period : Ccs_sched.Schedule.t;
-  capacities : int array;
-  chans : chan array;
-  caches : Cache.t array;
-  uni_cache : Cache.t;
-  work : float array;
-  mutable uni_work : float;
-  mutable inputs : int;
+  plan : Plan.t;
+  period : Schedule.t;
+  (* One address space, one private cache per processor. *)
+  machine : Machine.t;
+  (* Words one firing of [v] touches: its state plus every pop and push. *)
+  words : int array;
   mutable batches_done : int;
-  counters : Counters.t option;
-  tracer : Tracer.t option;
   metrics : Metrics.t option;
-  fire : Graph.node -> unit;
 }
 
 let create_session ?counters ?tracer ?metrics g _a spec assign ~plan cfg =
   if cfg.processors <> assign.Assign.processors then
     invalid_arg "Multi_machine.run: assignment processor count mismatch";
-  (* The placement simulator replays a static batch schedule; a dynamic
-     (aperiodic) plan has no period to replay, which is a caller error of
-     the structured kind, not an [assert false]. *)
+  let invalid reason =
+    E.fail (E.Plan_invalid { plan = plan.Plan.name; reason })
+  in
+  (* The placement simulator replays a static batch schedule on machines
+     that enforce the firing rule, so the plan must certify first: a
+     plan that cannot run is a structured caller error, not numbers. *)
   let period =
-    match plan.Ccs_sched.Plan.period with
+    match plan.Plan.period with
     | Some p -> p
     | None ->
-        E.fail
-          (E.Plan_invalid
-             {
-               plan = plan.Ccs_sched.Plan.name;
-               reason =
-                 "plan is aperiodic (no static period); Multi_machine \
-                  replays periodic batch schedules only";
-             })
+        invalid
+          "plan is aperiodic (no static period); Multi_machine replays \
+           periodic batch schedules only"
   in
-  let capacities = plan.Ccs_sched.Plan.capacities in
-  let n = Graph.num_nodes g in
-  let m = Graph.num_edges g in
-  (match counters with
-  | Some c when Counters.entities c <> n + m ->
-      invalid_arg
-        (Printf.sprintf
-           "Multi_machine.run_plan: counters sized for %d entities, need %d"
-           (Counters.entities c) (n + m))
-  | _ -> ());
-  (* Shared address space, same layout discipline as Machine. *)
-  let block = cfg.cache.Cache.block_words in
-  let layout = Layout.create ~align:block () in
-  let states =
-    Array.init n (fun v -> Layout.alloc layout ~len:(Graph.state g v))
+  (match Plan.validate g plan with
+  | Ok () -> ()
+  | Error errs -> (
+      match List.filter (fun e -> E.severity e = `Error) errs with
+      | [] -> ()
+      | errs -> invalid (String.concat "; " (List.map E.to_string errs))));
+  let rate edges rate_of =
+    List.fold_left (fun acc e -> acc + rate_of g e) 0 edges
   in
-  let chans =
-    Array.init m (fun e ->
-        {
-          region = Layout.alloc ~align:1 layout ~len:capacities.(e);
-          head = 0;
-          tail = Graph.delay g e;
-        })
-  in
-  let caches = Array.init cfg.processors (fun _ -> Cache.create cfg.cache) in
-  let uni_cache = Cache.create cfg.cache in
-  let work = Array.make cfg.processors 0. in
-  let proc_of_node v =
-    assign.Assign.processor_of_component.(Spec.component_of spec v)
-  in
-  (* Attribution covers the parallel run (the per-processor caches); the
-     uniprocessor shadow run is the speedup baseline and stays
-     unobserved. *)
-  let touch_observed cache owner blk =
-    match tracer with
-    | None ->
-        let hit = Cache.touch_block cache blk in
-        (match counters with
-        | Some c -> Counters.record c owner ~hit
-        | None -> ())
-    | Some tr ->
-        let hit, victim = Cache.touch_block_traced cache blk in
-        (match counters with
-        | Some c -> Counters.record c owner ~hit
-        | None -> ());
-        Tracer.advance tr 1;
-        if not hit then begin
-          Tracer.load tr ~owner ~block:blk;
-          if victim >= 0 then Tracer.evict tr ~owner ~block:victim
-        end
-  in
-  let touch_span ?owner cache addr len =
-    if len > 0 then begin
-      let first = addr / block and last = (addr + len - 1) / block in
-      match owner with
-      | None ->
-          for blk = first to last do
-            ignore (Cache.touch_block cache blk)
-          done
-      | Some o ->
-          for blk = first to last do
-            touch_observed cache o blk
-          done
-    end
-  in
-  let touch_ring ?owner cache (region : Layout.region) pos k =
-    if k > 0 then begin
-      let len = region.Layout.length in
-      let start = pos mod len in
-      if start + k <= len then
-        touch_span ?owner cache (region.Layout.base + start) k
-      else begin
-        touch_span ?owner cache (region.Layout.base + start) (len - start);
-        touch_span ?owner cache region.Layout.base (k - (len - start))
-      end
-    end
-  in
-  let source = Graph.source g in
-  let rec session =
-    {
-      graph = g;
-      cfg;
-      plan_name = plan.Ccs_sched.Plan.name;
-      period;
-      capacities;
-      chans;
-      caches;
-      uni_cache;
-      work;
-      uni_work = 0.;
-      inputs = 0;
-      batches_done = 0;
-      counters;
-      tracer;
-      metrics;
-      fire = (fun v -> fire v);
-    }
-  and fire v =
-    let p = proc_of_node v in
-    let cache = caches.(p) in
-    let fire_ev =
-      match tracer with Some tr -> Tracer.begin_fire tr ~node:v | None -> -1
-    in
-    let words = ref 0 in
-    let st = states.(v) in
-    touch_span ~owner:v cache st.Layout.base st.Layout.length;
-    touch_span uni_cache st.Layout.base st.Layout.length;
-    words := !words + st.Layout.length;
-    List.iter
-      (fun e ->
-        let c = chans.(e) in
-        let k = Graph.pop g e in
-        touch_ring ~owner:(n + e) cache c.region c.head k;
-        touch_ring uni_cache c.region c.head k;
-        c.head <- c.head + k;
-        words := !words + k)
-      (Graph.in_edges g v);
-    List.iter
-      (fun e ->
-        let c = chans.(e) in
-        let k = Graph.push g e in
-        touch_ring ~owner:(n + e) cache c.region c.tail k;
-        touch_ring uni_cache c.region c.tail k;
-        c.tail <- c.tail + k;
-        words := !words + k)
-      (Graph.out_edges g v);
-    work.(p) <- work.(p) +. float_of_int !words;
-    session.uni_work <- session.uni_work +. float_of_int !words;
-    (match tracer with Some tr -> Tracer.end_fire tr fire_ev | None -> ());
-    if v = source then session.inputs <- session.inputs + 1
-  in
-  session
+  {
+    cfg;
+    plan;
+    period;
+    machine =
+      Machine.create ?counters ?tracer ~caches:cfg.processors
+        ~cache_of:
+          (Array.init (Graph.num_nodes g) (fun v ->
+               assign.Assign.processor_of_component.(Spec.component_of spec v)))
+        ~graph:g ~cache:cfg.cache ~capacities:plan.Plan.capacities ();
+    words =
+      Array.init (Graph.num_nodes g) (fun v ->
+          Graph.state g v
+          + rate (Graph.in_edges g v) Graph.pop
+          + rate (Graph.out_edges g v) Graph.push);
+    batches_done = 0;
+    metrics;
+  }
+
+let replay machine period k =
+  for _ = 1 to k do
+    Schedule.iter period ~f:(Machine.fire machine)
+  done
 
 let run_batches session k =
-  for _ = 1 to k do
-    Ccs_sched.Schedule.iter session.period ~f:session.fire
-  done;
+  replay session.machine session.period k;
   session.batches_done <- session.batches_done + k
 
 let batches_done session = session.batches_done
 
 (* Pull-model sync: one labeled gauge set per processor cache, refreshed at
-   measurement points only — the per-firing touch loops above carry no
-   metrics code, so attaching a registry cannot perturb replacement. *)
+   measurement points only — the machine's firing path carries no metrics
+   code, so attaching a registry cannot perturb replacement. *)
 let sync_metrics session =
   match session.metrics with
   | None -> ()
@@ -224,7 +106,7 @@ let sync_metrics session =
         session.batches_done;
       Metrics.set
         (Metrics.gauge reg ~help:"Source firings executed" "ccs_multi_inputs")
-        session.inputs;
+        (Machine.source_inputs session.machine);
       Array.iteri
         (fun p cache ->
           let labels = [ ("proc", string_of_int p) ] in
@@ -241,204 +123,116 @@ let sync_metrics session =
           Metrics.set
             (g "ccs_cache_evictions" "Blocks displaced by replacement")
             (Cache.evictions cache))
-        session.caches
+        (Machine.caches session.machine)
+
+(* The speedup baseline: the same batches on one cache of the same size.
+   It is determined by (graph, plan, cache, batches done), so sessions
+   neither keep nor save it; it is replayed when a result is asked for. *)
+let uniprocessor_misses session =
+  let uni =
+    Machine.create
+      ~graph:(Machine.graph session.machine)
+      ~cache:session.cfg.cache ~capacities:session.plan.Plan.capacities ()
+  in
+  replay uni session.period session.batches_done;
+  Machine.misses uni
 
 let result session =
   sync_metrics session;
-  let per_processor_misses = Array.map Cache.misses session.caches in
-  let per_input x = x /. float_of_int (max 1 session.inputs) in
+  let m = session.machine in
+  let per_processor_misses = Array.map Cache.misses (Machine.caches m) in
+  (* Work is an int sum converted once: exact, so it equals a per-firing
+     float accumulation bit for bit. *)
+  let work = Array.make session.cfg.processors 0 in
+  Array.iteri
+    (fun v words ->
+      let p = Machine.cache_of m v in
+      work.(p) <- work.(p) + (Machine.fires m v * words))
+    session.words;
+  let inputs = Machine.source_inputs m in
+  let per_input x = x /. float_of_int (max 1 inputs) in
+  let time w misses =
+    per_input
+      (float_of_int w +. (session.cfg.miss_penalty *. float_of_int misses))
+  in
   let per_processor_time =
-    Array.mapi
-      (fun p w ->
-        per_input
-          (w
-          +. session.cfg.miss_penalty
-             *. float_of_int per_processor_misses.(p)))
-      session.work
+    Array.mapi (fun p w -> time w per_processor_misses.(p)) work
   in
   let makespan = Array.fold_left Float.max 0. per_processor_time in
   let uniprocessor_time =
-    per_input
-      (session.uni_work
-      +. session.cfg.miss_penalty
-         *. float_of_int (Cache.misses session.uni_cache))
+    time (Array.fold_left ( + ) 0 work) (uniprocessor_misses session)
   in
   {
     per_processor_misses;
-    per_processor_work = Array.map per_input session.work;
+    per_processor_work = Array.map (fun w -> per_input (float_of_int w)) work;
     per_processor_time;
     makespan;
     uniprocessor_time;
     speedup = (if makespan = 0. then 1. else uniprocessor_time /. makespan);
     total_misses = Array.fold_left ( + ) 0 per_processor_misses;
-    inputs = session.inputs;
+    inputs;
   }
 
 (* --- session snapshots ----------------------------------------------------- *)
 
-let magic = "CCSMSNAP"
-let version = 1
-
-let graph_digest g = Digest.to_hex (Digest.string (Ccs_sdf.Serial.to_text g))
-
-let policy_tag = function
-  | Cache.Lru -> (0, 0)
-  | Cache.Set_associative ways -> (1, ways)
-  | Cache.Direct_mapped -> (2, 0)
-
-let encode_cache w (p : Cache.persisted) =
-  Binio.W.int w p.Cache.p_accesses;
-  Binio.W.int w p.Cache.p_hits;
-  Binio.W.int w p.Cache.p_misses;
-  Binio.W.int w p.Cache.p_flushes;
-  Binio.W.int w (Array.length p.Cache.p_sets);
-  Array.iter (Binio.W.int_array w) p.Cache.p_sets
-
-let decode_cache ~path r =
-  let p_accesses = Binio.R.int r in
-  let p_hits = Binio.R.int r in
-  let p_misses = Binio.R.int r in
-  let p_flushes = Binio.R.int r in
-  let num_sets = Binio.R.int r in
-  if num_sets < 0 || num_sets > 1 lsl 30 then
-    E.fail
-      (E.Checkpoint_corrupt
-         { path; reason = Printf.sprintf "implausible set count %d" num_sets });
-  let p_sets = Array.init num_sets (fun _ -> Binio.R.int_array r) in
-  { Cache.p_accesses; p_hits; p_misses; p_flushes; p_sets }
-
 let save_session ~path session =
-  let w = Binio.W.create () in
-  Binio.W.string w (graph_digest session.graph);
-  Binio.W.string w session.plan_name;
-  Binio.W.int w session.cfg.processors;
-  Binio.W.float w session.cfg.miss_penalty;
-  Binio.W.int w session.cfg.cache.Cache.size_words;
-  Binio.W.int w session.cfg.cache.Cache.block_words;
-  let tag, ways = policy_tag session.cfg.cache.Cache.policy in
-  Binio.W.int w tag;
-  Binio.W.int w ways;
-  Binio.W.int_array w session.capacities;
-  Binio.W.int w session.batches_done;
-  Binio.W.int w session.inputs;
-  Binio.W.float w session.uni_work;
-  Binio.W.float_array w session.work;
-  Binio.W.int_array w (Array.map (fun c -> c.head) session.chans);
-  Binio.W.int_array w (Array.map (fun c -> c.tail) session.chans);
-  Binio.W.int w (Array.length session.caches);
-  Array.iter (fun c -> encode_cache w (Cache.persist c)) session.caches;
-  encode_cache w (Cache.persist session.uni_cache);
-  (match session.counters with
-  | None -> Binio.W.int w 0
-  | Some c ->
-      let accesses, misses = Counters.dump c in
-      Binio.W.int w 1;
-      Binio.W.int_array w accesses;
-      Binio.W.int_array w misses);
-  (match session.tracer with
-  | None -> Binio.W.int w 0
-  | Some tr ->
-      Binio.W.int w 1;
-      Binio.W.int w (Tracer.clock tr);
-      Binio.W.int w (Tracer.dropped tr));
-  Binio.write_file ~path ~magic ~version (Binio.W.contents w)
+  Checkpoint.save ~path
+    (Checkpoint.capture ~plan_name:session.plan.Plan.name
+       ~epoch:session.batches_done session.machine)
 
-let mismatch ~path ~field ~expected ~found =
-  E.fail (E.Checkpoint_mismatch { path; field; expected; found })
-
-let check ~path ~field ~expected ~found pp =
-  if expected <> found then
-    mismatch ~path ~field ~expected:(pp expected) ~found:(pp found)
+(* A session mismatch names the cache parameter that differs
+   ("cache.size_words"), where a machine checkpoint says "cache". *)
+let name_cache_field ~saved ~mine = function
+  | E.Checkpoint_mismatch ({ field = "cache"; _ } as m) as e -> (
+      let fields (c : Cache.config) =
+        let tag, ways = Ccs_exec.Plan_key.policy_tag c.Cache.policy in
+        [
+          ("size_words", c.Cache.size_words);
+          ("block_words", c.Cache.block_words);
+          ("policy", tag);
+          ("ways", ways);
+        ]
+      in
+      match
+        List.find_opt
+          (fun ((_, a), (_, b)) -> a <> b)
+          (List.combine (fields saved) (fields mine))
+      with
+      | Some ((field, a), (_, b)) ->
+          E.Checkpoint_mismatch
+            {
+              m with
+              field = "cache." ^ field;
+              expected = string_of_int a;
+              found = string_of_int b;
+            }
+      | None -> e)
+  | e -> e
 
 let load_session ~path session =
-  match Binio.read_file ~path ~magic ~version () with
-  | Error e -> Error e
-  | Ok payload ->
-      E.protect (fun () ->
-          let r = Binio.R.of_string ~path payload in
-          check ~path ~field:"graph"
-            ~expected:(Binio.R.string r)
-            ~found:(graph_digest session.graph) Fun.id;
-          check ~path ~field:"plan"
-            ~expected:(Binio.R.string r)
-            ~found:session.plan_name Fun.id;
-          check ~path ~field:"processors" ~expected:(Binio.R.int r)
-            ~found:session.cfg.processors string_of_int;
-          check ~path ~field:"miss_penalty" ~expected:(Binio.R.float r)
-            ~found:session.cfg.miss_penalty string_of_float;
-          check ~path ~field:"cache.size_words" ~expected:(Binio.R.int r)
-            ~found:session.cfg.cache.Cache.size_words string_of_int;
-          check ~path ~field:"cache.block_words" ~expected:(Binio.R.int r)
-            ~found:session.cfg.cache.Cache.block_words string_of_int;
-          let tag, ways = policy_tag session.cfg.cache.Cache.policy in
-          check ~path ~field:"cache.policy" ~expected:(Binio.R.int r)
-            ~found:tag string_of_int;
-          check ~path ~field:"cache.ways" ~expected:(Binio.R.int r) ~found:ways
-            string_of_int;
-          let capacities = Binio.R.int_array r in
-          if capacities <> session.capacities then
-            mismatch ~path ~field:"capacities"
-              ~expected:
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int capacities)))
-              ~found:
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int session.capacities)));
-          session.batches_done <- Binio.R.int r;
-          session.inputs <- Binio.R.int r;
-          session.uni_work <- Binio.R.float r;
-          let work = Binio.R.float_array r in
-          if Array.length work <> Array.length session.work then
-            mismatch ~path ~field:"work"
-              ~expected:(string_of_int (Array.length work))
-              ~found:(string_of_int (Array.length session.work));
-          Array.blit work 0 session.work 0 (Array.length work);
-          let heads = Binio.R.int_array r in
-          let tails = Binio.R.int_array r in
-          if
-            Array.length heads <> Array.length session.chans
-            || Array.length tails <> Array.length session.chans
-          then
-            mismatch ~path ~field:"channels"
-              ~expected:(string_of_int (Array.length heads))
-              ~found:(string_of_int (Array.length session.chans));
-          Array.iteri
-            (fun e c ->
-              c.head <- heads.(e);
-              c.tail <- tails.(e))
-            session.chans;
-          let num_caches = Binio.R.int r in
-          if num_caches <> Array.length session.caches then
-            mismatch ~path ~field:"caches"
-              ~expected:(string_of_int num_caches)
-              ~found:(string_of_int (Array.length session.caches));
-          let restore_cache cache =
-            let p = decode_cache ~path r in
-            try Cache.restore cache p
-            with Invalid_argument msg ->
-              E.fail (E.Checkpoint_corrupt { path; reason = msg })
-          in
-          Array.iter restore_cache session.caches;
-          restore_cache session.uni_cache;
-          (match (Binio.R.int r, session.counters) with
-          | 0, Some c -> Counters.reset c
-          | 0, None -> ()
-          | _, c ->
-              let accesses = Binio.R.int_array r in
-              let misses = Binio.R.int_array r in
-              Option.iter
-                (fun c ->
-                  try Counters.load c ~accesses ~misses
-                  with Invalid_argument msg ->
-                    E.fail (E.Checkpoint_corrupt { path; reason = msg }))
-                c);
-          (match (Binio.R.int r, session.tracer) with
-          | 0, _ -> ()
-          | _, tr ->
-              let clock = Binio.R.int r in
-              let dropped = Binio.R.int r in
-              Option.iter (fun tr -> Tracer.restore tr ~clock ~dropped) tr);
-          Binio.R.expect_end r)
+  let ( let* ) = Result.bind in
+  let* ckpt = Checkpoint.load ~path () in
+  let* () =
+    Checkpoint.validate ~path ckpt session.machine
+    |> Result.map_error
+         (name_cache_field ~saved:ckpt.Checkpoint.cache_config
+            ~mine:session.cfg.cache)
+  in
+  let* () =
+    if ckpt.Checkpoint.plan_name = session.plan.Plan.name then Ok ()
+    else
+      Error
+        (E.Checkpoint_mismatch
+           {
+             path;
+             field = "plan";
+             expected = ckpt.Checkpoint.plan_name;
+             found = session.plan.Plan.name;
+           })
+  in
+  let* () = Checkpoint.restore ~path ckpt session.machine in
+  session.batches_done <- ckpt.Checkpoint.epoch;
+  Ok ()
 
 (* --- one-shot wrappers ----------------------------------------------------- *)
 

@@ -7,9 +7,9 @@
     ({!Flight}) and the JSON substrate they share ({!Json}).  Nearly
     dependency-free — only the
     atomic-write substrate ({!Ccs_sdf.Binio}) is shared — and the
-    execution layers ([Ccs_exec.Machine], [Ccs_multi.Multi_machine],
-    [Ccs_runtime.Engine]) accept these as optional attachments and pay
-    nothing when they are absent. *)
+    execution layers ([Ccs_exec.Machine], and through it
+    [Ccs_multi.Multi_machine]; [Ccs_runtime.Engine]) accept these as
+    optional attachments and pay nothing when they are absent. *)
 
 module Counters = Counters
 module Tracer = Tracer

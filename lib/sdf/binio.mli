@@ -1,14 +1,15 @@
 (** Framed, checksummed binary files.
 
-    The persistence substrate shared by machine checkpoints
-    ({!Ccs_exec.Checkpoint}) and multiprocessor session snapshots
-    ({!Ccs_multi.Multi_machine}): an 8-byte magic, a format version, the
+    The persistence substrate of machine checkpoints
+    ({!Ccs_exec.Checkpoint}, which also hold multiprocessor sessions) and
+    the serve daemon's plan cache: an 8-byte magic, a format version, the
     payload length and an FNV-1a 64-bit checksum, followed by the payload.
     All scalars are little-endian 64-bit, so files are portable across
     word sizes.  {!read_file} validates the entire frame before returning
     the payload; truncation, bit corruption and version skew come back as
     structured {!Error.t} values ([Checkpoint_corrupt],
-    [Checkpoint_version]) instead of garbage state. *)
+    [Checkpoint_version]) instead of garbage state; a file with a foreign
+    magic is [Checkpoint_corrupt]. *)
 
 (** Payload writer: scalars and arrays appended to a growing buffer. *)
 module W : sig

@@ -68,7 +68,7 @@ let test_checkpoint_roundtrip_fields () =
       Alcotest.(check bool) "machine state equal" true
         (ckpt.Ccs.Checkpoint.machine = back.Ccs.Checkpoint.machine);
       Alcotest.(check bool) "cache state equal" true
-        (ckpt.Ccs.Checkpoint.cache = back.Ccs.Checkpoint.cache));
+        (ckpt.Ccs.Checkpoint.caches = back.Ccs.Checkpoint.caches));
   Sys.remove path
 
 (* The tentpole invariant, in its single-machine form: run to T1, save,
