@@ -46,15 +46,22 @@ let chaos () =
       };
     ]
 
-(* One arm: an Adapt.run with a data-carrying overlay attached to every
+(* One arm: a supervised run under [env] (and, with [adapt], the
+   adaptation controller) with a data-carrying overlay attached to every
    machine the loop creates (the initial one and every migration target). *)
 let arm ?metrics ?env ~adapt ~planner g cache =
   let overlay = Ccs.Overlay.create ~seed:overlay_seed g in
+  let adapt = if adapt then Some (Ccs.Adapt.create ~planner cache) else None in
+  let plan =
+    match adapt with
+    | Some c -> c.Ccs.Adapt.live.Ccs.Adapt.plan
+    | None -> (planner cache).Ccs.Adapt.plan
+  in
   match
-    Ccs.Adapt.run ?metrics ?env ~adapt
+    Ccs.Supervisor.run ?metrics ?env ?adapt
       ~epoch_outputs:(outputs / epochs)
       ~prepare:(Ccs.Overlay.attach overlay)
-      ~graph:g ~cache ~planner ~outputs ()
+      ~graph:g ~cache ~plan ~outputs ()
   with
   | Ok report -> (report, overlay)
   | Error e -> failwith (Ccs.Error.to_string e)
@@ -95,7 +102,12 @@ let e22 () =
         let scratch, _ =
           arm ~env:(chaos ()) ~adapt:false ~planner:scratch_planner g cache
         in
-        let misses r = r.Ccs.Adapt.result.Ccs.Runner.misses in
+        let misses r = r.Ccs.Supervisor.result.Ccs.Runner.misses in
+        let adaptations =
+          match adapted.Ccs.Supervisor.adapt with
+          | Some c -> List.length c.Ccs.Adapt.adaptations
+          | None -> 0
+        in
         if misses adapted >= misses stale then incr regressions;
         let mism = Ccs.Overlay.mismatches ~reference overlay in
         let compared = Ccs.Overlay.compared ~reference overlay in
@@ -122,8 +134,8 @@ let e22 () =
               ("adapted_misses", Json.Int (misses adapted));
               ("scratch_misses", Json.Int (misses scratch));
               ("gap_milli", Json.Int gap_milli);
-              ("adaptations", Json.Int (List.length adapted.Ccs.Adapt.adaptations));
-              ("chaos_events", Json.Int adapted.Ccs.Adapt.chaos_events);
+              ("adaptations", Json.Int adaptations);
+              ("chaos_events", Json.Int adapted.Ccs.Supervisor.chaos_events);
               ("sink_values_compared", Json.Int compared);
               ("output_mismatches", Json.Int mism);
               ("deterministic", Json.Bool deterministic);
@@ -134,7 +146,7 @@ let e22 () =
           string_of_int (misses adapted);
           string_of_int (misses scratch);
           Printf.sprintf "%+.1f%%" (float_of_int gap_milli /. 10.);
-          string_of_int (List.length adapted.Ccs.Adapt.adaptations);
+          string_of_int adaptations;
           string_of_int mism;
           (if deterministic then "yes" else "NO");
         ])

@@ -290,6 +290,7 @@ let run_cmd =
     (* Parse the chaos spec before planning so a bad spec fails fast. *)
     let env = Option.map Ccs.Fault.parse_env chaos in
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
+    let cache = Ccs.Config.cache_config cfg in
     let choice = Ccs.Auto.plan g cfg in
     let plan = choice.Ccs.Auto.plan in
     Printf.printf "partition: %d components; batch T=%d\n"
@@ -315,83 +316,24 @@ let run_cmd =
       | Some path, Some buf -> write_atomic ~path (Buffer.contents buf)
       | _ -> ()
     in
-    if chaos <> None || adapt then begin
-      (* Adverse-conditions run: a seeded chaos environment perturbs the
-         machine mid-run and (with --adapt) the adaptation loop answers
-         with graceful degradation and online repartitioning.  --chaos
-         alone is the "stale plan" arm: same perturbations, no response. *)
-      if inject_seed <> None then
-        or_die
-          (Error
-             "--chaos/--adapt drive the simulator machine, not the \
-              data-carrying engine; drop --inject-seed");
-      if resume || kill_after <> None then
-        or_die
-          (Error
-             "--chaos/--adapt run their own epoch loop; drop \
-              --resume/--kill-after (--checkpoint DIR and --interval still \
-              apply)");
-      Option.iter (Format.printf "chaos: %a@." Ccs.Fault.pp_env) env;
-      match
-        Ccs.Adapt.run ?env ~adapt ?checkpoint_dir:checkpoint
-          ~checkpoint_every:interval ?metrics ?log ~graph:g
-          ~cache:(Ccs.Config.cache_config cfg)
-          ~planner:(Ccs.Auto.adapt_planner g cfg)
-          ~outputs ()
-      with
-      | Error e ->
-          finish ();
-          or_die (Error (Ccs.Error.to_string e))
-      | Ok report ->
-          finish ();
-          Format.printf "%a@." Ccs.Adapt.pp_report report
-    end
-    else
-    match (inject_seed, checkpoint) with
-    | Some _, Some _ ->
+    match inject_seed with
+    | Some _ when checkpoint <> None || chaos <> None || adapt ->
         or_die
           (Error
              "--inject-seed runs the data-carrying engine, which has no \
-              checkpoint support; drop --checkpoint/--resume/--kill-after")
-    | _, None when resume || kill_after <> None ->
+              checkpoint, chaos or adaptation support; drop \
+              --checkpoint/--resume/--kill-after/--chaos/--adapt")
+    | _ when checkpoint = None && (resume || kill_after <> None) ->
         or_die (Error "--resume and --kill-after require --checkpoint DIR")
-    | None, Some dir -> (
-        (* Supervised, crash-safe run: epoch-aligned execution with periodic
-           checkpoints; --resume restores the newest one.  --kill-after N
-           aborts the process right after epoch N's completion (and any
-           checkpoint write), simulating a crash for the CI resume-smoke
-           test. *)
-        let supervisor_config =
-          { Ccs.Supervisor.default_config with checkpoint_every = interval }
-        in
-        let on_epoch =
-          Option.map
-            (fun n ~epoch ~machine:_ -> if epoch >= n then exit 137)
-            kill_after
-        in
-        match
-          Ccs.Supervisor.run ~config:supervisor_config ~checkpoint_dir:dir
-            ~resume ?metrics ?log ?on_epoch ~graph:g
-            ~cache:(Ccs.Config.cache_config cfg)
-            ~plan ~outputs ()
-        with
-        | Error e ->
-            finish ();
-            or_die (Error (Ccs.Error.to_string e))
-        | Ok report ->
-            finish ();
-            Format.printf "%a@." Ccs.Supervisor.pp_report report)
-    | None, None ->
+    | None when checkpoint = None && chaos = None && not adapt ->
         let result, machine =
-          Ccs.Runner.run ?metrics ~graph:g
-            ~cache:(Ccs.Config.cache_config cfg)
-            ~plan ~outputs ()
+          Ccs.Runner.run ?metrics ~graph:g ~cache ~plan ~outputs ()
         in
         finish ();
         Format.printf "%a@." Ccs.Runner.pp_result result;
         Format.printf "cache: %a@." Ccs.Cache.pp_stats
           (Ccs.Machine.cache machine)
-    | Some seed, None ->
+    | Some seed ->
         (* Fault drill: run real kernels with an injected fault plan; a
            triggered fault is contained and reported, with nonzero exit. *)
         let fault = Ccs.Fault.plan ~seed ~count:inject_count g in
@@ -402,8 +344,7 @@ let run_cmd =
         in
         let r =
           Result.bind
-            (Ccs.Engine.create_checked ?metrics ~program
-               ~cache:(Ccs.Config.cache_config cfg)
+            (Ccs.Engine.create_checked ?metrics ~program ~cache
                ~capacities:plan.Ccs.Plan.capacities ())
             (fun engine -> Ccs.Engine.run_plan_checked engine plan ~outputs)
         in
@@ -412,6 +353,36 @@ let run_cmd =
         finish ();
         let result = or_die (Result.map_error Ccs.Error.to_string r) in
         Format.printf "%a@." Ccs.Runner.pp_result result
+    | None -> (
+        (* Supervised run: epoch-aligned execution, with periodic
+           checkpoints under --checkpoint (--resume restores the newest
+           one), a seeded chaos environment under --chaos (alone, the
+           "stale plan" arm: perturbations land, the plan runs on) and the
+           adaptation controller under --adapt.  --kill-after N aborts the
+           process right after epoch N's completion (and any checkpoint
+           write), simulating a crash for the CI resume-smoke test. *)
+        Option.iter (Format.printf "chaos: %a@." Ccs.Fault.pp_env) env;
+        let planner = Ccs.Auto.adapt_planner g cfg in
+        let adapt =
+          if adapt then Some (Ccs.Adapt.create ~planner cache) else None
+        in
+        let live c = c.Ccs.Adapt.live.Ccs.Adapt.plan in
+        let plan = Option.fold ~none:plan ~some:live adapt in
+        let on_epoch =
+          Option.map
+            (fun n ~epoch ~machine:_ -> if epoch >= n then exit 137)
+            kill_after
+        in
+        let r =
+          Ccs.Supervisor.run
+            ~config:
+              { Ccs.Supervisor.default_config with checkpoint_every = interval }
+            ?checkpoint_dir:checkpoint ~resume ?env ?adapt ?metrics ?log
+            ?on_epoch ~graph:g ~cache ~plan ~outputs ()
+        in
+        finish ();
+        Format.printf "%a@." Ccs.Supervisor.pp_report
+          (or_die (Result.map_error Ccs.Error.to_string r)))
   in
   let metrics_file =
     Arg.(
@@ -420,9 +391,10 @@ let run_cmd =
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Collect runtime metrics (firings, cache statistics, and — \
-             under --checkpoint — supervisor/checkpoint/watchdog series) \
-             and write a snapshot to $(docv) on completion: Prometheus \
-             text format if $(docv) ends in .prom, JSON otherwise.")
+             under --checkpoint, --chaos or --adapt — supervisor, \
+             checkpoint, watchdog and adaptation series) and write a \
+             snapshot to $(docv) on completion: Prometheus text format if \
+             $(docv) ends in .prom, JSON otherwise.")
   in
   let log_file =
     Arg.(
@@ -431,8 +403,9 @@ let run_cmd =
       & info [ "log" ] ~docv:"FILE"
           ~doc:
             "Write structured JSON-lines lifecycle events (epochs, \
-             checkpoints, retries, rollbacks) to $(docv); only the \
-             supervised --checkpoint path emits events.")
+             checkpoints, retries, rollbacks, chaos, adaptations) to \
+             $(docv).  Supervised runs (--checkpoint, --chaos or --adapt) \
+             emit events; a plain run writes an empty file.")
   in
   let inject_seed =
     Arg.(
@@ -465,7 +438,9 @@ let run_cmd =
           ~doc:
             "Restore the newest checkpoint in the --checkpoint directory \
              before running; the resumed run reports exactly what an \
-             uninterrupted run would.")
+             uninterrupted run would (give a --chaos run the same spec).  \
+             Refused with --adapt: checkpoints do not hold the \
+             controller's state.")
   in
   let interval =
     Arg.(

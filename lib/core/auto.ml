@@ -92,7 +92,7 @@ let plan ?(dynamic = true) g cfg =
 
 (* Bridge to the adaptation layer: {!Ccs_sched.Adapt} sits below this
    library, so it takes planning as a callback.  The callback re-runs the
-   full pipeline for whatever cache configuration the adaptive loop asks
+   full pipeline for whatever cache configuration the controller asks
    for and pairs the plan with its Lemma-4/8 predicted bound — the
    yardstick the degradation detector compares measured misses against. *)
 let adapt_planner ?dynamic g cfg (cache : Ccs_cache.Cache.config) =

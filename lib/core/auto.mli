@@ -39,7 +39,7 @@ val plan : ?dynamic:bool -> Ccs_sdf.Graph.t -> Config.t -> choice
 
 val adapt_planner :
   ?dynamic:bool -> Ccs_sdf.Graph.t -> Config.t -> Ccs_sched.Adapt.planner
-(** [adapt_planner g cfg] is the planner callback {!Ccs_sched.Adapt.run}
+(** [adapt_planner g cfg] is the planner callback {!Ccs_sched.Adapt.create}
     needs: invoked with a cache configuration, it re-runs {!plan} for that
     cache (inheriting [cfg]'s augmentation) and pairs the result with its
     Lemma-4/8 predicted misses-per-input

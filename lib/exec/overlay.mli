@@ -14,7 +14,7 @@
     the violations (which a correct system keeps at zero).
 
     The overlay lives {e outside} the machine: attach it to every machine a
-    run creates (e.g. via {!Ccs_sched.Adapt.run}'s [prepare]) and it
+    run creates (e.g. via {!Ccs_sched.Supervisor.run}'s [prepare]) and it
     survives checkpointed migration for free — channel token counts are
     preserved by {!Machine.migrate}, and the shadow values were never
     machine state to begin with. *)

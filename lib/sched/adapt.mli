@@ -3,24 +3,25 @@
     online.
 
     The paper's bounds (Lemmas 4 and 8) hold for the cache a plan was built
-    for.  This module closes the loop when that assumption breaks at run
-    time: it drives the machine epoch by epoch (like {!Supervisor}), and at
-    every epoch boundary compares an EWMA of the {e measured}
-    misses-per-input (read from the [ccs_cache_misses] series of an
-    attached {!Ccs_obs.Metrics} registry, or from the machine directly)
-    against the live plan's predicted Lemma-4/8 bound.  When the ratio
-    exceeds a threshold for [patience] consecutive epochs, it climbs a
-    two-rung ladder:
+    for.  This module is the {e controller} that closes the loop when that
+    assumption breaks at run time.  It owns no loop: {!Supervisor.run}
+    drives the epochs, imposes the chaos environment, checkpoints and
+    retries, and hands the controller ({!step}) each epoch boundary and
+    each completed epoch's measured misses and inputs.  The controller
+    compares an EWMA of the measured misses-per-input against
+    the live plan's predicted Lemma-4/8 bound.  When the ratio exceeds a
+    threshold for [patience] consecutive epochs, it climbs a two-rung
+    ladder:
 
-    + {b graceful degradation} — the next epoch runs the partition-free
-      latest-first fallback schedule on the {e same} machine: no planning
-      latency, no buffered state lost (the capacities are unchanged), at
-      the price of cache-oblivious execution for one epoch;
-    + {b online repartitioning} — [repartition_delay] epochs later the
-      "background" replan completes: the planner is invoked for the
-      estimated effective capacity, a post-mortem checkpoint is saved, a
-      fresh machine is built for the new plan (under the environment's
-      actual cache config) and execution state migrates onto it via
+    + {b graceful degradation} — the next epochs run the partition-free
+      latest-first fallback schedule ({!epoch_plan}) on the {e same}
+      machine: no planning latency, no buffered state lost (the capacities
+      are unchanged), at the price of cache-oblivious execution;
+    + {b online repartitioning} — [repartition_delay] epoch boundaries
+      later the "background" replan completes: the planner is invoked for
+      the estimated effective capacity, a fresh machine is built for the
+      new plan (by the loop, under the environment's actual cache config)
+      and execution state migrates onto it via
       {!Ccs_exec.Machine.migrate} — firing counts, channel contents and
       cumulative miss totals all carry over; only cache residency is
       forfeit.
@@ -32,14 +33,8 @@
     ladder runs too: measured misses far {e below} the current bound for
     [patience] epochs probe one doubling back up.
 
-    Adverse conditions themselves come from a {!Ccs_exec.Fault.env} chaos
-    plan: cache shrinks/restores and associativity changes are imposed on
-    the machine ({!Ccs_exec.Machine.resize_cache}), demand bursts multiply
-    the epoch workload, and I/O-fault windows make checkpoint writes fail
-    (they are counted and logged, and the run continues — fault
-    containment, not fault amplification).  The whole loop is
-    deterministic: same seed, same graph, same planner — bit-identical
-    metrics. *)
+    The controller is one immutable record ({!t}): every step returns a
+    new one, so the loop can roll it back together with the machine. *)
 
 type planned = { plan : Plan.t; predicted_mpi : float }
 (** A plan together with its Lemma-4/8 predicted misses per input
@@ -83,65 +78,60 @@ type event = {
   assumed_words : int;  (** Effective capacity assumed after the step. *)
 }
 
-type report = {
-  result : Runner.result;
-  epochs : int;  (** Epochs actually driven (bursts shorten the count). *)
-  epoch_outputs : int;
-  adaptations : event list;  (** In occurrence order. *)
-  chaos_events : int;  (** Environment events applied to the machine. *)
-  io_faults : int;  (** Checkpoint writes lost to fault windows. *)
-  checkpoints_written : int;
-  final_plan : Plan.t;
-  final_predicted_mpi : float;
-  assumed_cache_words : int;
+type t = private {
+  policy : policy;
+  planner : planner;
+  nominal : Ccs_cache.Cache.config;  (** The cache the run was planned for. *)
+  live : planned;  (** The plan in force and its predicted bound. *)
+  assumed_words : int;  (** Effective capacity the live plan assumes. *)
+  ewma : float;  (** Measured misses per input; [nan] until sampled. *)
+  breach : int;  (** Consecutive epochs above the degrade threshold. *)
+  clean : int;  (** Consecutive epochs below the restore threshold. *)
+  cooldown : int;  (** Detection-free epochs left. *)
+  pending : int option;
+      (** A background replan, completing after this many more epoch
+          boundaries. *)
+  degraded : bool;  (** The fallback schedule is driving. *)
+  adaptations : event list;  (** Ladder steps taken, in occurrence order. *)
 }
+(** The controller: its policy and planner plus the ladder state. *)
 
-val run :
-  ?policy:policy ->
-  ?env:Ccs_exec.Fault.env ->
-  ?adapt:bool ->
-  ?checkpoint_dir:string ->
-  ?checkpoint_every:int ->
-  ?epoch_outputs:int ->
-  ?counters:Ccs_obs.Counters.t ->
-  ?tracer:Ccs_obs.Tracer.t ->
-  ?metrics:Ccs_obs.Metrics.t ->
-  ?log:Ccs_obs.Log.t ->
-  ?prepare:(Ccs_exec.Machine.t -> unit) ->
-  ?on_epoch:(epoch:int -> machine:Ccs_exec.Machine.t -> unit) ->
+val create : ?policy:policy -> planner:planner -> Ccs_cache.Cache.config -> t
+(** A controller for a run on the given nominal cache.  Invokes the
+    planner once, for that cache: its answer is the run's initial plan
+    ([c.live.plan]), the one {!Supervisor.run} must be handed.
+    @raise Invalid_argument on a [patience] below 1, an [ewma_alpha]
+    outside (0, 1] or a [degrade_ratio] not above 1. *)
+
+val epoch_plan : Ccs_sdf.Graph.t -> t -> Plan.t
+(** The plan that drives the next epoch: while degraded, the rung-1
+    fallback — latest-first dynamic driving at the live plan's capacities,
+    legal on any machine whose plan passed {!Plan.validate} (it is the
+    strategy {!Ccs_sdf.Minbuf} certifies); the live plan otherwise. *)
+
+(** What the loop reports to the controller: an epoch boundary, or one
+    completed epoch's measured misses and source inputs. *)
+type signal = Boundary | Measured of { misses : int; inputs : int }
+
+val step :
+  t ->
+  epoch:int ->
   graph:Ccs_sdf.Graph.t ->
-  cache:Ccs_cache.Cache.config ->
-  planner:planner ->
-  outputs:int ->
-  unit ->
-  (report, Ccs_sdf.Error.t) result
-(** Drive [outputs] sink firings under the chaos environment [env]
-    (default none), adapting when [adapt] (default [true]).  With
-    [adapt:false] the chaos is still applied but the initial plan runs to
-    the end — the "stale plan" arm of the experiments.
+  make_machine:(Plan.t -> Ccs_exec.Machine.t) ->
+  signal ->
+  Ccs_exec.Machine.t ->
+  t * Ccs_exec.Machine.t * event option
+(** One controller step, [epoch] epochs being complete.  Returns the next
+    record, the machine that drives on (the argument unless the run
+    migrated) and the ladder step taken, if any.
 
-    [cache] is the {e nominal} configuration: the initial machine uses it,
-    the planner is first invoked with it, and chaos conditions are imposed
-    relative to it.  [prepare] runs on every machine this loop creates —
-    the initial one and every migration target — so fire hooks survive
-    repartitioning.  [on_epoch] fires after each completed epoch.
-
-    Checkpoints are written every [checkpoint_every] epochs (default 4)
-    plus one before each migration, except during injected I/O-fault
-    windows (counted in the report instead).  Log events: [run_start],
-    [chaos], [burst], [adaptation], [checkpoint], [checkpoint_io_fault],
-    [epoch], [run_end] — epochs and adaptations carry the live plan's
-    {!Plan.id}.
-
-    Errors surface structurally ([Deadlocked], [Budget_exhausted],
-    checkpoint I/O, …); this loop does not retry — stacking retry on top
-    belongs to {!Supervisor}. *)
-
-val fallback_plan : Ccs_sdf.Graph.t -> capacities:int array -> Plan.t
-(** The rung-1 conservative fallback: latest-first dynamic driving at the
-    given capacities — legal on any machine whose plan passed
-    {!Plan.validate} (it is the strategy {!Ccs_sdf.Minbuf} certifies), and
-    exported for tests. *)
+    At a [Boundary], a pending background replan counts down; when it
+    completes, the controller finishes the current period, plans for the
+    assumed capacity, builds the new plan's machine with [make_machine]
+    and migrates the execution state onto it ([Repartition]).  A
+    [Measured] epoch feeds the EWMA: a sustained breach engages the
+    fallback and schedules a replan ([Degrade]); sustained headroom under
+    [probe_restore] migrates to a plan for twice the assumed capacity at
+    once ([Probe_restore]). *)
 
 val pp_event : Format.formatter -> event -> unit
-val pp_report : Format.formatter -> report -> unit

@@ -25,18 +25,7 @@ let run ?(events = false) ?event_limit ~graph ~cache ~plan ~outputs () =
       ~capacities:plan.Plan.capacities ()
   in
   plan.Plan.drive machine ~target_outputs:outputs;
-  let result =
-    {
-      Runner.plan_name = plan.Plan.name;
-      inputs = Machine.source_inputs machine;
-      outputs = Machine.sink_outputs machine;
-      misses = Machine.misses machine;
-      accesses = Cache.accesses (Machine.cache machine);
-      misses_per_input = Machine.misses_per_input machine;
-      buffer_words = Plan.buffer_words plan;
-      address_space_words = Machine.address_space_words machine;
-    }
-  in
+  let result = Runner.result_of ~plan machine in
   { result; machine; counters; tracer }
 
 let per_entity t =

@@ -224,19 +224,37 @@ let test_migrate_carries_state () =
 
 let shrink_env = F.parse_env "shrink@2:4"
 
-let adapt_run ?(adapt = true) ?env ?metrics ?policy g cfg ~outputs ~seed =
+let supervised ?(adapt = true) ?env ?metrics ?policy ?checkpoint_dir ?config
+    ?epoch_outputs ?prepare g cfg ~outputs =
+  let cache = Ccs.Config.cache_config cfg in
+  let planner = Ccs.Auto.adapt_planner g cfg in
+  let adapt =
+    if adapt then Some (Ccs.Adapt.create ?policy ~planner cache) else None
+  in
+  let plan =
+    match adapt with
+    | Some c -> c.Ccs.Adapt.live.Ccs.Adapt.plan
+    | None -> (planner cache).Ccs.Adapt.plan
+  in
+  Ccs.Supervisor.run ?config ?checkpoint_dir ?env ?adapt ?metrics ?prepare
+    ~epoch_outputs:
+      (Option.value epoch_outputs ~default:(max 1 (outputs / 16)))
+    ~graph:g ~cache ~plan ~outputs ()
+
+let adapt_run ?adapt ?env ?metrics ?policy g cfg ~outputs ~seed =
   let overlay = Ccs.Overlay.create ~seed g in
   match
-    Ccs.Adapt.run ?policy ?env ?metrics ~adapt
-      ~epoch_outputs:(max 1 (outputs / 16))
+    supervised ?adapt ?env ?metrics ?policy
       ~prepare:(Ccs.Overlay.attach overlay)
-      ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~planner:(Ccs.Auto.adapt_planner g cfg)
-      ~outputs ()
+      g cfg ~outputs
   with
   | Ok report -> (report, overlay)
   | Error e -> Alcotest.failf "adapt run failed: %s" (E.to_string e)
+
+let adaptations r =
+  match r.Ccs.Supervisor.adapt with
+  | Some c -> c.Ccs.Adapt.adaptations
+  | None -> []
 
 let test_stale_vs_adapted_regression () =
   (* Under a 4x cache shrink the adapted run must strictly beat the plan
@@ -250,9 +268,9 @@ let test_stale_vs_adapted_regression () =
   let adapted, _ =
     adapt_run ~adapt:true ~env:shrink_env g cfg ~outputs:8000 ~seed:1
   in
-  let m r = r.Ccs.Adapt.result.Ccs.Runner.misses in
+  let m r = r.Ccs.Supervisor.result.Ccs.Runner.misses in
   Alcotest.(check bool) "adaptation happened" true
-    (adapted.Ccs.Adapt.adaptations <> []);
+    (adaptations adapted <> []);
   if m adapted >= m stale then
     Alcotest.failf "adapted (%d misses) did not beat stale (%d)" (m adapted)
       (m stale)
@@ -268,7 +286,7 @@ let test_adapted_outputs_bit_exact () =
   Alcotest.(check bool) "migrated" true
     (List.exists
        (fun e -> e.Ccs.Adapt.action = Ccs.Adapt.Repartition)
-       adapted.Ccs.Adapt.adaptations);
+       (adaptations adapted));
   Alcotest.(check bool) "values compared" true
     (Ccs.Overlay.compared ~reference overlay > 0);
   Alcotest.(check int) "bit-exact sink outputs" 0
@@ -284,7 +302,7 @@ let test_adapt_deterministic () =
       adapt_run ~adapt:true ~env:shrink_env ~metrics g cfg ~outputs:4000
         ~seed:5
     in
-    (Ccs.Metrics.to_json_string metrics, report.Ccs.Adapt.adaptations)
+    (Ccs.Metrics.to_json_string metrics, adaptations report)
   in
   let s1, a1 = snap () and s2, a2 = snap () in
   Alcotest.(check string) "identical metrics snapshots" s1 s2;
@@ -301,20 +319,18 @@ let test_io_fault_contained () =
   let env = F.parse_env "shrink@2:4,iofault@0:32" in
   let overlay = Ccs.Overlay.create ~seed:5 g in
   (match
-     Ccs.Adapt.run ~env ~adapt:true ~checkpoint_dir:dir ~checkpoint_every:2
+     supervised ~env ~checkpoint_dir:dir
+       ~config:{ Ccs.Supervisor.default_config with checkpoint_every = 2 }
        ~epoch_outputs:250
        ~prepare:(Ccs.Overlay.attach overlay)
-       ~graph:g
-       ~cache:(Ccs.Config.cache_config cfg)
-       ~planner:(Ccs.Auto.adapt_planner g cfg)
-       ~outputs:4000 ()
+       g cfg ~outputs:4000
    with
   | Error e -> Alcotest.failf "run failed: %s" (E.to_string e)
   | Ok report ->
       Alcotest.(check bool) "io faults counted" true
-        (report.Ccs.Adapt.io_faults > 0);
+        (report.Ccs.Supervisor.io_faults > 0);
       Alcotest.(check int) "no checkpoints written" 0
-        report.Ccs.Adapt.checkpoints_written);
+        report.Ccs.Supervisor.checkpoints_written);
   if Sys.file_exists dir then begin
     Array.iter
       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())

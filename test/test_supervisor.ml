@@ -267,6 +267,124 @@ let test_resume_from_corrupt_checkpoint_rejected () =
       | Error e ->
           Alcotest.(check string) "error code" "checkpoint-corrupt" (E.code e))
 
+(* --- supervision under adaptation ----------------------------------------- *)
+
+let fm_radio () =
+  (Option.get (Ccs_apps.Suite.find "fm-radio")).Ccs_apps.Suite.graph ()
+
+(* fm-radio under a 4x cache shrink at epoch 2: the controller degrades and
+   then repartitions within the run's 16 epochs. *)
+let adaptive_run ?checkpoint_dir ?(resume = false) ?counters ?prepare () =
+  let g = fm_radio () in
+  let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
+  let cache = Ccs.Config.cache_config cfg in
+  let c = Ccs.Adapt.create ~planner:(Ccs.Auto.adapt_planner g cfg) cache in
+  Ccs.Supervisor.run
+    ~config:{ Ccs.Supervisor.default_config with checkpoint_every = 1 }
+    ?checkpoint_dir ~resume ~env:(Ccs.Fault.parse_env "shrink@2:4") ~adapt:c
+    ?counters ?prepare ~epoch_outputs:250 ~graph:g ~cache
+    ~plan:c.Ccs.Adapt.live.Ccs.Adapt.plan ~outputs:4000 ()
+
+let adaptations r =
+  match r.Ccs.Supervisor.adapt with
+  | Some c -> c.Ccs.Adapt.adaptations
+  | None -> []
+
+let ok_report = function
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("adaptive run failed: " ^ E.to_string e)
+
+let test_adaptive_run_prunes () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      let report = ok_report (adaptive_run ~checkpoint_dir:dir ()) in
+      Alcotest.(check bool) "adapted" true (adaptations report <> []);
+      Alcotest.(check int) "one checkpoint per epoch"
+        report.Ccs.Supervisor.epochs report.Ccs.Supervisor.checkpoints_written;
+      Alcotest.(check bool) "at most keep files left" true
+        (Array.length (Sys.readdir dir)
+        <= Ccs.Supervisor.default_config.Ccs.Supervisor.keep))
+
+let test_retry_under_adaptation () =
+  (* A transient fault one epoch after the first migration: the loop rolls
+     back machine, plan and controller record together, so the retried run
+     ends exactly where the fault-free one does. *)
+  let g = fm_radio () in
+  let entities = G.num_nodes g + G.num_edges g in
+  let c_ref = Ccs.Counters.create ~entities in
+  let fires = Hashtbl.create 16 in
+  let reference =
+    ok_report
+      (adaptive_run ~counters:c_ref
+         ~prepare:(fun m ->
+           Ccs.Machine.set_fire_hook m
+             (Some
+                (fun _ ->
+                  Hashtbl.replace fires (Ccs.Machine.sink_outputs m)
+                    (Ccs.Machine.total_fires m))))
+         ())
+  in
+  let migration =
+    List.find
+      (fun e -> e.Ccs.Adapt.action = Ccs.Adapt.Repartition)
+      (adaptations reference)
+  in
+  (* The firing index where the epoch after the migration's ends. *)
+  let at_fire =
+    Hashtbl.find fires ((migration.Ccs.Adapt.at_epoch + 2) * 250)
+  in
+  List.iter
+    (fun checkpointed ->
+      let dir = fresh_dir () in
+      let checkpoint_dir = if checkpointed then Some dir else None in
+      let armed = ref true in
+      let fault m =
+        Ccs.Machine.set_fire_hook m
+          (Some
+             (fun _ ->
+               if !armed && Ccs.Machine.total_fires m >= at_fire then begin
+                 armed := false;
+                 raise
+                   (E.Error
+                      (E.Fault
+                         {
+                           node = "m0";
+                           fault = E.Kernel_exception;
+                           detail = "transient injected fault";
+                         }))
+               end))
+      in
+      let c = Ccs.Counters.create ~entities in
+      let report =
+        Fun.protect
+          ~finally:(fun () -> remove_dir dir)
+          (fun () ->
+            ok_report
+              (adaptive_run ?checkpoint_dir ~counters:c ~prepare:fault ()))
+      in
+      let r1 = reference.Ccs.Supervisor.result in
+      let r2 = report.Ccs.Supervisor.result in
+      Alcotest.(check bool) "fault fired" false !armed;
+      Alcotest.(check int) "one retry" 1 report.Ccs.Supervisor.retries;
+      Alcotest.(check bool) "same result" true (r1 = r2);
+      Alcotest.(check bool) "same adaptation events" true
+        (adaptations reference = adaptations report);
+      Alcotest.(check bool) "same per-entity counters" true
+        (Ccs.Counters.dump c_ref = Ccs.Counters.dump c))
+    [ false; true ]
+
+let test_resume_with_controller_rejected () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      match adaptive_run ~checkpoint_dir:dir ~resume:true () with
+      | Error (E.Failure_msg { context = "resume"; _ }) -> ()
+      | Error e -> Alcotest.fail ("wrong error: " ^ E.to_string e)
+      | Ok _ -> Alcotest.fail "adaptive resume accepted")
+
 (* --- the kill/resume determinism property --------------------------------- *)
 
 exception Killed
@@ -287,7 +405,7 @@ let gen_sdf_dag =
           ~max_rate:4 ~extra_edges:extra ())
       (triple (int_range 0 10_000) (int_range 2 8) (int_range 0 4)))
 
-let kill_resume_bit_identical (g, kill_epoch, m_idx) =
+let kill_resume_bit_identical ?(env = []) (g, kill_epoch, m_idx) =
   let m_words = [| 128; 256; 512 |].(m_idx) in
   let cfg = Ccs.Config.make ~cache_words:m_words ~block_words:8 () in
   let cache = Ccs.Config.cache_config cfg in
@@ -304,7 +422,7 @@ let kill_resume_bit_identical (g, kill_epoch, m_idx) =
       let supervised ?checkpoint_dir ?(resume = false) ?on_epoch counters
           =
         Ccs.Supervisor.run ~config ?checkpoint_dir ~resume ~epoch_outputs
-          ~counters ?on_epoch ~graph:g ~cache ~plan ~outputs ()
+          ~env ~counters ?on_epoch ~graph:g ~cache ~plan ~outputs ()
       in
       let c_ref = Ccs.Counters.create ~entities in
       let reference =
@@ -347,16 +465,36 @@ let kill_resume_bit_identical (g, kill_epoch, m_idx) =
               && r1.Ccs.Runner.inputs = r2.Ccs.Runner.inputs
               && Ccs.Counters.dump c_ref = Ccs.Counters.dump c_res)
 
+(* A chaos environment for a kill at [kill_epoch]: a cache shrink strictly
+   before the kill point, a demand burst, and optionally a window of
+   checkpoint I/O faults (so the newest durable checkpoint may be older
+   than the kill). *)
+let chaos_env ~kill_epoch (shrink, divisor, (burst_at, mult, len), io) =
+  Ccs.Fault.env_of_sites
+    ({ Ccs.Fault.at_epoch = shrink mod kill_epoch;
+       event = Ccs.Fault.Cache_shrink divisor }
+    :: { Ccs.Fault.at_epoch = burst_at;
+         event = Ccs.Fault.Burst { mult; len } }
+    :: List.map
+         (fun (at, len) ->
+           { Ccs.Fault.at_epoch = at; event = Ccs.Fault.Io_fault { len } })
+         (Option.to_list io))
+
 let prop_kill_resume_bit_identical =
   QCheck2.Test.make
     ~name:"killed-at-any-epoch + resumed == uninterrupted (misses, \
            attribution, outputs)"
     ~count:30
     QCheck2.Gen.(
-      triple
-        (oneof [ gen_pipeline; gen_sdf_dag ])
-        (int_range 1 8) (int_range 0 2))
-    kill_resume_bit_identical
+      pair
+        (triple
+           (oneof [ gen_pipeline; gen_sdf_dag ])
+           (int_range 1 8) (int_range 0 2))
+        (quad (int_range 0 7) (int_range 2 4)
+           (triple (int_range 0 8) (int_range 2 3) (int_range 1 3))
+           (option (pair (int_range 0 8) (int_range 1 2)))))
+    (fun (((_, kill_epoch, _) as case), chaos) ->
+      kill_resume_bit_identical ~env:(chaos_env ~kill_epoch chaos) case)
 
 (* Regression: the dynamic plans of these pipelines fill cross edges that
    carry few tokens per period (seed 35: 256 tokens on an edge carrying 6
@@ -392,6 +530,15 @@ let () =
             test_resume_under_different_cache_rejected;
           Alcotest.test_case "resume from corrupt checkpoint rejected" `Quick
             test_resume_from_corrupt_checkpoint_rejected;
+        ] );
+      ( "adaptation",
+        [
+          Alcotest.test_case "adaptive run prunes checkpoints" `Quick
+            test_adaptive_run_prunes;
+          Alcotest.test_case "retry under adaptation" `Quick
+            test_retry_under_adaptation;
+          Alcotest.test_case "resume with a controller rejected" `Quick
+            test_resume_with_controller_rejected;
         ] );
       ( "determinism",
         [
