@@ -30,7 +30,9 @@ let e17 () =
     List.map
       (fun plan ->
         let result, lat =
-          Ccs.Runner.run_with_latency ~graph:g ~cache ~plan ~outputs:8192 ()
+          ok_exn
+            (Ccs.Runner.run_with_latency ~graph:g ~cache ~plan ~outputs:8192
+               ())
         in
         if Json.enabled () then
           Json.point

@@ -60,12 +60,12 @@ let e14 () =
         let spec = fitting_partition ~b g ~m in
         let t = R.granularity g a ~at_least:m in
         let plan = Ccs.Partitioned.batch g a spec ~t in
-        let machine =
-          Ccs.Machine.create ~record_trace:true ~graph:g
-            ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
-            ~capacities:plan.Ccs.Plan.capacities ()
+        let _, machine =
+          ok_exn
+            (Ccs.Runner.run ~record_trace:true ~graph:g
+               ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
+               ~plan ~outputs:1000 ())
         in
-        plan.Ccs.Plan.drive machine ~target_outputs:1000;
         let lru = Ccs.Machine.misses machine in
         let blocks =
           Ccs.Cache.Opt.block_trace ~block_words:b (Ccs.Machine.trace machine)

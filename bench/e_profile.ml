@@ -27,8 +27,9 @@ let e19 () =
         (* Trace the first app only: one Chrome document per run. *)
         let events = !traced <> None in
         let profile =
-          Ccs.Profile.run ~events ~graph:g ~cache
-            ~plan:choice.Ccs.Auto.plan ~outputs:2000 ()
+          ok_exn
+            (Ccs.Profile.run ~events ~graph:g ~cache
+               ~plan:choice.Ccs.Auto.plan ~outputs:2000 ())
         in
         (match !traced with
         | Some path ->

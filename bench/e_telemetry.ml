@@ -22,11 +22,13 @@ let e21 () =
         let g = entry.Ccs_apps.Suite.graph () in
         let choice = Ccs.Auto.plan ~dynamic:false g cfg in
         let plan = choice.Ccs.Auto.plan in
-        let base, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
+        let base, _ =
+          ok_exn (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs ())
+        in
         let base_misses = base.Ccs.Runner.misses in
         let metrics = Ccs.Metrics.create () in
         let metered, machine =
-          Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs ()
+          ok_exn (Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs ())
         in
         let misses = metered.Ccs.Runner.misses in
         let series name = Ccs.Metrics.value metrics name in

@@ -10,12 +10,12 @@ module T = Ccs.Trace_analysis
 open Util
 
 let capture g plan ~m ~b =
-  let machine =
-    Ccs.Machine.create ~record_trace:true ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
-      ~capacities:plan.Ccs.Plan.capacities ()
+  let _, machine =
+    ok_exn
+      (Ccs.Runner.run ~record_trace:true ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
+         ~plan ~outputs:2000 ())
   in
-  plan.Ccs.Plan.drive machine ~target_outputs:2000;
   Ccs.Cache.Opt.block_trace ~block_words:b (Ccs.Machine.trace machine)
 
 let e18 () =

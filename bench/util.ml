@@ -38,15 +38,18 @@ let record_bound ~label value =
         ("misses_per_input", Json.Float value);
       ]
 
-let run_mpi g cache plan outputs =
-  let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
-  record_run g cache r;
-  r.Ccs.Runner.misses_per_input
+(* Experiments abort on a structured error: every run here must succeed. *)
+let ok_exn = function
+  | Ok v -> v
+  | Error e -> failwith (Ccs.Error.to_string e)
 
 let run_result g cache plan outputs =
-  let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
+  let r, _ = ok_exn (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs ()) in
   record_run g cache r;
   r
+
+let run_mpi g cache plan outputs =
+  (run_result g cache plan outputs).Ccs.Runner.misses_per_input
 
 let f = Ccs.Table.fmt_float
 

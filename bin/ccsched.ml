@@ -96,6 +96,8 @@ let or_die = function
       prerr_endline ("ccsched: " ^ msg);
       exit 1
 
+let or_die_error r = or_die (Result.map_error Ccs.Error.to_string r)
+
 (* Atomic file write, same discipline as checkpoints and trace exports:
    readers never observe a half-written snapshot, and concurrent
    ccsched processes writing the same path cannot clobber each other's
@@ -326,10 +328,9 @@ let run_cmd =
     | _ when checkpoint = None && (resume || kill_after <> None) ->
         or_die (Error "--resume and --kill-after require --checkpoint DIR")
     | None when checkpoint = None && chaos = None && not adapt ->
-        let result, machine =
-          Ccs.Runner.run ?metrics ~graph:g ~cache ~plan ~outputs ()
-        in
+        let r = Ccs.Runner.run ?metrics ~graph:g ~cache ~plan ~outputs () in
         finish ();
+        let result, machine = or_die_error r in
         Format.printf "%a@." Ccs.Runner.pp_result result;
         Format.printf "cache: %a@." Ccs.Cache.pp_stats
           (Ccs.Machine.cache machine)
@@ -346,13 +347,12 @@ let run_cmd =
           Result.bind
             (Ccs.Engine.create_checked ?metrics ~program ~cache
                ~capacities:plan.Ccs.Plan.capacities ())
-            (fun engine -> Ccs.Engine.run_plan_checked engine plan ~outputs)
+            (fun engine -> Ccs.Engine.run_plan engine plan ~outputs)
         in
         (* Export whatever was collected even when the drill trips — a
            contained fault is the expected outcome here. *)
         finish ();
-        let result = or_die (Result.map_error Ccs.Error.to_string r) in
-        Format.printf "%a@." Ccs.Runner.pp_result result
+        Format.printf "%a@." Ccs.Runner.pp_result (or_die_error r)
     | None -> (
         (* Supervised run: epoch-aligned execution, with periodic
            checkpoints under --checkpoint (--resume restores the newest
@@ -382,7 +382,7 @@ let run_cmd =
         in
         finish ();
         Format.printf "%a@." Ccs.Supervisor.pp_report
-          (or_die (Result.map_error Ccs.Error.to_string r)))
+          (or_die_error r))
   in
   let metrics_file =
     Arg.(
@@ -429,7 +429,8 @@ let run_cmd =
       & info [ "checkpoint" ] ~docv:"DIR"
           ~doc:
             "Run under the crash-safe supervisor, writing checkpoints to \
-             $(docv) (created if missing).")
+             $(docv) (created if missing).  Without --resume, $(docv) must \
+             hold no checkpoints: a directory belongs to one run.")
   in
   let resume =
     Arg.(
@@ -534,11 +535,12 @@ let profile_cmd =
     let choice = Ccs.Auto.plan ~dynamic:false g cfg in
     let plan = choice.Ccs.Auto.plan in
     let profile =
-      Ccs.Profile.run
-        ~events:(trace_out <> None)
-        ~graph:g
-        ~cache:(Ccs.Config.cache_config cfg)
-        ~plan ~outputs ()
+      or_die_error
+        (Ccs.Profile.run
+           ~events:(trace_out <> None)
+           ~graph:g
+           ~cache:(Ccs.Config.cache_config cfg)
+           ~plan ~outputs ())
     in
     let rec take k = function
       | x :: rest when k > 0 -> x :: take (k - 1) rest
@@ -773,12 +775,12 @@ let trace_cmd =
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
     let choice = Ccs.Auto.plan ~dynamic:false g cfg in
     let plan = choice.Ccs.Auto.plan in
-    let machine =
-      Ccs.Machine.create ~record_trace:true ~graph:g
-        ~cache:(Ccs.Config.cache_config cfg)
-        ~capacities:plan.Ccs.Plan.capacities ()
+    let _, machine =
+      or_die_error
+        (Ccs.Runner.run ~record_trace:true ~graph:g
+           ~cache:(Ccs.Config.cache_config cfg)
+           ~plan ~outputs ())
     in
-    plan.Ccs.Plan.drive machine ~target_outputs:outputs;
     let blocks =
       Ccs.Cache.Opt.block_trace ~block_words:b (Ccs.Machine.trace machine)
     in

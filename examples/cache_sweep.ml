@@ -15,8 +15,12 @@ let () =
         let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
         let choice = Ccs.Auto.plan ~dynamic:false g cfg in
         let result, _ =
-          Ccs.Runner.run ~graph:g ~cache:(Ccs.Config.cache_config cfg)
-            ~plan:choice.Ccs.Auto.plan ~outputs:4000 ()
+          match
+            Ccs.Runner.run ~graph:g ~cache:(Ccs.Config.cache_config cfg)
+              ~plan:choice.Ccs.Auto.plan ~outputs:4000 ()
+          with
+          | Ok run -> run
+          | Error e -> failwith (Ccs.Error.to_string e)
         in
         let predicted =
           Ccs.Analysis.partition_cost_prediction choice.Ccs.Auto.partition

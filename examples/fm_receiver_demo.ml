@@ -65,8 +65,11 @@ let () =
       ~plan:choice.Ccs.Auto.plan ()
   in
   let audio_samples = 8_192 in
-  let result = Ccs.Engine.run_plan engine choice.Ccs.Auto.plan ~outputs:audio_samples in
-  Format.printf "%a@." Ccs.Runner.pp_result result;
+  (match
+     Ccs.Engine.run_plan engine choice.Ccs.Auto.plan ~outputs:audio_samples
+   with
+  | Ok result -> Format.printf "%a@." Ccs.Runner.pp_result result
+  | Error e -> failwith (Ccs.Error.to_string e));
 
   (* Estimate the recovered tone's frequency from zero crossings of the
      (DC-removed) audio. *)

@@ -10,15 +10,6 @@ val add_fir :
   Ccs_sdf.Graph.node
 (** A unit-rate FIR module. *)
 
-val add_decimating_fir :
-  Ccs_sdf.Graph.Builder.t ->
-  name:string ->
-  taps:int ->
-  factor:int ->
-  Ccs_sdf.Graph.node
-(** An FIR that consumes [factor] samples per output sample (when wired
-    with {!val:consume} below). *)
-
 val unit_edge :
   Ccs_sdf.Graph.Builder.t ->
   Ccs_sdf.Graph.node ->

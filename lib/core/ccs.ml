@@ -10,11 +10,12 @@
       let g = Ccs.Generators.uniform_pipeline ~n:64 ~state:128 () in
       let cfg = Ccs.Config.make ~cache_words:1024 ~block_words:16 () in
       let choice = Ccs.Auto.plan g cfg in
-      let result, _machine =
+      match
         Ccs.Runner.run ~graph:g ~cache:(Ccs.Config.cache_config cfg)
           ~plan:choice.Ccs.Auto.plan ~outputs:10_000 ()
-      in
-      Format.printf "%a@." Ccs.Runner.pp_result result
+      with
+      | Ok (result, _) -> Format.printf "%a@." Ccs.Runner.pp_result result
+      | Error e -> prerr_endline (Ccs.Error.to_string e)
     ]}
 
     The submodules re-export the full stack: the SDF substrate
@@ -83,7 +84,6 @@ module Kohli = Ccs_sched.Kohli
 module Partitioned = Ccs_sched.Partitioned
 module Analysis = Ccs_sched.Analysis
 module Runner = Ccs_sched.Runner
-module Watchdog = Ccs_sched.Watchdog
 module Supervisor = Ccs_sched.Supervisor
 module Adapt = Ccs_sched.Adapt
 module Profile = Ccs_sched.Profile

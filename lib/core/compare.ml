@@ -68,14 +68,17 @@ let run ?outputs ?plans g cfg =
   let rows =
     List.map
       (fun plan ->
+        let failed msg =
+          {
+            result = failed_result plan.Sched.Plan.name;
+            ok = false;
+            error = Some msg;
+          }
+        in
         match Runner.run ~graph:g ~cache ~plan ~outputs () with
-        | result, _ -> { result; ok = true; error = None }
-        | exception e ->
-            {
-              result = failed_result plan.Sched.Plan.name;
-              ok = false;
-              error = Some (Printexc.to_string e);
-            })
+        | Ok (result, _) -> { result; ok = true; error = None }
+        | Error e -> failed (Ccs_sdf.Error.to_string e)
+        | exception e -> failed (Printexc.to_string e))
       plans
   in
   let m = cfg.Config.cache_words and b = cfg.Config.block_words in

@@ -38,8 +38,9 @@ val run :
   Config.t ->
   report
 (** Run every plan to [outputs] sink firings (default 10× the cache size,
-    rounded up to whole periods by each plan).  A plan that raises is
-    reported with [ok = false] rather than aborting the comparison. *)
+    rounded up to whole periods by each plan) through
+    {!Ccs_sched.Runner.run}.  A plan that stalls or raises is reported with
+    [ok = false] and its error rather than aborting the comparison. *)
 
 val print : report -> unit
 (** Human-readable table on stdout. *)

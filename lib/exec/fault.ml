@@ -69,10 +69,10 @@ let targets ?fault t =
     t.sites
 
 let pp fmt t =
-  Format.fprintf fmt "@[<v>fault plan (%d sites)@," (List.length t.sites);
+  Format.fprintf fmt "@[<v>fault plan (%d sites)" (List.length t.sites);
   List.iter
     (fun s ->
-      Format.fprintf fmt "  %s on firing %d of %s@,"
+      Format.fprintf fmt "@,  %s on firing %d of %s"
         (E.fault_class_to_string s.fault)
         s.at_fire
         (Graph.node_name t.graph s.node))
@@ -384,11 +384,10 @@ let env_to_string env =
        env)
 
 let pp_env fmt env =
-  Format.fprintf fmt "@[<v>environment plan (%d events)@,"
-    (List.length env);
+  Format.fprintf fmt "@[<v>environment plan (%d events)" (List.length env);
   List.iter
     (fun s ->
-      Format.fprintf fmt "  epoch %d: %s@," s.at_epoch
+      Format.fprintf fmt "@,  epoch %d: %s" s.at_epoch
         (env_event_to_string s.event))
     env;
   Format.fprintf fmt "@]"

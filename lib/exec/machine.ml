@@ -401,11 +401,6 @@ let fire t v =
 let set_fire_hook t hook = t.fire_hook <- hook
 let set_fire_budget t budget = t.fire_budget <- budget
 
-let fire_many t v k =
-  for _ = 1 to k do
-    fire t v
-  done
-
 let run t seq = List.iter (fire t) seq
 let fires t v = t.fire_count.(v)
 let total_fires t = t.total_fires

@@ -135,15 +135,12 @@ val set_fire_hook : t -> (Ccs_sdf.Graph.node -> unit) option -> unit
 val set_fire_budget : t -> int option -> unit
 (** Install (or clear) a cap on {!total_fires}; once reached, any further
     {!fire} raises {!Budget_exceeded} instead of executing.  Used by
-    {!Ccs_sched.Watchdog} to bound runaway or livelocked drivers. *)
+    {!Ccs_sched.Runner.drive} to bound runaway or livelocked drivers. *)
 
 val snapshot : t -> Ccs_sdf.Error.snapshot
 (** Diagnostic freeze-frame: firing/input/output counts, every channel's
     occupancy against its capacity, and every currently-blocked module with
     its {!fireable_reason}. *)
-
-val fire_many : t -> Ccs_sdf.Graph.node -> int -> unit
-(** [fire_many t v k] fires [v] exactly [k] times. *)
 
 val run : t -> Ccs_sdf.Graph.node list -> unit
 (** Fire a sequence in order. *)

@@ -16,7 +16,7 @@ let level_of_string = function
   | _ -> None
 
 type t = {
-  mutable threshold : level;
+  threshold : level;
   sink : string -> unit;
   mutable seq : int; (* lines emitted, a deterministic per-run ordinal *)
   now : (unit -> int) option;
@@ -59,8 +59,6 @@ let tee t extra =
     now = t.now;
   }
 
-let with_timestamps t now = { t with now = Some now }
-let set_level t level = t.threshold <- level
 let level t = t.threshold
 let enabled t l = level_rank l >= level_rank t.threshold
 let lines t = t.seq

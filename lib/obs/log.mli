@@ -43,10 +43,6 @@ val tee : t -> (string -> unit) -> t
     from [t]'s current [seq] and the two do not share mutable state, so
     wrap once at process start. *)
 
-val with_timestamps : t -> (unit -> int) -> t
-(** [with_timestamps t now] is [t] with the opt-in clock enabled. *)
-
-val set_level : t -> level -> unit
 val level : t -> level
 val enabled : t -> level -> bool
 

@@ -121,29 +121,20 @@ let create_checked ?record_trace ?(validate = true) ?counters ?tracer ?metrics
 let machine t = t.machine
 let fire t v = Machine.fire t.machine v
 
-let result_of_run t plan = Ccs_sched.Runner.result_of ~plan t.machine
-
-let run_plan t plan ~outputs =
+let run_plan ?budget t plan ~outputs =
   if plan.Ccs_sched.Plan.capacities <> t.capacities then
-    invalid_arg "Engine.run_plan: plan capacities differ from the engine's";
-  plan.Ccs_sched.Plan.drive t.machine ~target_outputs:outputs;
-  Machine.sync_metrics t.machine;
-  result_of_run t plan
-
-let run_plan_checked ?budget t plan ~outputs =
-  if plan.Ccs_sched.Plan.capacities <> t.capacities then
-    Result.error
+    Error
       (E.Plan_invalid
          {
            plan = plan.Ccs_sched.Plan.name;
            reason = "plan capacities differ from the engine's";
          })
   else
-    match Ccs_sched.Watchdog.drive ?budget t.machine ~plan ~outputs with
-    | Error e -> Result.error e
-    | Ok () ->
+    Result.map
+      (fun () ->
         Machine.sync_metrics t.machine;
-        Ok (result_of_run t plan)
+        Ccs_sched.Runner.result_of ~plan t.machine)
+      (Ccs_sched.Runner.drive ?budget t.machine ~plan ~outputs)
 
 let of_plan ?record_trace ?validate ?counters ?tracer ?metrics ~program ~cache
     ~plan () =

@@ -13,7 +13,7 @@
 
     {2 Fault containment}
 
-    The [_checked] constructors and runners contain misbehaving kernels
+    {!create_checked} and {!run_plan} contain misbehaving kernels
     (including those wrapped by {!Program.inject}) instead of crashing or
     corrupting downstream state: a kernel that raises, emits non-finite
     tokens (with [validate]), or initialises state of the wrong arity comes
@@ -65,23 +65,20 @@ val fire : t -> Ccs_sdf.Graph.node -> unit
 (** Fire one module: checks legality, moves cache blocks, and runs the
     kernel. *)
 
-val run_plan : t -> Ccs_sched.Plan.t -> outputs:int -> Ccs_sched.Runner.result
-(** Drive the engine's machine with the plan until the sink has fired
-    [outputs] times, running every kernel along the way; returns the same
-    measurement record as {!Ccs_sched.Runner.run}.
-    @raise Invalid_argument if the plan's capacities differ from the
-    engine's (they must be built from the same plan). *)
-
-val run_plan_checked :
+val run_plan :
   ?budget:int ->
   t ->
   Ccs_sched.Plan.t ->
   outputs:int ->
   (Ccs_sched.Runner.result, Ccs_sdf.Error.t) result
-(** {!run_plan} under the {!Ccs_sched.Watchdog}: kernel faults come back
-    as [Fault] errors, stalls as [Deadlocked]/[Budget_exhausted] with a
-    machine snapshot, and a capacity mismatch as [Plan_invalid] — no
-    exception escapes for any of the fault classes under test. *)
+(** Drive the engine's machine with the plan through
+    {!Ccs_sched.Runner.drive} until the sink has fired [outputs] times,
+    running every kernel along the way; returns the same measurement
+    record as {!Ccs_sched.Runner.run}.  Kernel faults come back as [Fault]
+    errors, stalls as [Deadlocked]/[Budget_exhausted] with a machine
+    snapshot, and a plan whose capacities differ from the engine's (they
+    must be built from the same plan) as [Plan_invalid] — no exception
+    escapes for any of the fault classes under test. *)
 
 val of_plan :
   ?record_trace:bool ->

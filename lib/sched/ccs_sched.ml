@@ -10,7 +10,6 @@ module Kohli = Kohli
 module Partitioned = Partitioned
 module Analysis = Analysis
 module Runner = Runner
-module Watchdog = Watchdog
 module Supervisor = Supervisor
 module Adapt = Adapt
 module Profile = Profile

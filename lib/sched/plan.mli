@@ -88,7 +88,7 @@ val validate :
       and firing indices do not fit in an [int].
 
     Dynamic plans (no [period]) skip the period checks — their legality is
-    enforced at run time by the machine and {!Watchdog}.
+    enforced at run time by the machine and {!Runner.drive}.
 
     Cost: O(schedule tree × channels touched) for the period, never
     O(firings): {!Simulate.validate} certifies it from per-subtree

@@ -20,13 +20,9 @@ let run ?(events = false) ?event_limit ~graph ~cache ~plan ~outputs () =
   let tracer =
     if events then Some (Tracer.create ?limit:event_limit ()) else None
   in
-  let machine =
-    Machine.create ~counters ?tracer ~graph ~cache
-      ~capacities:plan.Plan.capacities ()
-  in
-  plan.Plan.drive machine ~target_outputs:outputs;
-  let result = Runner.result_of ~plan machine in
-  { result; machine; counters; tracer }
+  Result.map
+    (fun (result, machine) -> { result; machine; counters; tracer })
+    (Runner.run ~counters ?tracer ~graph ~cache ~plan ~outputs ())
 
 let per_entity t =
   Trace_export.entity_summary t.counters ~label:(Machine.entity_label t.machine)

@@ -26,11 +26,11 @@ val run :
   plan:Plan.t ->
   outputs:int ->
   unit ->
-  t
-(** Like {!Runner.run} with attribution counters always attached; with
+  (t, Ccs_sdf.Error.t) result
+(** {!Runner.run} with attribution counters always attached; with
     [events] (default [false]) an event tracer too, keeping at most
     [event_limit] events (default 1M; later events are counted but
-    dropped). *)
+    dropped).  Errors are {!Runner.run}'s. *)
 
 val per_entity : t -> (string * int * int) list
 (** [(label, accesses, misses)] for every entity that was touched at least

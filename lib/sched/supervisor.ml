@@ -223,6 +223,23 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
                   machine, not the controller's live plan and ladder state";
              });
       Option.iter ensure_dir checkpoint_dir;
+      (* A fresh run must not mix its checkpoints with another run's:
+         pruning and [resume] order files by epoch alone. *)
+      let latest = Option.bind checkpoint_dir latest_checkpoint in
+      (match latest with
+      | Some (_, path) when not resume ->
+          E.fail
+            (E.Failure_msg
+               {
+                 context = "checkpoint";
+                 reason =
+                   Printf.sprintf
+                     "%s already holds checkpoints (newest: %s); pass \
+                      --resume to continue that run, or use an empty \
+                      directory"
+                     (Filename.dirname path) path;
+               })
+      | _ -> ());
       ev Log.Info "run_start"
         [
           ("plan", Json.String plan.Plan.name);
@@ -267,11 +284,18 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
               tracer);
         machine
       in
-      let resumed =
-        if resume then Option.bind checkpoint_dir latest_checkpoint else None
-      in
+      let resumed = if resume then latest else None in
       Option.iter
         (fun (epoch, path) ->
+          if epoch > total_epochs then
+            E.fail
+              (E.Checkpoint_mismatch
+                 {
+                   path;
+                   field = "epoch";
+                   expected = Printf.sprintf "at most %d" total_epochs;
+                   found = string_of_int epoch;
+                 });
           durable := (epoch, Some path, None);
           ev Log.Info "resume"
             [ ("epoch", Json.Int epoch); ("path", Json.String path) ])
@@ -347,7 +371,7 @@ let run ?(config = default_config) ?checkpoint_dir ?(resume = false)
         let misses = Machine.misses m and inputs = Machine.source_inputs m in
         let ticks = Cache.accesses (Machine.cache m) in
         Result.iter_error E.fail
-          (Watchdog.drive ?metrics m ~plan:epoch_plan ~outputs:targets.(i));
+          (Runner.drive ?metrics m ~plan:epoch_plan ~outputs:targets.(i));
         Machine.sync_metrics m;
         let ticks = Cache.accesses (Machine.cache m) - ticks in
         steer ~epoch:(i + 1) ~make_machine

@@ -87,10 +87,14 @@ val run :
     migrate the run onto new machines.
 
     [checkpoint_dir] enables checkpointing (the directory is created if
-    missing; the newest [config.keep] files are retained).  [resume]
-    restores the latest checkpoint in [checkpoint_dir] before running —
-    rejecting it with [Checkpoint_mismatch] if it belongs to a different
-    graph, cache configuration, capacity vector or plan — and is a no-op
+    missing; the newest [config.keep] files are retained).  Without
+    [resume] the directory must hold no checkpoints: files of another run
+    would be pruned and resumed as this run's, so a [Failure_msg] error
+    naming the newest one is returned instead (nothing is deleted).
+    [resume] restores the latest checkpoint in [checkpoint_dir] before
+    running — rejecting it with [Checkpoint_mismatch] if it belongs to a
+    different graph, cache configuration, capacity vector or plan, or
+    (field ["epoch"]) lies past this run's epoch count — and is a no-op
     when the directory has no checkpoints.  A checkpoint holds the machine
     only, not a controller's record, so [resume] with [adapt] is rejected
     with a [Failure_msg] error.  [prepare] runs on every machine the loop

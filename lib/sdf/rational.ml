@@ -77,7 +77,6 @@ let compare a b =
 let equal a b = a.num = b.num && a.den = b.den
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let sign a = Stdlib.compare a.num 0
 let is_integer a = a.den = 1
 
 let to_int_exn a =

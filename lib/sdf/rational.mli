@@ -43,7 +43,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
-val sign : t -> int
 
 val is_integer : t -> bool
 

@@ -125,6 +125,18 @@ let test_env_parse_roundtrip () =
   Alcotest.(check int) "site count" 5 (List.length (F.env_sites env));
   Alcotest.(check bool) "round-trip" true (F.env_sites env = F.env_sites env2)
 
+(* The printer breaks between lines only: under a prefix such as the CLI's
+   "chaos: ", a trailing break would print a line of spaces. *)
+let test_env_printer () =
+  let pp env = Format.asprintf "chaos: %a" F.pp_env env in
+  Alcotest.(check string) "two events"
+    "chaos: environment plan (2 events)\n\
+    \         epoch 2: shrink:4\n\
+    \         epoch 3: burst:2x2"
+    (pp (F.parse_env "shrink@2:4,burst@3:2x2"));
+  Alcotest.(check string) "no events" "chaos: environment plan (0 events)"
+    (pp [])
+
 let test_env_parse_errors () =
   let bad spec =
     match F.parse_env spec with
@@ -399,6 +411,8 @@ let () =
           Alcotest.test_case "conditions fold" `Quick test_conditions_fold;
           Alcotest.test_case "cache config clamps" `Quick
             test_env_cache_config_clamps;
+          Alcotest.test_case "printer breaks between lines only" `Quick
+            test_env_printer;
         ] );
       ( "check",
         [ Alcotest.test_case "cache_config lint" `Quick test_check_cache_config ] );

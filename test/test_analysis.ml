@@ -69,7 +69,9 @@ let test_lower_bound_below_any_schedule () =
   let cache = Ccs.Cache.config ~size_words:m ~block_words:b () in
   List.iter
     (fun plan ->
-      let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:4000 () in
+      let r, _ =
+        Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:4000 ())
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: measured %.3f >= lb %.3f" r.Ccs.Runner.plan_name
            r.Ccs.Runner.misses_per_input lb)
@@ -104,7 +106,8 @@ let test_latency_minimal_vs_batch () =
   let cache = Ccs.Cache.config ~size_words:m ~block_words:8 () in
   let run plan =
     let _, lat =
-      Ccs.Runner.run_with_latency ~graph:g ~cache ~plan ~outputs:1000 ()
+      Must.ok
+        (Ccs.Runner.run_with_latency ~graph:g ~cache ~plan ~outputs:1000 ())
     in
     lat
   in
@@ -132,9 +135,10 @@ let test_latency_multirate () =
   let a = R.analyze_exn g in
   let plan = Ccs.Baseline.minimal_memory g a in
   let _, lat =
-    Ccs.Runner.run_with_latency ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:64 ~block_words:8 ())
-      ~plan ~outputs:100 ()
+    Must.ok
+      (Ccs.Runner.run_with_latency ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:64 ~block_words:8 ())
+         ~plan ~outputs:100 ())
   in
   (* Every output needs 2 inputs; demand-driven keeps backlog at 0. *)
   Alcotest.(check int) "backlog 0" 0 lat.Ccs.Runner.max_inputs_behind

@@ -94,9 +94,10 @@ let test_plan_drive_reaches_target () =
   let a = R.analyze_exn g in
   let plan = Ccs.Baseline.round_robin g a in
   let result, machine =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
-      ~plan ~outputs:100 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
+         ~plan ~outputs:100 ())
   in
   Alcotest.(check bool) "reached target" true (result.Ccs.Runner.outputs >= 100);
   Alcotest.(check int) "machine agrees" result.Ccs.Runner.outputs

@@ -86,9 +86,10 @@ let test_contracted_graph_schedulable () =
   let a' = R.analyze_exn g' in
   let plan = Ccs.Baseline.minimal_memory g' a' in
   let r, _ =
-    Ccs.Runner.run ~graph:g'
-      ~cache:(Ccs.Cache.config ~size_words:256 ~block_words:8 ())
-      ~plan ~outputs:50 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g'
+         ~cache:(Ccs.Cache.config ~size_words:256 ~block_words:8 ())
+         ~plan ~outputs:50 ())
   in
   Alcotest.(check bool) "ran" true (r.Ccs.Runner.outputs >= 50)
 
@@ -132,9 +133,10 @@ let test_hierarchical_schedulable () =
   let t = R.granularity g a ~at_least:1024 in
   let plan = Ccs.Partitioned.batch g a h ~t in
   let r, _ =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:2048 ~block_words:16 ())
-      ~plan ~outputs:100 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:2048 ~block_words:16 ())
+         ~plan ~outputs:100 ())
   in
   Alcotest.(check bool) "runs" true (r.Ccs.Runner.outputs >= 100)
 
@@ -185,9 +187,10 @@ let test_normalize_multi () =
   (* And the normalized graph runs end-to-end. *)
   let plan = Ccs.Baseline.minimal_memory g' a' in
   let r, _ =
-    Ccs.Runner.run ~graph:g'
-      ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
-      ~plan ~outputs:20 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g'
+         ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
+         ~plan ~outputs:20 ())
   in
   Alcotest.(check bool) "runs" true (r.Ccs.Runner.outputs >= 20)
 
@@ -198,9 +201,10 @@ let test_normalize_enables_auto () =
   let cfg = Ccs.Config.make ~cache_words:128 ~block_words:8 () in
   let choice = Ccs.Auto.plan info.Ccs.Transform.graph cfg in
   let r, _ =
-    Ccs.Runner.run ~graph:info.Ccs.Transform.graph
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:30 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:info.Ccs.Transform.graph
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:30 ())
   in
   Alcotest.(check bool) "scheduled" true (r.Ccs.Runner.outputs >= 30)
 

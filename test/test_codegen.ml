@@ -32,7 +32,7 @@ let engine_reference g plan ~outputs =
       ~cache:(Ccs.Cache.config ~size_words:4096 ~block_words:16 ())
       ~plan ()
   in
-  let r = Ccs.Engine.run_plan engine plan ~outputs in
+  let r = Must.ok (Ccs.Engine.run_plan engine plan ~outputs) in
   let sink = G.sink g in
   (r.Ccs.Runner.outputs, (Ccs.Engine.state engine sink).(0))
 

@@ -73,8 +73,9 @@ let test_auto_runs_on_every_app () =
       let g = entry.Ccs_apps.Suite.graph () in
       let choice = A.plan g cfg in
       let r, _ =
-        Ccs.Runner.run ~graph:g ~cache:(C.cache_config cfg)
-          ~plan:choice.A.plan ~outputs:100 ()
+        Must.ok
+          (Ccs.Runner.run ~graph:g ~cache:(C.cache_config cfg)
+             ~plan:choice.A.plan ~outputs:100 ())
       in
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " produced outputs")

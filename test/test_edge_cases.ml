@@ -82,9 +82,10 @@ let test_pipeline_dynamic_with_delay () =
   let spec = Ccs.Spec.of_assignment g' [| 0; 0; 0; 1; 1; 1 |] in
   let plan = Ccs.Partitioned.pipeline_dynamic g' a spec ~m_tokens:32 in
   let r, _ =
-    Ccs.Runner.run ~graph:g'
-      ~cache:(C.config ~size_words:64 ~block_words:8 ())
-      ~plan ~outputs:200 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g'
+         ~cache:(C.config ~size_words:64 ~block_words:8 ())
+         ~plan ~outputs:200 ())
   in
   Alcotest.(check bool) "runs with delays" true (r.Ccs.Runner.outputs >= 200)
 
@@ -99,8 +100,9 @@ let test_engine_capacity_mismatch () =
       ~capacities:[| 5; 5 |] ()
   in
   match Ccs.Engine.run_plan engine plan ~outputs:5 with
-  | _ -> Alcotest.fail "capacity mismatch must be rejected"
-  | exception Invalid_argument _ -> ()
+  | Error (Ccs.Error.Plan_invalid _) -> ()
+  | Ok _ -> Alcotest.fail "capacity mismatch must be rejected"
+  | Error e -> Alcotest.fail ("expected Plan_invalid: " ^ Ccs.Error.to_string e)
 
 let test_codegen_rejects_illegal_plan () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:4 () in

@@ -94,8 +94,9 @@ let test_chain_of_split_joins () =
   let cfg = Ccs.Config.make ~cache_words:64 ~block_words:8 () in
   let choice = Ccs.Auto.plan g cfg in
   let r, _ =
-    Ccs.Runner.run ~graph:g ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:50 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:50 ())
   in
   Alcotest.(check bool) "runs" true (r.Ccs.Runner.outputs >= 50)
 

@@ -6,7 +6,7 @@ module R = Ccs.Rates
 module Sp = Ccs.Spec
 
 let run_plan g cache plan outputs =
-  let r, m = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
+  let r, m = Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs ()) in
   (r.Ccs.Runner.misses_per_input, r, m)
 
 (* Claim (Lemma 4): the partitioned pipeline schedule's misses/input track
@@ -159,9 +159,10 @@ let test_degree_limit_matters () =
   (* It still runs correctly — the cost guarantee, not safety, is lost. *)
   let plan = Ccs.Partitioned.homogeneous g a spec ~m_tokens:m in
   let r, _ =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
-      ~plan ~outputs:500 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
+         ~plan ~outputs:500 ())
   in
   Alcotest.(check bool) "runs" true (r.Ccs.Runner.outputs >= 500)
 
@@ -177,7 +178,7 @@ let test_schedulers_agree_on_outputs () =
   let outputs = 777 in
   List.iter
     (fun plan ->
-      let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs () in
+      let r, _ = Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs ()) in
       Alcotest.(check bool)
         (plan.Ccs.Plan.name ^ " >= target")
         true
@@ -187,6 +188,51 @@ let test_schedulers_agree_on_outputs () =
       Ccs.Partitioned.homogeneous g a spec ~m_tokens:m;
       Ccs.Partitioned.pipeline_dynamic g a spec ~m_tokens:m;
     ]
+
+(* The guarded driver changes nothing on a successful run: Runner.run and
+   Profile.run report exactly what the bare path — a fresh machine driven
+   by the plan's own driver — reports, down to the per-entity counters. *)
+let test_guarded_runs_match_bare_drive () =
+  let cfg = Ccs.Config.make ~cache_words:256 ~block_words:16 () in
+  let cache = Ccs.Config.cache_config cfg in
+  let outputs = 1000 in
+  List.iter
+    (fun entry ->
+      let g = entry.Ccs_apps.Suite.graph () in
+      let entities = G.num_nodes g + G.num_edges g in
+      List.iter
+        (fun dynamic ->
+          let plan = (Ccs.Auto.plan ~dynamic g cfg).Ccs.Auto.plan in
+          let check what expected actual =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: %s" entry.Ccs_apps.Suite.name
+                 plan.Ccs.Plan.name what)
+              true (expected = actual)
+          in
+          let c_bare = Ccs.Counters.create ~entities in
+          let bare =
+            Ccs.Machine.create ~counters:c_bare ~graph:g ~cache
+              ~capacities:plan.Ccs.Plan.capacities ()
+          in
+          plan.Ccs.Plan.drive bare ~target_outputs:outputs;
+          let expected = Ccs.Runner.result_of ~plan bare in
+          let c_run = Ccs.Counters.create ~entities in
+          let run, _ =
+            Must.ok
+              (Ccs.Runner.run ~counters:c_run ~graph:g ~cache ~plan ~outputs
+                 ())
+          in
+          let profile =
+            Must.ok (Ccs.Profile.run ~graph:g ~cache ~plan ~outputs ())
+          in
+          check "Runner.run result" expected run;
+          check "Profile.run result" expected profile.Ccs.Profile.result;
+          check "Runner.run counters" (Ccs.Counters.dump c_bare)
+            (Ccs.Counters.dump c_run);
+          check "Profile.run counters" (Ccs.Counters.dump c_bare)
+            (Ccs.Counters.dump profile.Ccs.Profile.counters))
+        [ false; true ])
+    Ccs_apps.Suite.all
 
 let () =
   Alcotest.run "integration"
@@ -206,5 +252,7 @@ let () =
             test_degree_limit_matters;
           Alcotest.test_case "schedulers agree" `Quick
             test_schedulers_agree_on_outputs;
+          Alcotest.test_case "guarded runs match the bare drive" `Quick
+            test_guarded_runs_match_bare_drive;
         ] );
     ]

@@ -166,10 +166,12 @@ let test_metrics_bit_identical () =
   let cache = Ccs.Config.cache_config cfg in
   let choice = Ccs.Auto.plan ~dynamic:false g cfg in
   let plan = choice.Ccs.Auto.plan in
-  let plain, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 () in
+  let plain, _ =
+    Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+  in
   let metrics = M.create () in
   let metered, machine =
-    Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs:2000 ()
+    Must.ok (Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs:2000 ())
   in
   Alcotest.(check int) "same misses" plain.Ccs.Runner.misses
     metered.Ccs.Runner.misses;

@@ -113,9 +113,10 @@ let machine_setup () =
 let test_attribution_sums_exactly () =
   let g, cfg, choice = machine_setup () in
   let profile =
-    Ccs.Profile.run ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:2000 ()
+    Must.ok
+      (Ccs.Profile.run ~graph:g
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:2000 ())
   in
   Alcotest.(check int) "misses attributed"
     profile.Ccs.Profile.result.Ccs.Runner.misses
@@ -131,9 +132,10 @@ let test_attribution_sums_on_app_suite () =
       let cfg = Ccs.Config.make ~cache_words:1024 ~block_words:16 () in
       let choice = Ccs.Auto.plan ~dynamic:false g cfg in
       let profile =
-        Ccs.Profile.run ~graph:g
-          ~cache:(Ccs.Config.cache_config cfg)
-          ~plan:choice.Ccs.Auto.plan ~outputs:500 ()
+        Must.ok
+          (Ccs.Profile.run ~graph:g
+             ~cache:(Ccs.Config.cache_config cfg)
+             ~plan:choice.Ccs.Auto.plan ~outputs:500 ())
       in
       Alcotest.(check int)
         (entry.Ccs_apps.Suite.name ^ " misses attributed")
@@ -145,15 +147,18 @@ let test_disabled_observers_bit_identical () =
   let g, cfg, choice = machine_setup () in
   let cache = Ccs.Config.cache_config cfg in
   let plain, _ =
-    Ccs.Runner.run ~graph:g ~cache ~plan:choice.Ccs.Auto.plan ~outputs:2000 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g ~cache ~plan:choice.Ccs.Auto.plan
+         ~outputs:2000 ())
   in
   let counters =
     Ccs.Counters.create ~entities:(G.num_nodes g + G.num_edges g)
   in
   let tracer = Ccs.Tracer.create () in
   let observed, _ =
-    Ccs.Runner.run ~counters ~tracer ~graph:g ~cache
-      ~plan:choice.Ccs.Auto.plan ~outputs:2000 ()
+    Must.ok
+      (Ccs.Runner.run ~counters ~tracer ~graph:g ~cache
+         ~plan:choice.Ccs.Auto.plan ~outputs:2000 ())
   in
   Alcotest.(check int) "same misses" plain.Ccs.Runner.misses
     observed.Ccs.Runner.misses;
@@ -165,9 +170,10 @@ let test_disabled_observers_bit_identical () =
 let test_load_events_equal_misses () =
   let g, cfg, choice = machine_setup () in
   let profile =
-    Ccs.Profile.run ~events:true ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:2000 ()
+    Must.ok
+      (Ccs.Profile.run ~events:true ~graph:g
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:2000 ())
   in
   let tr = Option.get profile.Ccs.Profile.tracer in
   Alcotest.(check int) "no drops" 0 (Ccs.Tracer.dropped tr);
@@ -220,9 +226,10 @@ let contains ~needle hay =
 let test_chrome_export_shape () =
   let g, cfg, choice = machine_setup () in
   let profile =
-    Ccs.Profile.run ~events:true ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:200 ()
+    Must.ok
+      (Ccs.Profile.run ~events:true ~graph:g
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:200 ())
   in
   let json = Ccs.Profile.chrome ~process_name:"test" profile in
   List.iter
@@ -264,9 +271,10 @@ let test_metadata_names_escaped () =
 let test_entity_summary_sorted () =
   let g, cfg, choice = machine_setup () in
   let profile =
-    Ccs.Profile.run ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs:500 ()
+    Must.ok
+      (Ccs.Profile.run ~graph:g
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs:500 ())
   in
   let rows = Ccs.Profile.per_entity profile in
   Alcotest.(check bool) "nonempty" true (rows <> []);
@@ -298,9 +306,10 @@ let prop_attribution_exact =
       let cfg = Ccs.Config.make ~cache_words:256 ~block_words:8 () in
       let choice = Ccs.Auto.plan ~dynamic:false g cfg in
       let profile =
-        Ccs.Profile.run ~graph:g
-          ~cache:(Ccs.Config.cache_config cfg)
-          ~plan:choice.Ccs.Auto.plan ~outputs:200 ()
+        Must.ok
+          (Ccs.Profile.run ~graph:g
+             ~cache:(Ccs.Config.cache_config cfg)
+             ~plan:choice.Ccs.Auto.plan ~outputs:200 ())
       in
       Ccs.Profile.attributed_misses profile
       = profile.Ccs.Profile.result.Ccs.Runner.misses

@@ -136,9 +136,10 @@ let test_dag_dynamic_runs () =
   let spec = D.best g a ~bound:(m / 2) ~max_degree:(m / 64) () in
   let plan = Ccs.Partitioned.dag_dynamic g a spec ~m_tokens:m in
   let r, machine =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:m ~block_words:16 ())
-      ~plan ~outputs:1000 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:m ~block_words:16 ())
+         ~plan ~outputs:1000 ())
   in
   Alcotest.(check bool) "reached target" true (r.Ccs.Runner.outputs >= 1000);
   List.iter
@@ -158,7 +159,9 @@ let test_dag_dynamic_matches_static_cost () =
   let cache = Ccs.Cache.config ~size_words:m ~block_words:16 () in
   let spec = D.best g a ~bound:(m / 2) ~max_degree:4 () in
   let run plan =
-    let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 () in
+    let r, _ =
+      Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+    in
     r.Ccs.Runner.misses_per_input
   in
   let dyn = run (Ccs.Partitioned.dag_dynamic g a spec ~m_tokens:m) in

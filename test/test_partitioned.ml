@@ -158,9 +158,10 @@ let test_amortization_on_machine () =
   let spec = Ccs.Pipeline_partition.optimal_dp g a ~bound:(m / 2) in
   let plan = Pt.batch g a spec ~t:m in
   let r, _ =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
-      ~plan ~outputs:(20 * m) ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:m ~block_words:b ())
+         ~plan ~outputs:(20 * m) ())
   in
   let predicted =
     Ccs.Analysis.partition_cost_prediction spec a ~b ~t:m
@@ -178,9 +179,10 @@ let test_pipeline_dynamic_runs () =
   let spec = Ccs.Pipeline_partition.optimal_dp g a ~bound:64 in
   let plan = Pt.pipeline_dynamic g a spec ~m_tokens:128 in
   let r, machine =
-    Ccs.Runner.run ~graph:g
-      ~cache:(Ccs.Cache.config ~size_words:256 ~block_words:8 ())
-      ~plan ~outputs:500 ()
+    Must.ok
+      (Ccs.Runner.run ~graph:g
+         ~cache:(Ccs.Cache.config ~size_words:256 ~block_words:8 ())
+         ~plan ~outputs:500 ())
   in
   Alcotest.(check bool) "reached target" true (r.Ccs.Runner.outputs >= 500);
   (* Token conservation on every channel. *)
@@ -205,7 +207,9 @@ let test_pipeline_dynamic_beats_naive () =
   let m = 256 in
   let cache = Ccs.Cache.config ~size_words:m ~block_words:16 () in
   let run plan =
-    let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:4000 () in
+    let r, _ =
+      Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:4000 ())
+    in
     r.Ccs.Runner.misses_per_input
   in
   let spec = Ccs.Pipeline_partition.optimal_dp g a ~bound:(m / 2) in
@@ -231,9 +235,10 @@ let test_batch_multirate_machine_run () =
       let t = R.granularity g a ~at_least:256 in
       let plan = Pt.batch g a spec ~t in
       let r, _ =
-        Ccs.Runner.run ~graph:g
-          ~cache:(Ccs.Cache.config ~size_words:2048 ~block_words:16 ())
-          ~plan ~outputs:50 ()
+        Must.ok
+          (Ccs.Runner.run ~graph:g
+             ~cache:(Ccs.Cache.config ~size_words:2048 ~block_words:16 ())
+             ~plan ~outputs:50 ())
       in
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " ran")

@@ -9,9 +9,10 @@ let profiled ?(outputs = 1000) ?(events = false) ~cache_words name =
   let cfg = Ccs.Config.make ~cache_words ~block_words:16 () in
   let choice = Ccs.Auto.plan ~dynamic:false g cfg in
   let profile =
-    Ccs.Profile.run ~events ~graph:g
-      ~cache:(Ccs.Config.cache_config cfg)
-      ~plan:choice.Ccs.Auto.plan ~outputs ()
+    Must.ok
+      (Ccs.Profile.run ~events ~graph:g
+         ~cache:(Ccs.Config.cache_config cfg)
+         ~plan:choice.Ccs.Auto.plan ~outputs ())
   in
   (profile, choice)
 

@@ -140,9 +140,10 @@ let prop_partitioned_runs_on_machine =
       let t = R.granularity g a ~at_least:32 in
       let plan = Ccs.Partitioned.batch g a spec ~t in
       let r, machine =
-        Ccs.Runner.run ~graph:g
-          ~cache:(Ccs.Cache.config ~size_words:512 ~block_words:8 ())
-          ~plan ~outputs:20 ()
+        Must.ok
+          (Ccs.Runner.run ~graph:g
+             ~cache:(Ccs.Cache.config ~size_words:512 ~block_words:8 ())
+             ~plan ~outputs:20 ())
       in
       r.Ccs.Runner.outputs >= 20
       && List.for_all
@@ -185,9 +186,10 @@ let prop_machine_misses_bounded_by_accesses =
       let a = R.analyze_exn g in
       let plan = Ccs.Baseline.minimal_memory g a in
       let r, _ =
-        Ccs.Runner.run ~graph:g
-          ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
-          ~plan ~outputs:10 ()
+        Must.ok
+          (Ccs.Runner.run ~graph:g
+             ~cache:(Ccs.Cache.config ~size_words:128 ~block_words:8 ())
+             ~plan ~outputs:10 ())
       in
       r.Ccs.Runner.misses <= r.Ccs.Runner.accesses)
 

@@ -113,7 +113,7 @@ let test_chain_preserves_sequence () =
             else Ccs.Kernels.identity ~state_words:8)
       in
       let engine = Ccs.Engine.of_plan ~program ~cache:cache64 ~plan () in
-      let result = Ccs.Engine.run_plan engine plan ~outputs:100 in
+      let result = Must.ok (Ccs.Engine.run_plan engine plan ~outputs:100) in
       Alcotest.(check bool)
         (plan.Ccs.Plan.name ^ " produced")
         true
@@ -221,7 +221,7 @@ let test_bitonic_sorts () =
       ~plan ()
   in
   let rounds = 8 in
-  let _ = Ccs.Engine.run_plan engine plan ~outputs:rounds in
+  let _ = Must.ok (Ccs.Engine.run_plan engine plan ~outputs:rounds) in
   let data = Array.of_list (collected ()) in
   Alcotest.(check bool) "enough data" true (Array.length data >= lanes);
   (* Every consecutive block of [lanes] tokens is one sorted batch and a

@@ -99,7 +99,9 @@ let test_scaling_reduces_misses () =
   let a = R.analyze_exn g in
   let cache = Ccs.Cache.config ~size_words:256 ~block_words:8 () in
   let run plan =
-    let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 () in
+    let r, _ =
+      Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+    in
     r.Ccs.Runner.misses_per_input
   in
   let base = run (Ccs.Baseline.minimal_memory g a) in
@@ -115,9 +117,10 @@ let test_kohli_terminates_and_targets () =
       let a = R.analyze_exn g in
       let plan = Ccs.Kohli.auto g a ~cache_words:512 in
       let r, _ =
-        Ccs.Runner.run ~graph:g
-          ~cache:(Ccs.Cache.config ~size_words:512 ~block_words:8 ())
-          ~plan ~outputs:200 ()
+        Must.ok
+          (Ccs.Runner.run ~graph:g
+             ~cache:(Ccs.Cache.config ~size_words:512 ~block_words:8 ())
+             ~plan ~outputs:200 ())
       in
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " reached target")
@@ -132,7 +135,9 @@ let test_kohli_amortizes_state () =
   let a = R.analyze_exn g in
   let cache = Ccs.Cache.config ~size_words:256 ~block_words:8 () in
   let run plan =
-    let r, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 () in
+    let r, _ =
+      Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+    in
     r.Ccs.Runner.misses_per_input
   in
   let rr = run (Ccs.Baseline.round_robin g a) in

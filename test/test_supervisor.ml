@@ -32,7 +32,9 @@ let setup () =
 
 let test_happy_path_matches_plain_run () =
   let g, plan = setup () in
-  let plain, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 () in
+  let plain, _ =
+    Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 ())
+  in
   match Ccs.Supervisor.run ~graph:g ~cache ~plan ~outputs:100 () with
   | Error e -> Alcotest.fail ("supervised run failed: " ^ E.to_string e)
   | Ok report ->
@@ -64,7 +66,9 @@ let transient_fault ~node ~at_fire armed machine =
 
 let test_retry_then_succeed () =
   let g, plan = setup () in
-  let plain, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 () in
+  let plain, _ =
+    Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 ())
+  in
   let armed = ref true in
   match
     Ccs.Supervisor.run
@@ -86,7 +90,9 @@ let test_retry_with_checkpoint_dir () =
      last checkpoint instead of starting over, and the result still matches
      a clean run exactly. *)
   let g, plan = setup () in
-  let plain, _ = Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 () in
+  let plain, _ =
+    Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:100 ())
+  in
   let armed = ref true in
   let dir = fresh_dir () in
   Fun.protect
@@ -266,6 +272,62 @@ let test_resume_from_corrupt_checkpoint_rejected () =
       | Ok _ -> Alcotest.fail "corrupt checkpoint accepted on resume"
       | Error e ->
           Alcotest.(check string) "error code" "checkpoint-corrupt" (E.code e))
+
+(* A directory holding the checkpoints of a 40-epoch run. *)
+let with_longer_run f =
+  let g, plan = setup () in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> remove_dir dir)
+    (fun () ->
+      (match
+         Ccs.Supervisor.run
+           ~config:{ Ccs.Supervisor.default_config with checkpoint_every = 1 }
+           ~checkpoint_dir:dir ~epoch_outputs:10 ~graph:g ~cache ~plan
+           ~outputs:400 ()
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("seed run failed: " ^ E.to_string e));
+      f g plan dir)
+
+let test_fresh_run_into_used_dir_rejected () =
+  with_longer_run @@ fun g plan dir ->
+  let before = Sys.readdir dir in
+  let _, newest = Option.get (Ccs.Supervisor.latest_checkpoint dir) in
+  match
+    Ccs.Supervisor.run ~checkpoint_dir:dir ~epoch_outputs:10 ~graph:g ~cache
+      ~plan ~outputs:100 ()
+  with
+  | Ok _ -> Alcotest.fail "fresh run mixed its checkpoints with another run's"
+  | Error (E.Failure_msg { context; reason }) ->
+      Alcotest.(check string) "context" "checkpoint" context;
+      let mentions needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length reason
+          && (String.sub reason i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "names the newest file" true (mentions newest);
+      Alcotest.(check bool) "suggests --resume" true (mentions "--resume");
+      Alcotest.(check bool) "files untouched" true (Sys.readdir dir = before)
+  | Error e -> Alcotest.fail ("expected Failure_msg, got " ^ E.to_string e)
+
+let test_resume_past_run_rejected () =
+  with_longer_run @@ fun g plan dir ->
+  match
+    Ccs.Supervisor.run ~checkpoint_dir:dir ~resume:true ~epoch_outputs:10
+      ~graph:g ~cache ~plan ~outputs:100 ()
+  with
+  | Ok r ->
+      Alcotest.failf "resumed a 40-epoch checkpoint into a 10-epoch run (%d \
+                      outputs)"
+        r.Ccs.Supervisor.result.Ccs.Runner.outputs
+  | Error (E.Checkpoint_mismatch { field; _ }) ->
+      Alcotest.(check string) "field" "epoch" field
+  | Error e ->
+      Alcotest.fail ("expected Checkpoint_mismatch, got " ^ E.to_string e)
 
 (* --- supervision under adaptation ----------------------------------------- *)
 
@@ -530,6 +592,10 @@ let () =
             test_resume_under_different_cache_rejected;
           Alcotest.test_case "resume from corrupt checkpoint rejected" `Quick
             test_resume_from_corrupt_checkpoint_rejected;
+          Alcotest.test_case "fresh run into a used directory rejected" `Quick
+            test_fresh_run_into_used_dir_rejected;
+          Alcotest.test_case "resume past the run's epochs rejected" `Quick
+            test_resume_past_run_rejected;
         ] );
       ( "adaptation",
         [

@@ -127,7 +127,9 @@ let test_autobind_every_app_runs_data () =
         Ccs.Engine.of_plan ~program ~cache:(Ccs.Config.cache_config cfg)
           ~plan:choice.Ccs.Auto.plan ()
       in
-      let r = Ccs.Engine.run_plan engine choice.Ccs.Auto.plan ~outputs:50 in
+      let r =
+        Must.ok (Ccs.Engine.run_plan engine choice.Ccs.Auto.plan ~outputs:50)
+      in
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " ran real data")
         true
@@ -145,7 +147,7 @@ let test_autobind_generators () =
           ~cache:(Ccs.Cache.config ~size_words:512 ~block_words:16 ())
           ~plan ()
       in
-      let r = Ccs.Engine.run_plan engine plan ~outputs:20 in
+      let r = Must.ok (Ccs.Engine.run_plan engine plan ~outputs:20) in
       Alcotest.(check bool) "ran" true (r.Ccs.Runner.outputs >= 20))
     [
       Ccs.Generators.butterfly ~stages:3 ~state:8 ();
