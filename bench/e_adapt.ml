@@ -78,7 +78,7 @@ let e22 () =
       (fun app ->
         let entry = Option.get (Ccs_apps.Suite.find app) in
         let g = entry.Ccs_apps.Suite.graph () in
-        let planner = Ccs.Auto.adapt_planner g cfg in
+        let planner = Ccs.Auto.adapt_planner g in
         (* The from-scratch arm plans for the post-shrink capacity no
            matter what it is asked for. *)
         let scratch_planner _ =

@@ -14,6 +14,7 @@ let e15 () =
   section "E15-partitioners" "heuristics vs exact on the NP-complete problem";
   let m = 192 and b = 8 in
   let cache = Ccs.Cache.config ~size_words:m ~block_words:b () in
+  let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
   let graphs =
     List.map
       (fun seed ->
@@ -33,7 +34,7 @@ let e15 () =
     List.concat_map
       (fun (name, g) ->
         let a = R.analyze_exn g in
-        let bound = max (m / 2) (max_state g) in
+        let bound = Ccs.Auto.fitting_bound g cfg in
         let schemes =
           [
             ("greedy", Some (Ccs.Dag_partition.greedy g ~bound));

@@ -56,13 +56,14 @@ let f = Ccs.Table.fmt_float
 let max_state g =
   List.fold_left (fun acc v -> max acc (G.state g v)) 1 (G.nodes g)
 
-(* A partition whose components fit comfortably in a cache of [m] words:
-   half for state, half for buffers and streaming blocks, with the
-   degree-limited condition of Lemma 8 enforced for DAGs. *)
+(* A partition whose components fit comfortably in a cache of [m] words,
+   under the planner's own state bound and (for DAGs) Lemma 8 degree cap. *)
 let fitting_partition ?(b = 16) g ~m =
-  let bound = max (m / 2) (max_state g) in
+  let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
+  let bound = Ccs.Auto.fitting_bound g cfg in
   let a = R.analyze_exn g in
   if G.is_pipeline g then Ccs.Pipeline_partition.optimal_dp g a ~bound
-  else Ccs.Dag_partition.best g a ~bound ~max_degree:(max 2 (m / (4 * b))) ()
+  else
+    Ccs.Dag_partition.best g a ~bound ~max_degree:(Ccs.Auto.degree_cap cfg) ()
 
 let ratio a b = if b = 0. then Float.nan else a /. b

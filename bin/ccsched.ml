@@ -290,7 +290,7 @@ let run_cmd =
        Format.eprintf "%a@?" Ccs.Check.pp lint;
        or_die (Error "invalid cache configuration")));
     (* Parse the chaos spec before planning so a bad spec fails fast. *)
-    let env = Option.map Ccs.Fault.parse_env chaos in
+    let env = Option.map (Ccs.Fault.parse_env Run) chaos in
     let cfg = Ccs.Config.make ~cache_words:m ~block_words:b () in
     let cache = Ccs.Config.cache_config cfg in
     let choice = Ccs.Auto.plan g cfg in
@@ -345,7 +345,7 @@ let run_cmd =
         in
         let r =
           Result.bind
-            (Ccs.Engine.create_checked ?metrics ~program ~cache
+            (Ccs.Engine.create ?metrics ~program ~cache
                ~capacities:plan.Ccs.Plan.capacities ())
             (fun engine -> Ccs.Engine.run_plan engine plan ~outputs)
         in
@@ -362,7 +362,7 @@ let run_cmd =
            process right after epoch N's completion (and any checkpoint
            write), simulating a crash for the CI resume-smoke test. *)
         Option.iter (Format.printf "chaos: %a@." Ccs.Fault.pp_env) env;
-        let planner = Ccs.Auto.adapt_planner g cfg in
+        let planner = Ccs.Auto.adapt_planner g in
         let adapt =
           if adapt then Some (Ccs.Adapt.create ~planner cache) else None
         in
@@ -1112,7 +1112,7 @@ let serve_cmd =
       match chaos with
       | None -> []
       | Some spec -> (
-          try Ccs.Fault.parse_env spec
+          try Ccs.Fault.parse_env Serve spec
           with Ccs.Error.Error e -> or_die (Error (Ccs.Error.to_string e)))
     in
     Ccs_serve.Server.run

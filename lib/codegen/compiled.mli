@@ -9,8 +9,8 @@
     period {!Ccs_sched.Plan.validate} certified token-legal, so the
     program is branch-free by proof rather than by optimism.
 
-    Equivalence contract (checked by the differential suite and bench
-    E23): for any lowered plan, sink checksums and output counts are
+    Equivalence contract (checked by the differential suite, with per-app
+    goldens): for any lowered plan, sink checksums and output counts are
     bit-identical to {!Ccs_runtime.Engine} running
     {!Codegen.codegen_semantics} kernels, and with [record_trace] the
     word-access trace replayed through {!Ccs_exec.Replay} yields the same

@@ -32,6 +32,12 @@ let fitting_bound g cfg =
   in
   max (cfg.Config.cache_words / 2) max_state
 
+(* Lemma 8 needs degree-limited components: one resident cache block per
+   cross edge must fit next to the component's state (at most half the
+   cache), so cap the degree at a quarter of the cache in blocks. *)
+let degree_cap cfg =
+  max 2 (cfg.Config.cache_words / (4 * cfg.Config.block_words))
+
 let partition g analysis cfg =
   let bound = fitting_bound g cfg in
   (* Cache footprint of running the whole graph resident: module states
@@ -55,12 +61,7 @@ let partition g analysis cfg =
     Spec.whole g
   else if Graph.is_pipeline g then Pipeline.optimal_dp g analysis ~bound
   else begin
-    (* Lemma 8 needs degree-limited components: one resident cache block
-       per cross edge must fit next to the component's state (at most half
-       the cache), so cap the degree at a quarter of the cache in blocks. *)
-    let max_degree =
-      max 2 (cfg.Config.cache_words / (4 * cfg.Config.block_words))
-    in
+    let max_degree = degree_cap cfg in
     let heuristic () = Dag.best g analysis ~bound ~max_degree () in
     if Graph.num_nodes g <= 16 then
       match Dag.exact g analysis ~bound ~max_nodes:16 () with
@@ -95,10 +96,9 @@ let plan ?(dynamic = true) g cfg =
    full pipeline for whatever cache configuration the controller asks
    for and pairs the plan with its Lemma-4/8 predicted bound — the
    yardstick the degradation detector compares measured misses against. *)
-let adapt_planner ?dynamic g cfg (cache : Ccs_cache.Cache.config) =
+let adapt_planner ?dynamic g (cache : Ccs_cache.Cache.config) =
   let cfg =
     {
-      cfg with
       Config.cache_words = cache.Ccs_cache.Cache.size_words;
       block_words = cache.Ccs_cache.Cache.block_words;
       policy = cache.Ccs_cache.Cache.policy;

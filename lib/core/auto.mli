@@ -25,6 +25,10 @@ val fitting_bound : Ccs_sdf.Graph.t -> Config.t -> int
     configured cache (the rest absorbs buffers and streaming blocks),
     relaxed to the largest single module when one is bigger than that. *)
 
+val degree_cap : Config.t -> int
+(** The component degree cap {!partition} enforces on DAGs (Lemma 8): a
+    quarter of the cache in blocks, at least 2. *)
+
 val partition :
   Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> Config.t -> Ccs_partition.Spec.t
 (** Just the partitioning step: pipelines get the minimum-bandwidth
@@ -37,10 +41,8 @@ val plan : ?dynamic:bool -> Ccs_sdf.Graph.t -> Config.t -> choice
     scheduler at granularity [T = granularity ≥ M].
     @raise Ccs_sdf.Graph.Invalid_graph if the graph is not rate-matched. *)
 
-val adapt_planner :
-  ?dynamic:bool -> Ccs_sdf.Graph.t -> Config.t -> Ccs_sched.Adapt.planner
-(** [adapt_planner g cfg] is the planner callback {!Ccs_sched.Adapt.create}
+val adapt_planner : ?dynamic:bool -> Ccs_sdf.Graph.t -> Ccs_sched.Adapt.planner
+(** [adapt_planner g] is the planner callback {!Ccs_sched.Adapt.create}
     needs: invoked with a cache configuration, it re-runs {!plan} for that
-    cache (inheriting [cfg]'s augmentation) and pairs the result with its
-    Lemma-4/8 predicted misses-per-input
-    ({!Ccs_sched.Analysis.partition_cost_prediction}). *)
+    cache and pairs the result with its Lemma-4/8 predicted
+    misses-per-input ({!Ccs_sched.Analysis.partition_cost_prediction}). *)

@@ -1,24 +1,24 @@
 type t = {
   cache_words : int;
   block_words : int;
-  augmentation : int;
   policy : Ccs_cache.Cache.policy;
 }
 
-let make ?(augmentation = 3) ?(policy = Ccs_cache.Cache.Lru) ~cache_words
-    ~block_words () =
-  if augmentation < 1 then invalid_arg "Config.make: augmentation must be >= 1";
+(* The c of c-bounded partitions: the bound in the paper's minBW_3. *)
+let augmentation = 3
+
+let make ?(policy = Ccs_cache.Cache.Lru) ~cache_words ~block_words () =
   ignore
     (Ccs_cache.Cache.config ~policy ~size_words:cache_words
        ~block_words ());
-  { cache_words; block_words; augmentation; policy }
+  { cache_words; block_words; policy }
 
 let cache_config t =
   Ccs_cache.Cache.config ~policy:t.policy ~size_words:t.cache_words
     ~block_words:t.block_words ()
 
-let partition_bound t = t.augmentation * t.cache_words
+let partition_bound t = augmentation * t.cache_words
 
 let pp fmt t =
   Format.fprintf fmt "M=%dw B=%dw c=%d" t.cache_words t.block_words
-    t.augmentation
+    augmentation

@@ -1,28 +1,21 @@
 (** Machine and scheduling configuration.
 
     Bundles the I/O-model parameters — cache size [M] and block size [B],
-    in words — with the augmentation factor [c] used when asking for
-    c-bounded partitions, and the replacement policy of the simulated
-    cache. *)
+    in words — with the replacement policy of the simulated cache. *)
 
 type t = {
   cache_words : int;  (** The paper's [M]. *)
   block_words : int;  (** The paper's [B]. *)
-  augmentation : int;
-      (** The [c] of c-bounded partitions; the paper's constructions use
-          values up to 8 (Theorem 5). *)
   policy : Ccs_cache.Cache.policy;
 }
 
 val make :
-  ?augmentation:int ->
   ?policy:Ccs_cache.Cache.policy ->
   cache_words:int ->
   block_words:int ->
   unit ->
   t
-(** Default [augmentation] is 3 (the bound in [minBW₃]); default policy is
-    fully-associative LRU.
+(** Default policy is fully-associative LRU.
     @raise Invalid_argument on non-positive sizes or [block_words >
     cache_words]. *)
 
@@ -30,6 +23,7 @@ val cache_config : t -> Ccs_cache.Cache.config
 (** The underlying simulator configuration. *)
 
 val partition_bound : t -> int
-(** [augmentation * cache_words]: the state bound handed to partitioners. *)
+(** [3 * cache_words]: the state bound of the paper's [minBW₃], handed to
+    partitioners that lint a user partition. *)
 
 val pp : Format.formatter -> t -> unit

@@ -101,8 +101,6 @@ type env_event =
      was spawned), the daemon's natural reaction points. *)
   | Worker_kill
   | Record_truncate
-  | Slow_client of { ms : int }
-  | Flood of { count : int }
 
 type env_site = { at_epoch : int; event : env_event }
 type env = env_site list
@@ -130,10 +128,6 @@ let env_of_sites sites =
           invalid_arg "Fault.env_of_sites: burst needs mult >= 2, len >= 1"
       | Io_fault { len } when len < 1 ->
           invalid_arg "Fault.env_of_sites: io fault length must be >= 1"
-      | Slow_client { ms } when ms < 1 ->
-          invalid_arg "Fault.env_of_sites: slow-client stall must be >= 1 ms"
-      | Flood { count } when count < 1 ->
-          invalid_arg "Fault.env_of_sites: flood count must be >= 1"
       | _ -> ())
     sites;
   (* Stable sort: simultaneous events apply in spec order. *)
@@ -159,9 +153,8 @@ let env_plan ?(horizon = 32) ~seed ~count () =
   env_of_sites (List.init count draw)
 
 (* Seeded draw over the serve-layer grammar: worker kills, plan-store
-   I/O faults, truncated records, stalled clients, malformed floods —
-   the daemon soak's schedule is a pure function of its seed, exactly
-   like the cache-adversity plans above. *)
+   I/O faults, truncated records — the daemon soak's schedule is a pure
+   function of its seed, exactly like the cache-adversity plans above. *)
 let serve_plan ?(horizon = 32) ~seed ~count () =
   if horizon <= 0 then invalid_arg "Fault.serve_plan: horizon must be positive";
   if count < 0 then invalid_arg "Fault.serve_plan: count must be >= 0";
@@ -169,12 +162,10 @@ let serve_plan ?(horizon = 32) ~seed ~count () =
   let draw _ =
     let at_epoch = next horizon in
     let event =
-      match next 5 with
+      match next 3 with
       | 0 -> Worker_kill
       | 1 -> Io_fault { len = 1 + next 2 }
-      | 2 -> Record_truncate
-      | 3 -> Slow_client { ms = 10 * (1 + next 20) }
-      | _ -> Flood { count = 1 + next 8 }
+      | _ -> Record_truncate
     in
     { at_epoch; event }
   in
@@ -201,7 +192,7 @@ let conditions_at env epoch =
             else c
         (* Serve events are instantaneous, not ambient conditions; the
            daemon consumes them through [events_at]. *)
-        | Worker_kill | Record_truncate | Slow_client _ | Flood _ -> c)
+        | Worker_kill | Record_truncate -> c)
     nominal env
 
 (* The instantaneous events pinned to exactly [epoch], in spec order —
@@ -244,12 +235,20 @@ let env_cache_config base c =
    Serve-layer events (epoch = per-worker request index for the daemon):
      kill@E         worker process dies after serving request E
      truncate@E     the record written/read at request E is truncated
-     slow@E:MS      client stalls mid-line for MS milliseconds at request E
-     flood@E:N      N malformed lines flood the connection at request E
      srand@S:C[:H]  C seeded-random serve events over horizon H (def. 32)
-*)
 
-let parse_env spec =
+   Each consumer takes only the events it acts on: a run rejects kill,
+   truncate and srand, the daemon rejects shrink, restore, ways, burst
+   and rand.  iofault means checkpoint writes to a run and plan-store
+   writes to the daemon. *)
+
+type consumer = Run | Serve
+
+let consumer_kinds = function
+  | Run -> [ "shrink"; "restore"; "ways"; "burst"; "iofault"; "rand" ]
+  | Serve -> [ "kill"; "truncate"; "iofault"; "srand" ]
+
+let parse_env consumer spec =
   let fail_atom atom reason =
     E.fail
       (E.Failure_msg
@@ -270,6 +269,15 @@ let parse_env spec =
         let kind = String.trim (String.sub atom 0 i) in
         let rest = String.sub atom (i + 1) (String.length atom - i - 1) in
         let args = String.split_on_char ':' rest in
+        let kinds = consumer_kinds consumer in
+        let other, name =
+          match consumer with Run -> (Serve, "run") | Serve -> (Run, "serve")
+        in
+        if List.mem kind (consumer_kinds other) && not (List.mem kind kinds)
+        then
+          fail_atom atom
+            (Printf.sprintf "%s accepts only %s" name
+               (String.concat ", " kinds));
         match (kind, args) with
         | "shrink", [ e; d ] ->
             let d = int_of atom "divisor" d in
@@ -308,18 +316,6 @@ let parse_env spec =
             [ { at_epoch = int_of atom "epoch" e; event = Worker_kill } ]
         | "truncate", [ e ] ->
             [ { at_epoch = int_of atom "epoch" e; event = Record_truncate } ]
-        | "slow", [ e; ms ] ->
-            let ms = int_of atom "stall" ms in
-            if ms < 1 then fail_atom atom "stall must be >= 1 ms";
-            [
-              { at_epoch = int_of atom "epoch" e; event = Slow_client { ms } };
-            ]
-        | "flood", [ e; n ] ->
-            let count = int_of atom "count" n in
-            if count < 1 then fail_atom atom "count must be >= 1";
-            [
-              { at_epoch = int_of atom "epoch" e; event = Flood { count } };
-            ]
         | "rand", [ s; c ] ->
             env_plan ~seed:(int_of atom "seed" s)
               ~count:(int_of atom "count" c) ()
@@ -363,8 +359,6 @@ let env_event_to_string = function
   | Io_fault { len } -> Printf.sprintf "iofault:%d" len
   | Worker_kill -> "kill"
   | Record_truncate -> "truncate"
-  | Slow_client { ms } -> Printf.sprintf "slow:%d" ms
-  | Flood { count } -> Printf.sprintf "flood:%d" count
 
 let env_to_string env =
   String.concat ","
@@ -378,9 +372,7 @@ let env_to_string env =
              Printf.sprintf "burst@%d:%dx%d" s.at_epoch mult len
          | Io_fault { len } -> Printf.sprintf "iofault@%d:%d" s.at_epoch len
          | Worker_kill -> Printf.sprintf "kill@%d" s.at_epoch
-         | Record_truncate -> Printf.sprintf "truncate@%d" s.at_epoch
-         | Slow_client { ms } -> Printf.sprintf "slow@%d:%d" s.at_epoch ms
-         | Flood { count } -> Printf.sprintf "flood@%d:%d" s.at_epoch count)
+         | Record_truncate -> Printf.sprintf "truncate@%d" s.at_epoch)
        env)
 
 let pp_env fmt env =

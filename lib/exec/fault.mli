@@ -87,12 +87,6 @@ type env_event =
       (** Serve: the plan-store record touched by this request is
           truncated after the write — the next reader must reject it as
           [Checkpoint_corrupt] and rebuild. *)
-  | Slow_client of { ms : int }
-      (** Serve (client-side): the client stalls mid-line for [ms]
-          milliseconds — exercises the request deadline. *)
-  | Flood of { count : int }
-      (** Serve (client-side): [count] malformed lines flood the
-          connection — each must get exactly one structured error. *)
 
 type env_site = { at_epoch : int; event : env_event }
 
@@ -126,9 +120,8 @@ val env_plan : ?horizon:int -> seed:int -> count:int -> unit -> env
 
 val conditions_at : env -> int -> conditions
 (** The conditions in force at a given epoch index.  Serve-layer events
-    ([Worker_kill], [Record_truncate], [Slow_client], [Flood]) are
-    instantaneous and do not contribute; consume them with
-    {!events_at}. *)
+    ([Worker_kill], [Record_truncate]) are instantaneous and do not
+    contribute; consume them with {!events_at}. *)
 
 val events_at : env -> int -> env_event list
 (** The events pinned to exactly this epoch, in spec order — how the
@@ -136,9 +129,8 @@ val events_at : env -> int -> env_event list
 
 val serve_plan : ?horizon:int -> seed:int -> count:int -> unit -> env
 (** [serve_plan ~seed ~count ()] draws [count] random serve-layer events
-    (worker kills, plan-store I/O faults, truncated records, stalled
-    clients, malformed floods) at request indices below [horizon]
-    (default 32).  Deterministic in [seed].
+    (worker kills, plan-store I/O faults, truncated records) at request
+    indices below [horizon] (default 32).  Deterministic in [seed].
     @raise Invalid_argument on negative [count] or non-positive
     [horizon]. *)
 
@@ -149,13 +141,19 @@ val env_cache_config :
     rounded down to whole blocks), policy overridden by any associativity
     event.  Block geometry never changes. *)
 
-val parse_env : string -> env
-(** Parse a chaos spec: comma-separated events
-    [shrink@E:D], [restore@E], [ways@E:N], [burst@E:MxL], [iofault@E:L],
-    [rand@SEED:COUNT[:HORIZON]]; serve-layer events [kill@E],
-    [truncate@E], [slow@E:MS], [flood@E:N], [srand@SEED:COUNT[:HORIZON]].
-    @raise Ccs_sdf.Error.Error with a [Failure_msg] naming the offending
-    atom on malformed input. *)
+type consumer =
+  | Run  (** A supervised run: the cache-adversity events. *)
+  | Serve  (** The daemon: the serve-layer events. *)
+
+val parse_env : consumer -> string -> env
+(** Parse a chaos spec for its consumer: comma-separated events.  A run
+    takes [shrink@E:D], [restore@E], [ways@E:N], [burst@E:MxL],
+    [iofault@E:L] and [rand@SEED:COUNT[:HORIZON]]; the daemon takes
+    [kill@E], [truncate@E], [iofault@E:L] and
+    [srand@SEED:COUNT[:HORIZON]].
+    @raise Ccs_sdf.Error.Error with a [Failure_msg] (context
+    ["chaos spec"]) naming the offending atom on malformed input or on an
+    event the consumer does not act on. *)
 
 val env_to_string : env -> string
 (** Canonical spec round-trip: [parse_env (env_to_string e)] has the same

@@ -78,45 +78,32 @@ let init_states program =
              });
       st)
 
-let create_unsafe ?(record_trace = false) ?(validate = false) ?counters ?tracer
+let create ?(record_trace = false) ?(validate = true) ?counters ?tracer
     ?metrics ~program ~cache ~capacities () =
-  let g = Program.graph program in
-  let machine =
-    Machine.create ~record_trace ?counters ?tracer ?metrics ~graph:g ~cache
-      ~capacities ()
-  in
-  let t =
-    {
-      program;
-      machine;
-      states = init_states program;
-      queues =
-        Array.init (Graph.num_edges g) (fun e ->
-            let q = Queue.create () in
-            for _ = 1 to Graph.delay g e do
-              Queue.push 0. q
-            done;
-            q);
-      capacities = Array.copy capacities;
-      validate;
-    }
-  in
-  Machine.set_fire_hook machine (Some (move_data t));
-  t
-
-let create ?record_trace ?validate ?counters ?tracer ?metrics ~program ~cache
-    ~capacities () =
-  try
-    create_unsafe ?record_trace ?validate ?counters ?tracer ?metrics ~program
-      ~cache ~capacities ()
-  with E.Error (E.Fault { node; detail; _ }) ->
-    invalid_arg (Printf.sprintf "Engine.create: %s: %s" node detail)
-
-let create_checked ?record_trace ?(validate = true) ?counters ?tracer ?metrics
-    ~program ~cache ~capacities () =
   E.protect (fun () ->
-      create_unsafe ?record_trace ~validate ?counters ?tracer ?metrics ~program
-        ~cache ~capacities ())
+      let g = Program.graph program in
+      let machine =
+        Machine.create ~record_trace ?counters ?tracer ?metrics ~graph:g ~cache
+          ~capacities ()
+      in
+      let t =
+        {
+          program;
+          machine;
+          states = init_states program;
+          queues =
+            Array.init (Graph.num_edges g) (fun e ->
+                let q = Queue.create () in
+                for _ = 1 to Graph.delay g e do
+                  Queue.push 0. q
+                done;
+                q);
+          capacities = Array.copy capacities;
+          validate;
+        }
+      in
+      Machine.set_fire_hook machine (Some (move_data t));
+      t)
 
 let machine t = t.machine
 let fire t v = Machine.fire t.machine v
@@ -136,10 +123,13 @@ let run_plan ?budget t plan ~outputs =
         Ccs_sched.Runner.result_of ~plan t.machine)
       (Ccs_sched.Runner.drive ?budget t.machine ~plan ~outputs)
 
-let of_plan ?record_trace ?validate ?counters ?tracer ?metrics ~program ~cache
-    ~plan () =
-  create ?record_trace ?validate ?counters ?tracer ?metrics ~program ~cache
-    ~capacities:plan.Ccs_sched.Plan.capacities ()
+let of_plan ?record_trace ?(validate = false) ?counters ?tracer ?metrics
+    ~program ~cache ~plan () =
+  match
+    create ?record_trace ~validate ?counters ?tracer ?metrics ~program ~cache
+      ~capacities:plan.Ccs_sched.Plan.capacities ()
+  with
+  | Ok t -> t
+  | Error e -> invalid_arg ("Engine.of_plan: " ^ E.to_string e)
 
 let state t v = t.states.(v)
-let queue_length t e = Queue.length t.queues.(e)

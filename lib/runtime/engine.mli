@@ -13,7 +13,7 @@
 
     {2 Fault containment}
 
-    {!create_checked} and {!run_plan} contain misbehaving kernels
+    {!create} and {!run_plan} contain misbehaving kernels
     (including those wrapped by {!Program.inject}) instead of crashing or
     corrupting downstream state: a kernel that raises, emits non-finite
     tokens (with [validate]), or initialises state of the wrong arity comes
@@ -31,31 +31,16 @@ val create :
   cache:Ccs_cache.Cache.config ->
   capacities:int array ->
   unit ->
-  t
-(** With [validate] (default [false]) every firing's outputs are checked
-    for non-finite tokens; a violation raises
-    [Ccs_sdf.Error.Error (Fault _)].  [counters]/[tracer]/[metrics] are
-    handed to the underlying {!Ccs_exec.Machine.create} for per-entity
-    miss attribution, event tracing and registry metrics (cache gauges are
-    synced when a plan run completes).
-    @raise Invalid_argument if some kernel's [init] returns state of the
-    wrong length. *)
-
-val create_checked :
-  ?record_trace:bool ->
-  ?validate:bool ->
-  ?counters:Ccs_obs.Counters.t ->
-  ?tracer:Ccs_obs.Tracer.t ->
-  ?metrics:Ccs_obs.Metrics.t ->
-  program:Program.t ->
-  cache:Ccs_cache.Cache.config ->
-  capacities:int array ->
-  unit ->
   (t, Ccs_sdf.Error.t) result
-(** Like {!create} but [validate] defaults to [true] and every
-    construction failure is a structured error: a wrong-arity [init] is a
-    [Fault] with class [Bad_state_arity] naming the module, and capacity
-    violations surface as [Failure_msg] rather than exceptions. *)
+(** With [validate] (default [true]) every firing's outputs are checked
+    for non-finite tokens; a violation raises
+    [Ccs_sdf.Error.Error (Fault _)], which {!run_plan} returns.
+    [counters]/[tracer]/[metrics] are handed to the underlying
+    {!Ccs_exec.Machine.create} for per-entity miss attribution, event
+    tracing and registry metrics (cache gauges are synced when a plan run
+    completes).  Every construction failure is a structured error: a
+    wrong-arity [init] is a [Fault] with class [Bad_state_arity] naming the
+    module, and capacity violations surface as [Failure_msg]. *)
 
 val machine : t -> Ccs_exec.Machine.t
 (** The underlying machine (statistics, occupancies; the fire hook slot is
@@ -91,11 +76,9 @@ val of_plan :
   plan:Ccs_sched.Plan.t ->
   unit ->
   t
-(** Engine with the plan's own capacities. *)
+(** {!create} with the plan's own capacities, [validate] defaulting to
+    [false].
+    @raise Invalid_argument on any construction error. *)
 
 val state : t -> Ccs_sdf.Graph.node -> float array
 (** A module's live state vector (the kernel's working data). *)
-
-val queue_length : t -> Ccs_sdf.Graph.edge -> int
-(** Data tokens currently queued on a channel (always equals the machine's
-    token count). *)

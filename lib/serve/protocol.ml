@@ -141,7 +141,7 @@ let predicted_json (a : artifact) =
 
 (* Echoed only when the client supplied one: a request without a
    trace_id gets a byte-identical response whether server tracing is on
-   or off (the E26 bit-identity gate). *)
+   or off (the tracing bit-identity test). *)
 let trace_id_json trace_id =
   match trace_id with
   | None -> []

@@ -142,5 +142,5 @@ val scrape : t -> string
 
 val metric_value : t -> ?labels:(string * string) list -> string -> int option
 (** Read one series from this process's own registry (counter value,
-    gauge value, or histogram observation count) — the readback E26 and
-    the tests use to compare cache-miss counts exactly. *)
+    gauge value, or histogram observation count) — the readback the
+    tests use to compare cache-miss counts exactly. *)

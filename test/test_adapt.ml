@@ -120,8 +120,8 @@ let test_cache_carry_stats () =
 
 let test_env_parse_roundtrip () =
   let spec = "shrink@2:4,ways@3:2,burst@5:3x2,iofault@6:1,restore@9" in
-  let env = F.parse_env spec in
-  let env2 = F.parse_env (F.env_to_string env) in
+  let env = F.parse_env Run spec in
+  let env2 = F.parse_env Run (F.env_to_string env) in
   Alcotest.(check int) "site count" 5 (List.length (F.env_sites env));
   Alcotest.(check bool) "round-trip" true (F.env_sites env = F.env_sites env2)
 
@@ -133,13 +133,13 @@ let test_env_printer () =
     "chaos: environment plan (2 events)\n\
     \         epoch 2: shrink:4\n\
     \         epoch 3: burst:2x2"
-    (pp (F.parse_env "shrink@2:4,burst@3:2x2"));
+    (pp (F.parse_env Run "shrink@2:4,burst@3:2x2"));
   Alcotest.(check string) "no events" "chaos: environment plan (0 events)"
     (pp [])
 
 let test_env_parse_errors () =
   let bad spec =
-    match F.parse_env spec with
+    match F.parse_env Run spec with
     | exception E.Error (E.Failure_msg { context = "chaos spec"; _ }) -> ()
     | exception e ->
         Alcotest.failf "%s: wrong exception %s" spec (Printexc.to_string e)
@@ -152,6 +152,32 @@ let test_env_parse_errors () =
   bad "burst@1:0x2";
   bad "shrink@-1:2"
 
+(* Each consumer takes only the events it acts on: the other consumer's
+   events, and kinds that exist nowhere, are structured chaos-spec
+   errors rather than silently ignored. *)
+let test_env_consumers () =
+  let rejected consumer spec =
+    match F.parse_env consumer spec with
+    | exception E.Error (E.Failure_msg { context = "chaos spec"; _ }) -> ()
+    | exception e ->
+        Alcotest.failf "%s: wrong exception %s" spec (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" spec
+  in
+  List.iter (rejected F.Run)
+    [ "kill@1"; "truncate@2"; "srand@7:4"; "slow@2:100"; "flood@3:4" ];
+  List.iter (rejected F.Serve)
+    [
+      "shrink@2:4"; "restore@3"; "ways@1:2"; "burst@1:2x2"; "rand@1:2";
+      "slow@2:100"; "flood@3:4";
+    ];
+  Alcotest.(check int) "run takes iofault" 1
+    (List.length (F.env_sites (F.parse_env F.Run "iofault@1:2")));
+  Alcotest.(check int) "serve takes iofault" 1
+    (List.length (F.env_sites (F.parse_env F.Serve "iofault@1:2")));
+  Alcotest.(check int) "serve takes its own events" 3
+    (List.length
+       (F.env_sites (F.parse_env F.Serve "kill@1,truncate@2,srand@7:1")))
+
 let test_env_plan_deterministic () =
   let a = F.env_plan ~seed:42 ~count:6 () and b = F.env_plan ~seed:42 ~count:6 () in
   Alcotest.(check bool) "same plan" true (F.env_sites a = F.env_sites b);
@@ -159,7 +185,7 @@ let test_env_plan_deterministic () =
   Alcotest.(check bool) "seed matters" false (F.env_sites a = F.env_sites c)
 
 let test_conditions_fold () =
-  let env = F.parse_env "shrink@2:4,burst@3:2x2,restore@5" in
+  let env = F.parse_env Run "shrink@2:4,burst@3:2x2,restore@5" in
   let at e = F.conditions_at env e in
   Alcotest.(check int) "nominal before" 1 (at 0).F.shrink_divisor;
   Alcotest.(check int) "shrunk" 4 (at 2).F.shrink_divisor;
@@ -234,12 +260,12 @@ let test_migrate_carries_state () =
 
 (* --- the adaptation loop -------------------------------------------------- *)
 
-let shrink_env = F.parse_env "shrink@2:4"
+let shrink_env = F.parse_env Run "shrink@2:4"
 
 let supervised ?(adapt = true) ?env ?metrics ?policy ?checkpoint_dir ?config
     ?epoch_outputs ?prepare g cfg ~outputs =
   let cache = Ccs.Config.cache_config cfg in
-  let planner = Ccs.Auto.adapt_planner g cfg in
+  let planner = Ccs.Auto.adapt_planner g in
   let adapt =
     if adapt then Some (Ccs.Adapt.create ?policy ~planner cache) else None
   in
@@ -328,7 +354,7 @@ let test_io_fault_contained () =
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
   let dir = Filename.temp_file "ccs-test-adapt" "" in
   Sys.remove dir;
-  let env = F.parse_env "shrink@2:4,iofault@0:32" in
+  let env = F.parse_env Run "shrink@2:4,iofault@0:32" in
   let overlay = Ccs.Overlay.create ~seed:5 g in
   (match
      supervised ~env ~checkpoint_dir:dir
@@ -406,6 +432,8 @@ let () =
           Alcotest.test_case "parse round-trip" `Quick test_env_parse_roundtrip;
           Alcotest.test_case "parse errors are structured" `Quick
             test_env_parse_errors;
+          Alcotest.test_case "each consumer takes only its own events" `Quick
+            test_env_consumers;
           Alcotest.test_case "seeded plan deterministic" `Quick
             test_env_plan_deterministic;
           Alcotest.test_case "conditions fold" `Quick test_conditions_fold;

@@ -49,13 +49,51 @@ let differential ?(periods = 3) g plan =
   let c_out, c_sum, c_miss = compiled g plan ~periods in
   Alcotest.(check int) "same outputs" i_out c_out;
   Alcotest.(check int64) "bit-identical checksum" (bits i_sum) (bits c_sum);
-  Alcotest.(check int) "same replayed misses" i_miss c_miss
+  Alcotest.(check int) "same replayed misses" i_miss c_miss;
+  (c_out, c_sum, c_miss)
 
 (* --- the 12-application suite ------------------------------------- *)
 
+(* Each app run for [max 1 (150_000 / firings per period)] whole periods:
+   app -> (periods, firings, outputs, checksum, misses).  The goldens pin
+   the plans, the codegen-semantics kernels and the cache accounting
+   together; a change to any of them must update this table on purpose. *)
+let suite_goldens =
+  [
+    ("fm-radio", (15, 145920, 7680, 3689640., 94));
+    ("fft", (1, 167936, 2048, 16784896., 92));
+    ("beamformer", (5, 145920, 1280, 409915., 96));
+    ("filterbank", (13, 139776, 3328, 1385644., 85));
+    ("bitonic", (2, 106496, 4096, 8402688., 29));
+    ("des", (1, 106496, 2048, 1024.0000000018608, 4430));
+    ("vocoder", (1, 79360, 512, 65632., 4740));
+    ("matmul", (35, 147840, 71680, 160594560., 39));
+    ("radar", (4, 124928, 1024, 33247., 72));
+    ("ofdm", (12, 149760, 624, 7904.5078125, 6412));
+    ("dct-codec", (65, 149760, 2080, 1082111.875, 74));
+    ("mp3", (33, 145794, 2112, 1115647.5, 23330));
+  ]
+
 let test_app entry () =
+  let name = entry.Ccs_apps.Suite.name in
   let g = entry.Ccs_apps.Suite.graph () in
-  differential g (auto_plan g)
+  let plan = auto_plan g in
+  ignore (differential g plan);
+  let periods, fires, outputs, checksum, misses =
+    List.assoc name suite_goldens
+  in
+  let period_fires =
+    Array.fold_left ( + ) 0
+      (Ccs.Schedule.fire_counts ~num_nodes:(G.num_nodes g)
+         (Option.get plan.Ccs.Plan.period))
+  in
+  Alcotest.(check int) "periods" periods (max 1 (150_000 / period_fires));
+  Alcotest.(check int) "firings" fires (periods * period_fires);
+  let got_outputs, got_checksum, got_misses = differential ~periods g plan in
+  Alcotest.(check int) "golden outputs" outputs got_outputs;
+  Alcotest.(check int64) "golden checksum bits" (bits checksum)
+    (bits got_checksum);
+  Alcotest.(check int) "golden misses" misses got_misses
 
 (* --- random graphs ------------------------------------------------ *)
 
@@ -92,7 +130,7 @@ let prop_random_graphs =
     ~count:60 gen_case (fun case ->
       let g = build_case case in
       let plan = auto_plan g in
-      differential ~periods:2 g plan;
+      ignore (differential ~periods:2 g plan);
       true)
 
 (* --- compiled vs emitted (same lowering, two consumers) ------------ *)

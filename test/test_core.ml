@@ -6,16 +6,13 @@ module A = Ccs.Auto
 module Sp = Ccs.Spec
 
 let test_config_validation () =
-  (match C.make ~augmentation:0 ~cache_words:64 ~block_words:8 () with
-  | _ -> Alcotest.fail "augmentation 0 rejected"
-  | exception Invalid_argument _ -> ());
   match C.make ~cache_words:4 ~block_words:8 () with
   | _ -> Alcotest.fail "block > cache rejected"
   | exception Invalid_argument _ -> ()
 
 let test_config_accessors () =
-  let cfg = C.make ~augmentation:2 ~cache_words:64 ~block_words:8 () in
-  Alcotest.(check int) "bound" 128 (C.partition_bound cfg);
+  let cfg = C.make ~cache_words:64 ~block_words:8 () in
+  Alcotest.(check int) "bound" 192 (C.partition_bound cfg);
   let cc = C.cache_config cfg in
   Alcotest.(check int) "cache size" 64 cc.Ccs.Cache.size_words
 

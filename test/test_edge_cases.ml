@@ -95,9 +95,10 @@ let test_engine_capacity_mismatch () =
   let plan = Ccs.Baseline.minimal_memory g a in
   let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
   let engine =
-    Ccs.Engine.create ~program
-      ~cache:(C.config ~size_words:64 ~block_words:8 ())
-      ~capacities:[| 5; 5 |] ()
+    Must.ok
+      (Ccs.Engine.create ~program
+         ~cache:(C.config ~size_words:64 ~block_words:8 ())
+         ~capacities:[| 5; 5 |] ())
   in
   match Ccs.Engine.run_plan engine plan ~outputs:5 with
   | Error (Ccs.Error.Plan_invalid _) -> ()

@@ -161,28 +161,38 @@ let test_log_json_lines () =
 (* --- telemetry is free ---------------------------------------------------- *)
 
 let test_metrics_bit_identical () =
-  let g = Ccs.Generators.uniform_pipeline ~n:12 ~state:96 () in
-  let cfg = Ccs.Config.make ~cache_words:512 ~block_words:16 () in
-  let cache = Ccs.Config.cache_config cfg in
-  let choice = Ccs.Auto.plan ~dynamic:false g cfg in
-  let plan = choice.Ccs.Auto.plan in
-  let plain, _ =
-    Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+  let check ~label g ~cache_words =
+    let cfg = Ccs.Config.make ~cache_words ~block_words:16 () in
+    let cache = Ccs.Config.cache_config cfg in
+    let choice = Ccs.Auto.plan ~dynamic:false g cfg in
+    let plan = choice.Ccs.Auto.plan in
+    let plain, _ =
+      Must.ok (Ccs.Runner.run ~graph:g ~cache ~plan ~outputs:2000 ())
+    in
+    let metrics = M.create () in
+    let metered, machine =
+      Must.ok (Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs:2000 ())
+    in
+    Alcotest.(check int) (label ^ " same misses") plain.Ccs.Runner.misses
+      metered.Ccs.Runner.misses;
+    Alcotest.(check int) (label ^ " same accesses") plain.Ccs.Runner.accesses
+      metered.Ccs.Runner.accesses;
+    Alcotest.(check (option int)) (label ^ " fires exported")
+      (Some (Ccs.Machine.total_fires machine))
+      (M.value metrics "ccs_machine_fires_total");
+    Alcotest.(check (option int)) (label ^ " misses exported")
+      (Some metered.Ccs.Runner.misses)
+      (M.value metrics "ccs_cache_misses");
+    Alcotest.(check int) (label ^ " series") 6 (M.num_series metrics)
   in
-  let metrics = M.create () in
-  let metered, machine =
-    Must.ok (Ccs.Runner.run ~metrics ~graph:g ~cache ~plan ~outputs:2000 ())
-  in
-  Alcotest.(check int) "same misses" plain.Ccs.Runner.misses
-    metered.Ccs.Runner.misses;
-  Alcotest.(check int) "same accesses" plain.Ccs.Runner.accesses
-    metered.Ccs.Runner.accesses;
-  Alcotest.(check (option int)) "fires exported"
-    (Some (Ccs.Machine.total_fires machine))
-    (M.value metrics "ccs_machine_fires_total");
-  Alcotest.(check (option int)) "misses exported"
-    (Some metered.Ccs.Runner.misses)
-    (M.value metrics "ccs_cache_misses")
+  check ~label:"uniform pipeline"
+    (Ccs.Generators.uniform_pipeline ~n:12 ~state:96 ())
+    ~cache_words:512;
+  List.iter
+    (fun entry ->
+      check ~label:entry.Ccs_apps.Suite.name
+        (entry.Ccs_apps.Suite.graph ()) ~cache_words:2048)
+    Ccs_apps.Suite.all
 
 let test_supervisor_metrics_bit_identical () =
   let g = Ccs.Generators.uniform_pipeline ~n:8 ~state:64 () in

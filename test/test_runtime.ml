@@ -127,26 +127,31 @@ let test_chain_preserves_sequence () =
         data)
     plans
 
+(* The data moves in step with the machine's token accounting: after
+   each firing the queued values are exactly the machine's tokens, so the
+   sink receives every value once, in order, and nothing is left over. *)
 let test_queue_matches_machine () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:8 () in
+  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
   let program =
     Ccs.Program.create g (fun v ->
         if v = 0 then Ccs.Kernels.counter_source ~state_words:8
+        else if v = 2 then sink_kernel
         else Ccs.Kernels.identity ~state_words:8)
   in
   let engine =
-    Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4; 4 |] ()
+    Must.ok
+      (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4; 4 |] ())
   in
-  Ccs.Engine.fire engine 0;
-  Ccs.Engine.fire engine 0;
-  Ccs.Engine.fire engine 1;
-  List.iter
-    (fun e ->
-      Alcotest.(check int)
-        (Printf.sprintf "edge %d data = tokens" e)
-        (Ccs.Machine.tokens (Ccs.Engine.machine engine) e)
-        (Ccs.Engine.queue_length engine e))
-    (G.edges g)
+  let tokens () =
+    List.map (Ccs.Machine.tokens (Ccs.Engine.machine engine)) (G.edges g)
+  in
+  List.iter (Ccs.Engine.fire engine) [ 0; 0; 1 ];
+  Alcotest.(check (list int)) "one token per edge" [ 1; 1 ] (tokens ());
+  List.iter (Ccs.Engine.fire engine) [ 1; 2; 2 ];
+  Alcotest.(check (list int)) "drained" [ 0; 0 ] (tokens ());
+  Alcotest.(check (list (float 0.))) "sink saw both values in order"
+    [ 0.; 1. ] (collected ())
 
 let test_delay_tokens_are_zeros () =
   let b = G.Builder.create () in
@@ -160,7 +165,7 @@ let test_delay_tokens_are_zeros () =
         if v = x then Ccs.Kernels.counter_source ~state_words:1 else sink_kernel)
   in
   let engine =
-    Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4 |] ()
+    Must.ok (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4 |] ())
   in
   (* y can fire twice on the delay tokens before x ever runs. *)
   Ccs.Engine.fire engine y;

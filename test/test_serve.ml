@@ -18,8 +18,8 @@ let tmp_dir () =
   Unix.mkdir path 0o755;
   path
 
-let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false) graph
-    =
+let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false)
+    ?trace_id graph =
   let fields =
     [
       ("op", Json.String "plan");
@@ -32,7 +32,11 @@ let plan_line ?(m = 2048) ?(b = 16) ?ways ?capacities ?(dry_run = false) graph
       | None -> []
       | Some caps ->
           [ ("capacities", Json.List (List.map (fun c -> Json.Int c) caps)) ])
-    @ if dry_run then [ ("dry_run", Json.Bool true) ] else []
+    @ (if dry_run then [ ("dry_run", Json.Bool true) ] else [])
+    @
+    match trace_id with
+    | None -> []
+    | Some id -> [ ("trace_id", Json.String id) ]
   in
   Json.to_string (Json.Obj fields)
 
@@ -47,6 +51,11 @@ let error_code line =
       match Option.bind (Json.member "error" v) (Json.member "code") with
       | Some (Json.String c) -> Some c
       | _ -> None)
+  | Error _ -> None
+
+let str_field line name =
+  match Json.of_string line with
+  | Ok v -> Option.bind (Json.member name v) Json.to_str
   | Error _ -> None
 
 let is_cached line =
@@ -244,15 +253,46 @@ let test_cache_rejects_renamed_record () =
 
 (* --- request pipeline (no sockets) ----------------------------------------- *)
 
+(* The plan key of every suite app at M=2048, B=16: the golden of
+   [Plan_key] derivation (graph digest, cache config, capacities, planner
+   version).  A changed key makes every stored plan miss, so it must be
+   deliberate, such as a [planner_version] bump. *)
+let suite_keys =
+  [
+    ("fm-radio", "c88fa9ec44f06096e6c2268965c0899d");
+    ("fft", "5bd1b213538ef2218c1aad5aef232ecc");
+    ("beamformer", "1ab027326b8cb604949fa824345183fe");
+    ("filterbank", "a64869e0da8d9beddde5fd60b88cbb3e");
+    ("bitonic", "77957627a12a4ead0754fe7fe9e7cfcc");
+    ("des", "81649a436bc25bd163c1c32e8a187e96");
+    ("vocoder", "ded61274a20df9a2e0d643bd39f1cca7");
+    ("matmul", "71d66065eaac7a8b1a6184de0b0473e5");
+    ("radar", "be566e6cfa9ac4856f2e0d23ef105838");
+    ("ofdm", "988975a906fd6b8a4a7b1f059ea9b2be");
+    ("dct-codec", "6ef8fc12cfb7c9706e91835121d8ff44");
+    ("mp3", "e3480edfeadcbcb7a41ee6305e9226a0");
+  ]
+
 let test_miss_then_hit_identical () =
-  let t = make_daemon () in
-  let line = plan_line ~dry_run:true (app_graph "fm-radio") in
-  let r1 = Srv.handle_line t line in
-  let r2 = Srv.handle_line t line in
-  Alcotest.(check bool) "first ok" true (is_ok r1);
-  Alcotest.(check bool) "first is a miss" false (is_cached r1);
-  Alcotest.(check bool) "second is a hit" true (is_cached r2);
-  Alcotest.(check string) "bit-identical" (normalize r1) (normalize r2)
+  let miss_then_hit label line =
+    let t = make_daemon () in
+    let r1 = Srv.handle_line t line in
+    let r2 = Srv.handle_line t line in
+    Alcotest.(check bool) (label ^ " first ok") true (is_ok r1);
+    Alcotest.(check bool) (label ^ " first is a miss") false (is_cached r1);
+    Alcotest.(check bool) (label ^ " second is a hit") true (is_cached r2);
+    Alcotest.(check string) (label ^ " bit-identical") (normalize r1)
+      (normalize r2);
+    r1
+  in
+  ignore
+    (miss_then_hit "dry run" (plan_line ~dry_run:true (app_graph "fm-radio")));
+  List.iter
+    (fun (app, key) ->
+      let r = miss_then_hit app (plan_line (app_graph app)) in
+      Alcotest.(check (option string)) (app ^ " key") (Some key)
+        (str_field r "key"))
+    suite_keys
 
 let test_config_change_misses () =
   (* The regression the composite key exists for: changing any cache
@@ -900,7 +940,7 @@ let test_breaker_quarantines_crash_loop () =
     {
       (Srv.default_config ~address:(Srv.Unix_socket sock) ~dir:state) with
       Srv.workers = 1;
-      chaos = Ccs.Fault.parse_env "kill@0";
+      chaos = Ccs.Fault.parse_env Serve "kill@0";
       min_uptime_ms = 600_000;
       (* every death is "rapid" *)
       breaker_limit = 2;
@@ -941,7 +981,7 @@ let test_healthz_counts_live_workers () =
     {
       (Srv.default_config ~address:(Srv.Unix_socket sock) ~dir:state) with
       Srv.workers = 2;
-      chaos = Ccs.Fault.parse_env "kill@0";
+      chaos = Ccs.Fault.parse_env Serve "kill@0";
       min_uptime_ms = 0;
     }
   in
@@ -1032,7 +1072,7 @@ let test_chaos_soak () =
     {
       (Srv.default_config ~address:(Srv.Unix_socket sock) ~dir:state) with
       Srv.workers = 2;
-      chaos = Ccs.Fault.parse_env "iofault@1:2,truncate@3,kill@5";
+      chaos = Ccs.Fault.parse_env Serve "iofault@1:2,truncate@3,kill@5";
       store_max_entries = store_bound;
       min_uptime_ms = 0;
       (* chaos deaths are expected; never trip the breaker here *)
@@ -1172,33 +1212,20 @@ let test_flight_rejects_corruption () =
 
 let test_trace_id_echo () =
   let t = make_daemon () in
-  let with_trace_id line id =
-    match Json.of_string line with
-    | Ok (Json.Obj fields) ->
-        Json.to_string (Json.Obj (fields @ [ ("trace_id", Json.String id) ]))
-    | _ -> Alcotest.fail "bad fixture"
-  in
-  let line = with_trace_id (plan_line (app_graph "fm-radio")) "req-7" in
-  let echoed r =
-    match Json.of_string r with
-    | Ok v -> Json.member "trace_id" v
-    | Error _ -> None
-  in
+  let line = plan_line ~trace_id:"req-7" (app_graph "fm-radio") in
   let r = Srv.handle_line t line in
   Alcotest.(check bool) "ok" true (is_ok r);
   Alcotest.(check (option string))
-    "echoed on success" (Some "req-7")
-    (Option.bind (echoed r) Json.to_str);
-  let bad = with_trace_id (plan_line ~m:0 (app_graph "fm-radio")) "req-8" in
+    "echoed on success" (Some "req-7") (str_field r "trace_id");
+  let bad = plan_line ~m:0 ~trace_id:"req-8" (app_graph "fm-radio") in
   let r = Srv.handle_line t bad in
   Alcotest.(check bool) "error" false (is_ok r);
   Alcotest.(check (option string))
-    "echoed on error" (Some "req-8")
-    (Option.bind (echoed r) Json.to_str);
+    "echoed on error" (Some "req-8") (str_field r "trace_id");
   (* no trace_id in, none out *)
   let r = Srv.handle_line t (plan_line (app_graph "fm-radio")) in
   Alcotest.(check (option string)) "absent stays absent" None
-    (Option.bind (echoed r) Json.to_str)
+    (str_field r "trace_id")
 
 let make_traced_daemon ~tracing =
   Srv.make
@@ -1214,23 +1241,42 @@ let test_tracing_bit_identical () =
      same answers and the same cache traffic — tracing only records. *)
   let off = make_traced_daemon ~tracing:false in
   let on = make_traced_daemon ~tracing:true in
+  (* every suite app cold then warm, each with its own trace id, which
+     both daemons must echo *)
+  let suite =
+    List.concat_map
+      (fun app ->
+        let id = "t-" ^ app in
+        let line = plan_line ~trace_id:id (app_graph app) in
+        [ (line, Some id); (line, Some id) ])
+      Ccs_apps.Suite.names
+  in
   let lines =
     [
-      plan_line (app_graph "fm-radio");
-      plan_line (app_graph "fm-radio");
-      plan_line ~dry_run:true (app_graph "bitonic");
-      plan_line ~m:0 (app_graph "fft");
+      (plan_line ~dry_run:true (app_graph "bitonic"), None);
+      (plan_line ~m:0 (app_graph "fft"), None);
     ]
+    @ suite
   in
   List.iteri
-    (fun i line ->
+    (fun i (line, id) ->
       let a = Srv.handle_line off line in
       let b = Srv.handle_line on line in
       Alcotest.(check string)
         (Printf.sprintf "request %d bit-identical" i)
-        (normalize a) (normalize b))
+        (normalize a) (normalize b);
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "request %d trace id echoed" i)
+        [ id; id ]
+        [ str_field a "trace_id"; str_field b "trace_id" ])
     lines;
   let counter t name = Option.value (Srv.metric_value t name) ~default:(-1) in
+  (* bitonic's dry run stores the plan its later request hits: 1 + 11
+     cold misses, 12 warm hits + 1 *)
+  Alcotest.(check int) "cache misses" 12
+    (counter on "ccs_serve_cache_misses_total");
+  Alcotest.(check int) "cache hits" 13
+    (counter on "ccs_serve_cache_hits_total");
   Alcotest.(check int)
     "cache misses equal"
     (counter off "ccs_serve_cache_misses_total")

@@ -42,7 +42,46 @@ let test_happy_path_matches_plain_run () =
         report.Ccs.Supervisor.result.Ccs.Runner.misses;
       Alcotest.(check int) "same outputs" plain.Ccs.Runner.outputs
         report.Ccs.Supervisor.result.Ccs.Runner.outputs;
-      Alcotest.(check int) "no retries" 0 report.Ccs.Supervisor.retries
+      Alcotest.(check int) "no retries" 0 report.Ccs.Supervisor.retries;
+      (* Every suite app at M=2048 over 16 epochs: a checkpoint every k
+         epochs, k in {1, 4, 16}, writes 16/k checkpoints and never
+         changes a miss. *)
+      let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
+      let cache = Ccs.Config.cache_config cfg in
+      let outputs = 2048 in
+      let epoch_outputs = outputs / 16 in
+      List.iter
+        (fun entry ->
+          let app = entry.Ccs_apps.Suite.name in
+          let g = entry.Ccs_apps.Suite.graph () in
+          let plan = (Ccs.Auto.plan ~dynamic:false g cfg).Ccs.Auto.plan in
+          let supervised ?checkpoint_dir k =
+            let config =
+              { Ccs.Supervisor.default_config with checkpoint_every = k }
+            in
+            Must.ok
+              (Ccs.Supervisor.run ~config ?checkpoint_dir ~epoch_outputs
+                 ~graph:g ~cache ~plan ~outputs ())
+          in
+          let misses r = r.Ccs.Supervisor.result.Ccs.Runner.misses in
+          let base = supervised 4 in
+          List.iter
+            (fun k ->
+              let dir = fresh_dir () in
+              let r =
+                Fun.protect
+                  ~finally:(fun () -> remove_dir dir)
+                  (fun () -> supervised ~checkpoint_dir:dir k)
+              in
+              let label = Printf.sprintf "%s k=%d" app k in
+              Alcotest.(check int)
+                (label ^ " epochs") 16 r.Ccs.Supervisor.epochs;
+              Alcotest.(check int)
+                (label ^ " checkpoints") (16 / k)
+                r.Ccs.Supervisor.checkpoints_written;
+              Alcotest.(check int) (label ^ " misses") (misses base) (misses r))
+            [ 1; 4; 16 ])
+        Ccs_apps.Suite.all
 
 (* A hook that faults once, at the named node's k-th firing, then disarms:
    the supervisor must roll back, retry, and finish with the exact result
@@ -340,10 +379,10 @@ let adaptive_run ?checkpoint_dir ?(resume = false) ?counters ?prepare () =
   let g = fm_radio () in
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
   let cache = Ccs.Config.cache_config cfg in
-  let c = Ccs.Adapt.create ~planner:(Ccs.Auto.adapt_planner g cfg) cache in
+  let c = Ccs.Adapt.create ~planner:(Ccs.Auto.adapt_planner g) cache in
   Ccs.Supervisor.run
     ~config:{ Ccs.Supervisor.default_config with checkpoint_every = 1 }
-    ?checkpoint_dir ~resume ~env:(Ccs.Fault.parse_env "shrink@2:4") ~adapt:c
+    ?checkpoint_dir ~resume ~env:(Ccs.Fault.parse_env Run "shrink@2:4") ~adapt:c
     ?counters ?prepare ~epoch_outputs:250 ~graph:g ~cache
     ~plan:c.Ccs.Adapt.live.Ccs.Adapt.plan ~outputs:4000 ()
 

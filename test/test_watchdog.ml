@@ -29,7 +29,7 @@ let drivers =
       fun g plan ~outputs ->
         let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
         Result.bind
-          (Ccs.Engine.create_checked ~program ~cache
+          (Ccs.Engine.create ~program ~cache
              ~capacities:plan.Ccs.Plan.capacities ())
           (fun engine ->
             Result.map ignore (Ccs.Engine.run_plan engine plan ~outputs)) );
@@ -190,7 +190,7 @@ let engine_for g fault =
   let program =
     Ccs.Program.inject fault (Ccs.Program.create g (Ccs.Kernels.autobind g))
   in
-  ( Ccs.Engine.create_checked ~program ~cache:(Ccs.Config.cache_config cfg)
+  ( Ccs.Engine.create ~program ~cache:(Ccs.Config.cache_config cfg)
       ~capacities:choice.Ccs.Auto.plan.Ccs.Plan.capacities (),
     choice.Ccs.Auto.plan )
 
