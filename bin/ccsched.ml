@@ -106,6 +106,9 @@ let write_atomic ~path doc = Ccs.Binio.write_atomic ~path doc
 
 let with_graph graph f = f (or_die graph)
 
+(* The first [k] elements of a list (all of it when shorter). *)
+let take k l = List.filteri (fun i _ -> i < k) l
+
 let ints_of_string s =
   try
     String.split_on_char ',' s
@@ -542,10 +545,6 @@ let profile_cmd =
            ~cache:(Ccs.Config.cache_config cfg)
            ~plan ~outputs ())
     in
-    let rec take k = function
-      | x :: rest when k > 0 -> x :: take (k - 1) rest
-      | _ -> []
-    in
     let rows = take top (Ccs.Profile.per_entity profile) in
     let table =
       Ccs.Profile.component_table profile choice.Ccs.Auto.partition
@@ -896,10 +895,6 @@ let trace_cmd =
         List.filter (fun (_, s) -> s.Ccs.Span.stage = "request") spans
         |> List.sort (fun (_, a) (_, b) ->
                compare (Ccs.Span.duration_us b) (Ccs.Span.duration_us a))
-      in
-      let rec take k = function
-        | x :: rest when k > 0 -> x :: take (k - 1) rest
-        | _ -> []
       in
       List.iter
         (fun (label, (root : Ccs.Span.span)) ->

@@ -16,15 +16,14 @@ type t = {
   mutable cfg : config;
   mutable nblocks : int;
   mutable engine : engine;
-  mutable resizes : int;
   mutable accesses : int;
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;
   (* Eviction counting is delegated to the per-set LRU engines (the only
      place that knows a replacement displaced a block); this baseline
-     makes [reset_stats]/[restore] restart the reported count without a
-     hot-path cost. *)
+     lets [restore], [resize] and [carry_stats] set the reported count
+     without a hot-path cost. *)
   mutable evict_base : int;
 }
 
@@ -57,7 +56,6 @@ let create cfg =
     cfg;
     nblocks;
     engine = make_engine cfg nblocks;
-    resizes = 0;
     accesses = 0;
     hits = 0;
     misses = 0;
@@ -71,12 +69,6 @@ let num_blocks t = t.nblocks
 let config_of t = t.cfg
 
 let num_sets t = match t.engine with Full _ -> 1 | Sets { nsets; _ } -> nsets
-
-let engine_capacity t =
-  match t.engine with
-  | Full lru -> Lru.capacity lru
-  | Sets { sets; _ } ->
-      Array.fold_left (fun acc s -> acc + Lru.capacity s) 0 sets
 
 let block_of t addr = addr / t.cfg.block_words
 
@@ -111,14 +103,6 @@ let touch_block_traced t blk =
 
 let touch t addr = touch_block t (block_of t addr)
 
-let touch_range t ~addr ~len =
-  if len > 0 then begin
-    let first = block_of t addr and last = block_of t (addr + len - 1) in
-    for blk = first to last do
-      ignore (touch_block t blk)
-    done
-  end
-
 let cached t addr =
   let blk = block_of t addr in
   match t.engine with
@@ -143,15 +127,6 @@ let engine_evictions t =
       Array.fold_left (fun acc s -> acc + Lru.evictions s) 0 sets
 
 let evictions t = engine_evictions t - t.evict_base
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0;
-  t.evict_base <- engine_evictions t
-
-let resizes t = t.resizes
 
 (* --- online reconfiguration ----------------------------------------------
 
@@ -225,7 +200,6 @@ let resize t cfg =
   t.cfg <- cfg;
   t.nblocks <- nblocks;
   t.engine <- engine;
-  t.resizes <- t.resizes + 1;
   (* Keep the reported eviction count continuous, charging the residents
      the reconfiguration displaced. *)
   let dropped = population - !survivors in

@@ -41,13 +41,9 @@ val num_blocks : t -> int
 
 val num_sets : t -> int
 (** Number of replacement sets: [1] for fully-associative LRU, [nblocks]
-    for direct-mapped, [ceil (nblocks / ways)] for set-associative. *)
-
-val engine_capacity : t -> int
-(** Total modeled capacity in blocks, summed over all sets.  Always equals
-    {!num_blocks}, whatever the policy — set-associative configs whose way
-    count does not divide the block count shrink their last set rather than
-    dropping capacity. *)
+    for direct-mapped, [ceil (nblocks / ways)] for set-associative.  When
+    [ways] does not divide [nblocks] the last set shrinks, so the sets
+    always hold exactly {!num_blocks} blocks. *)
 
 val touch : t -> int -> bool
 (** [touch t addr] simulates an access to word address [addr]; returns
@@ -64,10 +60,6 @@ val touch_block_traced : t -> int -> bool * int
     eviction was needed).  Slightly slower than {!touch_block}; used only
     when a tracer is attached. *)
 
-val touch_range : t -> addr:int -> len:int -> unit
-(** Touch [len] consecutive words starting at [addr] (a streaming read or
-    write of a whole region). *)
-
 val cached : t -> int -> bool
 (** Whether [addr]'s block is currently resident (no side effect). *)
 
@@ -81,11 +73,9 @@ val flushes : t -> int
 
 val evictions : t -> int
 (** Blocks displaced by replacement (summed over all sets) since creation
-    or the last {!reset_stats}/{!restore}.  A {!flush} empties the cache
+    or the last {!restore}.  A {!flush} empties the cache
     but does not count as evictions, and the count is {e not} part of the
     {!persisted} state — it is a telemetry diagnostic. *)
-
-val reset_stats : t -> unit
 
 val resize : t -> config -> unit
 (** [resize t cfg] reconfigures a live cache in place — the adverse-runtime
@@ -98,9 +88,6 @@ val resize : t -> config -> unit
     accesses/hits/misses/flushes are continuous across the resize.
     @raise Invalid_argument if [cfg.block_words] differs from the current
     block size (block geometry cannot change online). *)
-
-val resizes : t -> int
-(** Number of {!resize} reconfigurations applied since creation. *)
 
 val carry_stats : src:t -> t -> unit
 (** [carry_stats ~src dst] adds [src]'s accesses/hits/misses/flushes and

@@ -21,8 +21,3 @@ let size t = t.next
 let word r i =
   if i < 0 || i >= r.length then invalid_arg "Layout.word: out of region";
   r.base + i
-
-let ring_word r i =
-  if r.length <= 0 then invalid_arg "Layout.ring_word: empty region";
-  let m = i mod r.length in
-  r.base + (if m < 0 then m + r.length else m)

@@ -25,7 +25,3 @@ val size : t -> int
 val word : region -> int -> int
 (** [word r i] is the address of the [i]-th word of [r].
     @raise Invalid_argument if [i] is outside the region. *)
-
-val ring_word : region -> int -> int
-(** [ring_word r i] is [word r (i mod length)] — the address of logical slot
-    [i] of a ring buffer occupying [r].  Requires [length > 0]. *)

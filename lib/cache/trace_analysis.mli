@@ -20,10 +20,6 @@ val histogram : ?buckets:int array -> int array -> (string * int) list
     are powers of two up to the maximum finite distance; cold accesses get
     their own final bucket.  Returns (label, count) rows in order. *)
 
-val misses_at : distances:int array -> capacity_blocks:int -> int
-(** Misses an LRU cache of [capacity_blocks] incurs on the trace: the
-    number of accesses with reuse distance ≥ capacity (cold counts). *)
-
 val miss_curve : distances:int array -> capacities:int list -> (int * int) list
 (** [(capacity, misses)] for each requested capacity — the full LRU miss
     curve from one pass. *)

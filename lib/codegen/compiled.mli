@@ -39,9 +39,6 @@ val outputs : t -> int
 val checksum : t -> float
 (** Sum of the per-sink checksum cells, in {!Ccs_sdf.Graph.sinks} order. *)
 
-val sink_checksums : t -> float array
-(** Per-sink checksum cells, aligned with [lowering.sinks]. *)
-
 val cell : t -> Ccs_sdf.Graph.node -> float
 (** A module's accumulator cell.  Accumulators live outside the simulated
     address space: a module's state words are charged to the cache (and

@@ -46,5 +46,3 @@ val diff_files : old_path:string -> new_path:string -> (report, string) result
 
 val pp : Format.formatter -> report -> unit
 (** Summary line, uncompared-id notes, then one line per finding. *)
-
-val pp_finding : Format.formatter -> finding -> unit

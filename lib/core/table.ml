@@ -37,12 +37,3 @@ let fmt_float x =
   else if Float.abs x >= 10. then Printf.sprintf "%.1f" x
   else if Float.abs x >= 0.01 then Printf.sprintf "%.3f" x
   else Printf.sprintf "%.2e" x
-
-let to_csv ~header ~rows =
-  let cell s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-    else s
-  in
-  let line r = String.concat "," (List.map cell r) in
-  String.concat "\n" (List.map line (header :: rows)) ^ "\n"

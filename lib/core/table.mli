@@ -1,16 +1,9 @@
 (** Minimal fixed-width text tables for reports and benches. *)
 
-val render : header:string list -> rows:string list list -> string
-(** Pad every column to its widest cell; header separated by a dashed
-    rule. *)
-
 val print : header:string list -> rows:string list list -> unit
-(** [render] to stdout. *)
+(** Print a table to stdout, every column padded to its widest cell and
+    the header separated by a dashed rule. *)
 
 val fmt_float : float -> string
 (** Compact float formatting used across reports ("12.3", "0.042",
     "1.2e-05"). *)
-
-val to_csv : header:string list -> rows:string list list -> string
-(** RFC-4180-ish CSV (quotes cells containing commas, quotes or
-    newlines). *)

@@ -3,14 +3,14 @@
     A checkpoint captures {e everything} that determines a machine
     simulation's future behaviour: firing counts and channel cursors
     ({!Machine.persist}), every cache's per-set recency order and
-    statistics ({!Ccs_cache.Cache.persist}; one cache per processor, so a
-    multiprocessor session of {!Ccs_multi.Multi_machine} saves through
-    the same format), per-entity attribution counters, and the tracer's
-    logical clock.  Restoring it into a machine built from the
-    same graph, cache configuration and channel capacities therefore
-    resumes the run {e bit-identically}: an interrupted-and-resumed run
-    reports exactly the miss counts, attribution and sink outputs of an
-    uninterrupted one (enforced by a QCheck property in the test suite).
+    statistics ({!Ccs_cache.Cache.persist}; one cache per processor, with
+    the module placement, for a multiprocessor machine), per-entity
+    attribution counters, and the tracer's logical clock.  Restoring it
+    into a machine built from the same graph, cache configuration and
+    channel capacities therefore resumes the run {e bit-identically}: an
+    interrupted-and-resumed run reports exactly the miss counts,
+    attribution and sink outputs of an uninterrupted one (enforced by a
+    QCheck property in the test suite).
 
     Files are framed by {!Ccs_sdf.Binio}: magic ["CCSCKPT1"], format
     version ({!version}, 2 since checkpoints carry one cache per

@@ -133,8 +133,6 @@ let env_of_sites sites =
   (* Stable sort: simultaneous events apply in spec order. *)
   List.stable_sort (fun a b -> compare a.at_epoch b.at_epoch) sites
 
-let env_sites env = env
-
 let env_plan ?(horizon = 32) ~seed ~count () =
   if horizon <= 0 then invalid_arg "Fault.env_plan: horizon must be positive";
   if count < 0 then invalid_arg "Fault.env_plan: count must be >= 0";

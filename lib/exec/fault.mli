@@ -25,8 +25,6 @@ exception
     engine catches it (like any other kernel exception) and reports a
     structured fault. *)
 
-val all_classes : Ccs_sdf.Error.fault_class list
-
 val plan :
   ?classes:Ccs_sdf.Error.fault_class list ->
   ?horizon:int ->
@@ -36,7 +34,7 @@ val plan :
   t
 (** [plan ~seed ~count g] draws [count] {e distinct} (module, firing) fault
     sites over [g]'s modules, fault classes drawn from [classes] (default
-    {!all_classes}) and firing indices below [horizon] (default 64).
+    every class) and firing indices below [horizon] (default 64).
     Deterministic in [seed]; colliding draws are redrawn so the plan always
     carries exactly [count] triggerable sites.
     @raise Ccs_sdf.Error.Error with [Empty_graph] if [g] has no modules
@@ -109,15 +107,6 @@ val env_of_sites : env_site list -> env
     @raise Invalid_argument on negative epochs or out-of-range event
     parameters. *)
 
-val env_sites : env -> env_site list
-
-val env_plan : ?horizon:int -> seed:int -> count:int -> unit -> env
-(** [env_plan ~seed ~count ()] draws [count] random events (shrinks,
-    restores, bursts, I/O faults) at epochs below [horizon] (default 32).
-    Deterministic in [seed].
-    @raise Invalid_argument on negative [count] or non-positive
-    [horizon]. *)
-
 val conditions_at : env -> int -> conditions
 (** The conditions in force at a given epoch index.  Serve-layer events
     ([Worker_kill], [Record_truncate]) are instantaneous and do not
@@ -126,13 +115,6 @@ val conditions_at : env -> int -> conditions
 val events_at : env -> int -> env_event list
 (** The events pinned to exactly this epoch, in spec order — how the
     daemon and the soak driver consume serve-layer chaos. *)
-
-val serve_plan : ?horizon:int -> seed:int -> count:int -> unit -> env
-(** [serve_plan ~seed ~count ()] draws [count] random serve-layer events
-    (worker kills, plan-store I/O faults, truncated records) at request
-    indices below [horizon] (default 32).  Deterministic in [seed].
-    @raise Invalid_argument on negative [count] or non-positive
-    [horizon]. *)
 
 val env_cache_config :
   Ccs_cache.Cache.config -> conditions -> Ccs_cache.Cache.config
@@ -150,7 +132,10 @@ val parse_env : consumer -> string -> env
     takes [shrink@E:D], [restore@E], [ways@E:N], [burst@E:MxL],
     [iofault@E:L] and [rand@SEED:COUNT[:HORIZON]]; the daemon takes
     [kill@E], [truncate@E], [iofault@E:L] and
-    [srand@SEED:COUNT[:HORIZON]].
+    [srand@SEED:COUNT[:HORIZON]].  [rand] draws [COUNT] shrinks, restores,
+    bursts and I/O faults, and [srand] [COUNT] worker kills, plan-store I/O
+    faults and truncated records, at epochs below [HORIZON] (default 32),
+    deterministically in [SEED].
     @raise Ccs_sdf.Error.Error with a [Failure_msg] (context
     ["chaos spec"]) naming the offending atom on malformed input or on an
     event the consumer does not act on. *)
@@ -158,7 +143,5 @@ val parse_env : consumer -> string -> env
 val env_to_string : env -> string
 (** Canonical spec round-trip: [parse_env (env_to_string e)] has the same
     sites as [e] (a [rand@...] atom expands to its drawn events). *)
-
-val env_event_to_string : env_event -> string
 
 val pp_env : Format.formatter -> env -> unit

@@ -422,14 +422,10 @@ let trace t =
   | None -> invalid_arg "Machine.trace: machine created without record_trace"
 
 let address_space_words t = t.space_words
-let state_region t v = t.states.(v)
-let buffer_region t e = t.chans.(e).region
 
 (* --- observability ------------------------------------------------------- *)
 
 let num_entities t = t.num_nodes + Array.length t.chans
-let entity_of_state _t v = v
-let entity_of_buffer t e = t.num_nodes + e
 let counters t = t.counters
 let tracer t = t.tracer
 let metrics t = Option.map (fun ms -> ms.m_registry) t.mstats
@@ -449,8 +445,6 @@ let sync_metrics t =
 let entity_label t i =
   if i < t.num_nodes then Graph.node_name t.graph i
   else Graph.edge_name t.graph (i - t.num_nodes)
-
-let fire_budget t = t.fire_budget
 
 (* --- adaptation hooks ----------------------------------------------------
 

@@ -120,9 +120,6 @@ val deadlocked : t -> bool
 (** True iff no module at all can fire — the machine can make no further
     progress under any driver. *)
 
-val fireable_reason : t -> Ccs_sdf.Graph.node -> string option
-(** [None] if fireable, otherwise a human-readable obstruction. *)
-
 val fire : t -> Ccs_sdf.Graph.node -> unit
 (** @raise Not_fireable if the module's firing rule is not satisfied. *)
 
@@ -140,7 +137,7 @@ val set_fire_budget : t -> int option -> unit
 val snapshot : t -> Ccs_sdf.Error.snapshot
 (** Diagnostic freeze-frame: firing/input/output counts, every channel's
     occupancy against its capacity, and every currently-blocked module with
-    its {!fireable_reason}. *)
+    the reason it cannot fire. *)
 
 val run : t -> Ccs_sdf.Graph.node list -> unit
 (** Fire a sequence in order. *)
@@ -179,9 +176,6 @@ val trace : t -> int array
 val address_space_words : t -> int
 (** Total simulated memory footprint. *)
 
-val state_region : t -> Ccs_sdf.Graph.node -> Ccs_cache.Layout.region
-val buffer_region : t -> Ccs_sdf.Graph.edge -> Ccs_cache.Layout.region
-
 (** {2 Observability}
 
     Entity ids for the attribution counters: module state [v] is entity
@@ -189,9 +183,6 @@ val buffer_region : t -> Ccs_sdf.Graph.edge -> Ccs_cache.Layout.region
 
 val num_entities : t -> int
 (** [num_nodes + num_edges] — the size {!create}'s [counters] must have. *)
-
-val entity_of_state : t -> Ccs_sdf.Graph.node -> int
-val entity_of_buffer : t -> Ccs_sdf.Graph.edge -> int
 
 val entity_label : t -> int -> string
 (** The module or channel name behind an entity id (diagnostics, trace
@@ -208,9 +199,6 @@ val sync_metrics : t -> unit
     statistics, summed over {!caches}.  A no-op without an attached
     registry.  Drivers call this at epoch and run boundaries — the access
     hot path never does. *)
-
-val fire_budget : t -> int option
-(** The currently installed firing cap, if any (see {!set_fire_budget}). *)
 
 (** {2 Adaptation hooks}
 

@@ -63,9 +63,6 @@ val decode : path:string -> Ccs_sdf.Binio.R.t -> t
 (** Binary round-trip for embedding keys in {!Ccs_sdf.Binio} records.
     [decode] raises structured [Checkpoint_corrupt] on malformed bytes. *)
 
-val pp_cache_config : Ccs_cache.Cache.config -> string
-(** ["2048w/16b/lru"]-style rendering, shared with checkpoint errors. *)
-
 val policy_tag : Ccs_cache.Cache.policy -> int * int
 val policy_of_tag : path:string -> int -> int -> Ccs_cache.Cache.policy
 (** Wire helpers for the replacement policy, shared with the checkpoint

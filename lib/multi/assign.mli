@@ -14,11 +14,6 @@ type t = {
   load : float array;  (** Per-processor load (work per graph input). *)
 }
 
-val component_load :
-  Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> Ccs_partition.Spec.t -> int ->
-  float
-(** Work per graph input of one component. *)
-
 val lpt :
   Ccs_sdf.Graph.t ->
   Ccs_sdf.Rates.analysis ->

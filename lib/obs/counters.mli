@@ -2,11 +2,11 @@
 
     An {e entity} is anything the instrumented machine charges a memory
     touch to — a module's state region or a channel's ring buffer — encoded
-    as a dense integer id by the instrumenting layer (see
-    {!Ccs_exec.Machine.entity_of_state} and [entity_of_buffer]).  The
-    counters themselves are two flat int arrays, so recording is two (or
-    three) array stores on the instrumented path and the structure imposes
-    zero cost when absent.
+    as a dense integer id by the instrumenting layer ({!Ccs_exec.Machine}
+    makes module state [v] entity [v] and channel buffer [e] entity
+    [num_nodes + e]).  The counters themselves are two flat int arrays, so
+    recording is two (or three) array stores on the instrumented path and
+    the structure imposes zero cost when absent.
 
     The central invariant the test suite enforces: when a machine is
     created with counters attached, the per-entity misses sum {e exactly}

@@ -26,9 +26,6 @@ val spans : t -> Span.t
 val note_log : t -> string -> unit
 (** Mirror one rendered log line into the ring (see {!Log.tee}). *)
 
-val recent_logs : t -> string list
-(** Retained log lines, oldest first. *)
-
 val dumps : t -> int
 (** Number of {!dump} calls so far on this recorder. *)
 

@@ -13,7 +13,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
 val level_of_string : string -> level option
 (** Accepts ["debug"], ["info"], ["warn"]/["warning"], ["error"]. *)
 

@@ -126,7 +126,6 @@ let num_series t = t.count
 let inc c = c.ct.cells.(c.cbase) <- c.ct.cells.(c.cbase) + 1
 let add c n = c.ct.cells.(c.cbase) <- c.ct.cells.(c.cbase) + n
 let set g v = g.gt.cells.(g.gbase) <- v
-let gauge_add g n = g.gt.cells.(g.gbase) <- g.gt.cells.(g.gbase) + n
 
 (* Log bucket index: the bit length of [v] ([0] for non-positive values). *)
 let bucket_of v =

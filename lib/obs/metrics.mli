@@ -43,7 +43,6 @@ val histogram : t -> ?help:string -> ?labels:(string * string) list -> string ->
 val inc : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
 val observe : histogram -> int -> unit
 
 (** {2 Readback} — for tests and programmatic consumers. *)
@@ -55,12 +54,6 @@ val histogram_sum : histogram -> int
 
 val histogram_buckets : histogram -> int list
 (** Per-bucket (non-cumulative) observation counts, bucket 0 first. *)
-
-val bucket_of : int -> int
-(** The bucket index an observation falls into (exposed for tests). *)
-
-val bucket_le : int -> int
-(** Inclusive upper bound of bucket [k]: [2^k - 1], and [0] for bucket 0. *)
 
 val value : t -> ?labels:(string * string) list -> string -> int option
 (** Current value of a counter/gauge (or a histogram's count) by name. *)

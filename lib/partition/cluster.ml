@@ -64,10 +64,6 @@ let contract g a spec =
   Array.iteri (fun c n -> component_of_node.(n) <- c) node_of_component;
   { graph; node_of_component; component_of_node; edge_of_cross }
 
-let fuse_smallest g a ~bound =
-  let spec = Dag.greedy g ~bound in
-  (contract g a spec).graph
-
 let hierarchical g a ~bound ?(coarsen_to = 8) ?max_degree () =
   let max_state =
     List.fold_left (fun acc v -> max acc (Graph.state g v)) 1 (Graph.nodes g)

@@ -40,15 +40,6 @@ val contract :
 (** Contract every component of a well-ordered partition to one module.
     @raise Invalid_argument if the partition is not well-ordered. *)
 
-val fuse_smallest :
-  Ccs_sdf.Graph.t ->
-  Ccs_sdf.Rates.analysis ->
-  bound:int ->
-  Ccs_sdf.Graph.t
-(** Convenience: greedily fuse adjacent modules while the fused state stays
-    at most [bound] — the coarsening step a hierarchical partitioner would
-    apply before running an expensive algorithm on the smaller graph. *)
-
 val hierarchical :
   Ccs_sdf.Graph.t ->
   Ccs_sdf.Rates.analysis ->

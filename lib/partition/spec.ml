@@ -26,7 +26,6 @@ let of_assignment g a =
   let component = Array.map (fun c -> Hashtbl.find remap c) a in
   { graph = g; component; num_components = !next }
 
-let singletons g = of_assignment g (Array.init (Graph.num_nodes g) Fun.id)
 let whole g = of_assignment g (Array.make (Graph.num_nodes g) 0)
 let graph t = t.graph
 let num_components t = t.num_components
@@ -108,13 +107,6 @@ let component_topo_order t =
   match contracted_topo t with
   | Some order -> order
   | None -> invalid_arg "Spec.component_topo_order: partition not well-ordered"
-
-let is_c_bounded t ~bound =
-  let ok = ref true in
-  for c = 0 to t.num_components - 1 do
-    if component_state t c > bound then ok := false
-  done;
-  !ok
 
 let is_degree_limited t ~bound =
   let ok = ref true in

@@ -28,9 +28,6 @@ val of_assignment : Ccs_sdf.Graph.t -> int array -> t
     @raise Invalid_argument if the array length differs from the node
     count. *)
 
-val singletons : Ccs_sdf.Graph.t -> t
-(** Every module in its own component. *)
-
 val whole : Ccs_sdf.Graph.t -> t
 (** All modules in one component. *)
 
@@ -60,10 +57,6 @@ val max_component_degree : t -> int
 
 val is_well_ordered : t -> bool
 (** Whether the contracted multigraph is acyclic (Definition 2). *)
-
-val is_c_bounded : t -> bound:int -> bool
-(** Whether every component's state is at most [bound] (the paper's
-    [c * m], with the caller choosing [c]). *)
 
 val is_degree_limited : t -> bound:int -> bool
 (** Whether every component's cross-edge degree is at most [bound] (the

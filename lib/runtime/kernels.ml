@@ -3,18 +3,6 @@ let two_pi = 8. *. atan 1.
 (* Sources keep their oscillator phase in state.(0) (and friends), so the
    declared state must be at least 1 word; the rest models code/tables. *)
 
-let sine_source ~state_words ~freq =
-  if state_words < 1 then invalid_arg "Kernels.sine_source: state_words >= 1";
-  Kernel.make ~state_words (fun ~state ~inputs:_ ~outputs ->
-      Array.iter
-        (fun out ->
-          Array.iteri
-            (fun i _ ->
-              out.(i) <- sin (two_pi *. freq *. state.(0));
-              state.(0) <- state.(0) +. 1.)
-            out)
-        outputs)
-
 let fm_source ~state_words ~carrier ~tone =
   if state_words < 2 then invalid_arg "Kernels.fm_source: state_words >= 2";
   Kernel.make ~state_words (fun ~state ~inputs:_ ~outputs ->
@@ -145,33 +133,6 @@ let duplicate ~state_words =
       Array.iter
         (fun out -> Array.blit inputs.(0) 0 out 0 (Array.length out))
         outputs)
-
-let round_robin_split ~state_words =
-  Kernel.stateless ~state_words (fun ~inputs ~outputs ->
-      let cursor = ref 0 in
-      let take () =
-        let x = inputs.(0).(!cursor) in
-        incr cursor;
-        x
-      in
-      Array.iter
-        (fun out -> Array.iteri (fun i _ -> out.(i) <- take ()) out)
-        outputs)
-
-let adder ~state_words =
-  Kernel.stateless ~state_words (fun ~inputs ~outputs ->
-      Array.iteri
-        (fun i _ ->
-          let acc = ref 0. in
-          Array.iter (fun input -> acc := !acc +. input.(i)) inputs;
-          outputs.(0).(i) <- !acc)
-        outputs.(0))
-
-let compare_exchange ~state_words =
-  Kernel.stateless ~state_words (fun ~inputs ~outputs ->
-      let a = inputs.(0).(0) and b = inputs.(1).(0) in
-      outputs.(0).(0) <- Float.min a b;
-      outputs.(1).(0) <- Float.max a b)
 
 let generic ~state_words =
   Kernel.make ~state_words (fun ~state ~inputs ~outputs ->

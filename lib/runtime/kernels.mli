@@ -7,21 +7,10 @@
 
 (** {1 Sources and sinks} *)
 
-val sine_source : state_words:int -> freq:float -> Kernel.t
-(** No inputs; fills every output channel with samples of [sin (2π·freq·n)]
-    (one global phase advancing per produced token).  [freq] is in cycles
-    per sample. *)
-
 val fm_source : state_words:int -> carrier:float -> tone:float -> Kernel.t
 (** An FM-modulated carrier: phase advances by
     [carrier + 0.5·tone_amplitude·sin(2π·tone·n)] per sample — demodulating
     it should recover the [tone]-frequency baseband. *)
-
-val counter_source : state_words:int -> Kernel.t
-(** Produces 0, 1, 2, ... (useful for data-integrity tests). *)
-
-val null_sink : state_words:int -> Kernel.t
-(** Discards its inputs. *)
 
 val collecting_sink : state_words:int -> Kernel.t * (unit -> float list)
 (** Keeps every consumed token; the returned getter lists them in arrival
@@ -58,29 +47,15 @@ val sbox : table_words:int -> Kernel.t
 val duplicate : state_words:int -> Kernel.t
 (** Copies its single input token stream to every output channel. *)
 
-val round_robin_split : state_words:int -> Kernel.t
-(** Deals consumed tokens across output channels in order (total pushes
-    must equal total pops). *)
-
-val adder : state_words:int -> Kernel.t
-(** Sums across input channels position-wise onto the single output
-    channel (all inputs same arity as the output). *)
-
-val compare_exchange : state_words:int -> Kernel.t
-(** Two inputs, two outputs: (min, max). *)
-
-(** {1 Generic} *)
-
-val generic : state_words:int -> Kernel.t
-(** Works for {e any} rate signature: flattens all consumed tokens, then
-    fills output slot [k] with a cheap mixing function of input slot
-    [k mod consumed] (or an internal counter when there are no inputs).
-    Used by {!Autobind} to make arbitrary graphs runnable with live data
-    without hand-writing kernels. *)
+(** {1 Any graph} *)
 
 val autobind : Ccs_sdf.Graph.t -> Ccs_sdf.Graph.node -> Kernel.t
 (** Heuristic kernel choice from the module's shape: sources become
-    counters, sinks discard, unit-rate single-in/single-out modules become
-    FIRs sized to their state, everything else {!generic}.  Guarantees a
-    kernel whose [state_words] matches the graph's declaration, so
-    [Program.create g (Kernels.autobind g)] always succeeds. *)
+    counters producing 0, 1, 2, ... (useful for data-integrity tests),
+    sinks discard their inputs, unit-rate single-in/single-out modules
+    become FIRs sized to their state, and everything else gets a generic
+    kernel that works for any rate signature (output slot [k] is a cheap
+    mix of consumed slot [k mod consumed], or a counter when nothing is
+    consumed).  Guarantees a kernel whose [state_words] matches the
+    graph's declaration, so [Program.create g (Kernels.autobind g)] always
+    succeeds. *)

@@ -64,8 +64,6 @@ type policy = {
           bound (0.25). *)
 }
 
-val default_policy : policy
-
 type action = Degrade | Repartition | Probe_restore
 
 val action_to_string : action -> string

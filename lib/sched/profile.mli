@@ -40,8 +40,6 @@ val per_entity : t -> (string * int * int) list
 val attributed_misses : t -> int
 (** Sum of per-entity misses — always equals [t.result.misses]. *)
 
-val attributed_accesses : t -> int
-
 type row = {
   label : string;
   measured : int;  (** Misses attributed to this row's entities. *)

@@ -10,20 +10,16 @@
     partitioning subsumes (module fusion + scaling = a special case of
     partition scheduling). *)
 
-val scaled_schedule :
-  Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> s:int -> Schedule.t
-(** The minimal-memory PASS with every invocation replaced by [s]
-    back-to-back invocations of the same module.  It fires every module
-    [s] times as often as the PASS, so it is periodic.  It is token-legal
-    for [s = 1], and for larger [s] on a graph without channel delays; a
-    PASS that starts by consuming a channel's initial tokens underflows
-    them once [s] copies of that block ask for more than the delay
-    holds.  Legality is monotone: if [s] is legal, so is every smaller
-    factor. *)
-
 val plan : Ccs_sdf.Graph.t -> Ccs_sdf.Rates.analysis -> s:int -> Plan.t
-(** Plan for a fixed scaling factor; capacities are the scaled schedule's
-    measured peaks.
+(** Plan for a fixed scaling factor [s >= 1]: the minimal-memory PASS
+    with every invocation replaced by [s] back-to-back invocations of the
+    same module, so every module fires [s] times as often as in the PASS
+    and the schedule is periodic.  Capacities are the scaled schedule's
+    measured peaks.  The schedule is token-legal for [s = 1], and for
+    larger [s] on a graph without channel delays; a PASS that starts by
+    consuming a channel's initial tokens underflows them once [s] copies
+    of that block ask for more than the delay holds.  Legality is
+    monotone: if [s] is legal, so is every smaller factor.
     @raise Ccs_sdf.Error.Error with the [Schedule_illegal] underflow
     witness when the scaled schedule is not token-legal. *)
 

@@ -82,8 +82,6 @@ let rec compress t =
       in
       (match rle [] flat with [ single ] -> single | items -> Seq items)
 
-let equivalent a b = to_list a = to_list b
-
 let rec pp fmt = function
   | Fire v -> Format.fprintf fmt "%d" v
   | Seq l ->

@@ -38,10 +38,6 @@ val compress : t -> t
     [Seq [Repeat (3, Fire a); Repeat (2, Fire b)]]).  {!iter} visits the
     same firing sequence before and after. *)
 
-val equivalent : t -> t -> bool
-(** Whether two schedules denote the same firing sequence (compares by
-    flattening; intended for tests and small schedules). *)
-
 val run : Ccs_exec.Machine.t -> t -> unit
 (** Execute on a machine.
     @raise Ccs_exec.Machine.Not_fireable if the schedule is illegal for the

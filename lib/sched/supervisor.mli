@@ -125,7 +125,4 @@ val run :
     [epoch_outputs], negative [max_retries], or an [adapt] controller whose
     initial plan is not [plan]. *)
 
-val latest_checkpoint : string -> (int * string) option
-(** The newest [(epoch, path)] checkpoint in a directory, if any. *)
-
 val pp_report : Format.formatter -> report -> unit

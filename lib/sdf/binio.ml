@@ -34,10 +34,6 @@ module W = struct
     int b (Array.length a);
     Array.iter (int b) a
 
-  let float_array b a =
-    int b (Array.length a);
-    Array.iter (float b) a
-
   let contents = Buffer.contents
 end
 
@@ -75,12 +71,6 @@ module R = struct
     if n < 0 || n > (String.length t.data - t.pos) / 8 then
       corrupt t "implausible array length";
     Array.init n (fun _ -> int t)
-
-  let float_array t =
-    let n = int t in
-    if n < 0 || n > (String.length t.data - t.pos) / 8 then
-      corrupt t "implausible array length";
-    Array.init n (fun _ -> float t)
 
   let expect_end t =
     if t.pos <> String.length t.data then corrupt t "trailing bytes in payload"

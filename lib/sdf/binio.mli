@@ -1,7 +1,7 @@
 (** Framed, checksummed binary files.
 
     The persistence substrate of machine checkpoints
-    ({!Ccs_exec.Checkpoint}, which also hold multiprocessor sessions) and
+    ({!Ccs_exec.Checkpoint}) and
     the serve daemon's plan cache: an 8-byte magic, a format version, the
     payload length and an FNV-1a 64-bit checksum, followed by the payload.
     All scalars are little-endian 64-bit, so files are portable across
@@ -20,7 +20,6 @@ module W : sig
   val float : t -> float -> unit
   val string : t -> string -> unit
   val int_array : t -> int array -> unit
-  val float_array : t -> float array -> unit
   val contents : t -> string
 end
 
@@ -35,7 +34,6 @@ module R : sig
   val float : t -> float
   val string : t -> string
   val int_array : t -> int array
-  val float_array : t -> float array
 
   val expect_end : t -> unit
   (** Fails with [Checkpoint_corrupt] unless the cursor consumed the whole
@@ -67,6 +65,3 @@ val read_file :
 (** Read a framed file back, validating magic, version, declared length and
     checksum.  Errors: [Io] (unreadable), [Checkpoint_corrupt] (framing or
     checksum), [Checkpoint_version] (format skew). *)
-
-val fnv1a64 : string -> int
-(** The checksum used by the frame (exposed for tests). *)

@@ -161,7 +161,6 @@ val severity : t -> [ `Error | `Warning ]
 val fault_class_to_string : fault_class -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val protect : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching {!Error}, [Invalid_argument], [Failure] and

@@ -99,43 +99,6 @@ let split_join ?(name = "split-join") ~branches ~depth ~state () =
   unit_edge join sink;
   B.build b
 
-let diamond ?(name = "diamond") ~width ~state () =
-  split_join ~name ~branches:width ~depth:1 ~state ()
-
-let chain_of_split_joins ?(name = "sj-chain") ~segments ~branches ~depth
-    ~state () =
-  if segments < 1 || branches < 1 || depth < 1 then
-    invalid_arg "Generators.chain_of_split_joins: parameters must be >= 1";
-  let b = B.create ~name () in
-  let unit_edge src dst = ignore (B.add_channel b ~src ~dst ~push:1 ~pop:1 ()) in
-  let source = B.add_module b ~state:1 "source" in
-  let block prev seg =
-    let split = B.add_module b ~state (Printf.sprintf "s%d-split" seg) in
-    unit_edge prev split;
-    let join = B.add_module b ~state (Printf.sprintf "s%d-join" seg) in
-    for br = 0 to branches - 1 do
-      let rec chain prev d =
-        if d = 0 then prev
-        else begin
-          let v =
-            B.add_module b ~state (Printf.sprintf "s%d-b%d-%d" seg br (depth - d))
-          in
-          unit_edge prev v;
-          chain v (d - 1)
-        end
-      in
-      unit_edge (chain split depth) join
-    done;
-    join
-  in
-  let last = ref source in
-  for seg = 0 to segments - 1 do
-    last := block !last seg
-  done;
-  let sink = B.add_module b ~state:1 "sink" in
-  unit_edge !last sink;
-  B.build b
-
 let butterfly ?(name = "butterfly") ~stages ~state () =
   if stages < 1 then invalid_arg "Generators.butterfly: stages must be >= 1";
   let lanes = 1 lsl stages in

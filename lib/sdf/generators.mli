@@ -60,21 +60,6 @@ val split_join :
 (** StreamIt-style split-join: source → splitter → [branches] parallel
     chains of [depth] modules → joiner → sink, all rates 1. *)
 
-val diamond : ?name:string -> width:int -> state:int -> unit -> Graph.t
-(** Source fanning out to [width] parallel modules joined at a sink. *)
-
-val chain_of_split_joins :
-  ?name:string ->
-  segments:int ->
-  branches:int ->
-  depth:int ->
-  state:int ->
-  unit ->
-  Graph.t
-(** The most common StreamIt program shape: a pipeline of [segments]
-    split-join blocks (each: splitter → [branches] chains of [depth]
-    modules → joiner), all rates 1. *)
-
 val butterfly : ?name:string -> stages:int -> state:int -> unit -> Graph.t
 (** FFT-style butterfly network with [2^stages] lanes and [stages] stages of
     pairwise exchanges; homogeneous. *)

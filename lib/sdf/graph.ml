@@ -287,28 +287,6 @@ let sink g =
 let topological_order g = Array.copy g.topo
 let topo_rank g = Array.copy g.rank
 
-let precedes g u v =
-  check_node g u;
-  check_node g v;
-  (* DFS from u restricted to nodes with rank <= rank v. *)
-  if u = v then true
-  else if g.rank.(u) > g.rank.(v) then false
-  else
-    let visited = Array.make (num_nodes g) false in
-    let rec dfs x =
-      x = v
-      || (not visited.(x)
-         && begin
-              visited.(x) <- true;
-              List.exists
-                (fun e ->
-                  let w = g.edge_dst.(e) in
-                  g.rank.(w) <= g.rank.(v) && dfs w)
-                g.out_edges.(x)
-            end)
-    in
-    dfs u
-
 let is_pipeline g =
   let n = num_nodes g in
   num_edges g = n - 1
@@ -347,9 +325,6 @@ let is_connected g =
     done;
     !count = n
   end
-
-let map_state g ~f =
-  { g with state = Array.mapi (fun v s -> f v s) g.state }
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph %s (%d modules, %d channels)@," g.name

@@ -129,10 +129,6 @@ val topological_order : t -> node array
 val topo_rank : t -> int array
 (** [rank.(v)] is [v]'s position in {!topological_order}. *)
 
-val precedes : t -> node -> node -> bool
-(** [precedes g u v] iff there is a directed path from [u] to [v] — the
-    paper's [u ≺ v] (reflexive: [precedes g u u = true]). *)
-
 val is_pipeline : t -> bool
 (** True iff the graph is a single directed chain (every module has at most
     one input and one output channel, and the graph is connected). *)
@@ -145,10 +141,6 @@ val is_connected : t -> bool
 (** True iff the underlying undirected graph is connected. *)
 
 (** {1 Transformation} *)
-
-val map_state : t -> f:(node -> int -> int) -> t
-(** [map_state g ~f] is [g] with each module's state size replaced by
-    [f v (state g v)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact one-line-per-element textual dump, for debugging. *)

@@ -39,31 +39,6 @@ let feasible g a ~capacities =
   let _, complete, _ = period ~capacities g a ~record:false in
   complete
 
-let tighten g a ?capacities () =
-  let caps =
-    match capacities with
-    | Some c -> Array.copy c
-    | None -> (compute g a).capacity
-  in
-  Array.iteri
-    (fun e cap ->
-      let floor_cap = max (Graph.push g e) (Graph.pop g e) in
-      (* Binary search the smallest feasible capacity for edge e, all
-         other edges held at their current values. *)
-      let lo = ref floor_cap and hi = ref cap in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        caps.(e) <- mid;
-        if feasible g a ~capacities:caps then hi := mid else lo := mid + 1
-      done;
-      caps.(e) <- !lo)
-    (Array.copy caps);
-  caps
-
-let closed_form_bound g e =
-  let pu = Graph.push g e and po = Graph.pop g e in
-  pu + po - Rational.gcd pu po + Graph.delay g e
-
 let total g t ~subset =
   List.fold_left
     (fun acc e ->

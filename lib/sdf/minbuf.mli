@@ -29,12 +29,6 @@ val compute : Graph.t -> Rates.analysis -> t
     buffers (cannot happen for rate-matched acyclic graphs, but guarded
     against). *)
 
-val closed_form_bound : Graph.t -> Graph.edge -> int
-(** [push e + pop e - gcd (push e) (pop e) + delay e]: the classical upper
-    bound on the minimum buffer of a single channel considered in isolation.
-    For homogeneous channels this is 1 (plus delay); the paper's
-    [minBuf(e) = in(e) + out(e)] coarsening dominates it. *)
-
 val total : Graph.t -> t -> subset:(Graph.node -> bool) -> int
 (** Total capacity of channels internal to [subset] (both endpoints satisfy
     the predicate) — the quantity the paper's buffer-versus-state assumption
@@ -47,12 +41,3 @@ val feasible : Graph.t -> Rates.analysis -> capacities:int array -> bool
     bounded dataflow graphs here coincides with infeasibility of the
     capacities.  Same time as {!compute}, in O(n + m) words: nothing is
     allocated per firing. *)
-
-val tighten :
-  Graph.t -> Rates.analysis -> ?capacities:int array -> unit -> int array
-(** Minimize each channel's capacity individually: starting from
-    [capacities] (default {!compute}'s), shrink every channel by binary
-    search while {!feasible} still holds, processing channels in index
-    order (the result is a per-edge local minimum, not the NP-hard joint
-    minimum — cf. the buffer-minimization literature the paper cites
-    [4, 23, 28]). *)

@@ -134,7 +134,6 @@ let analyze_exn g =
   | Ok a -> a
   | Error msg -> raise (Graph.Invalid_graph msg)
 
-let is_rate_matched g = Result.is_ok (analyze g)
 let gain a v = a.node_gain.(v)
 let edge_gain a e = Q.make a.period_tokens.(e) a.period_inputs
 

@@ -42,19 +42,15 @@ val analyze_checked : Graph.t -> (analysis, Error.t) result
 val analyze_exn : Graph.t -> analysis
 (** @raise Graph.Invalid_graph when {!analyze} would return [Error]. *)
 
-val is_rate_matched : Graph.t -> bool
-
 val gain : analysis -> Graph.node -> Rational.t
-val edge_gain : analysis -> Graph.edge -> Rational.t
-(** [gain(e) = gain(src e) * push e], that is
-    [period_tokens e / period_inputs]. *)
 
 val granularity : Graph.t -> analysis -> at_least:int -> int
 (** [granularity g a ~at_least] is the smallest batch size [T >= at_least]
     (in source firings… see below) such that for every channel [e],
-    [T * edge_gain e] is integral and divisible by both [push e] and
-    [pop e]; equivalently the smallest [T >= at_least] with [T * gain v]
-    integral for every module [v].  Scheduling at a granularity of [T]
+    [T * gain(e)] is integral and divisible by both [push e] and [pop e],
+    where [gain(e) = period_tokens e / period_inputs]; equivalently the
+    smallest [T >= at_least] with [T * gain v] integral for every module
+    [v].  Scheduling at a granularity of [T]
     source inputs lets all progeny of the batch drain through the graph with
     every module firing an integral number of times (Section 3,
     "Scheduling inhomogeneous graphs"). *)
@@ -66,7 +62,7 @@ val firings_per_batch : analysis -> t:int -> Graph.node -> int
     a multiple of the granularity). *)
 
 val tokens_per_batch : analysis -> t:int -> Graph.edge -> int
-(** [tokens_per_batch a ~t e] is [t * edge_gain e], the number of tokens
+(** [tokens_per_batch a ~t e] is [t * gain(e)], the number of tokens
     crossing channel [e] during a batch of [t] source firings.
     @raise Invalid_argument if not integral. *)
 

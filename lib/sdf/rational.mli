@@ -33,7 +33,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
-val neg : t -> t
 val inv : t -> t
 
 val mul_int : t -> int -> t

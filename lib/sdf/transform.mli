@@ -26,6 +26,3 @@ val normalize : ?source_state:int -> ?sink_state:int -> Graph.t -> info
     was.
     @raise Graph.Invalid_graph if the input is not rate-matched or not
     connected (gains would be ill-defined). *)
-
-val is_normalized : Graph.t -> bool
-(** Whether the graph already has a unique source and a unique sink. *)

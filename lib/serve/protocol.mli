@@ -57,10 +57,6 @@ type dry_run = { outputs : int; checksum : float }
 val parse_request : string -> (request, Ccs.Error.t) result
 (** Parse one request line.  All failures are [Request_invalid]. *)
 
-val schedule_to_json : Ccs.Schedule.t -> Ccs.Json.value
-(** A firing is its module id, a sequence is a list, a repetition is
-    [{"r":count,"b":body}]. *)
-
 val plan_response :
   ?trace_id:string ->
   cached:bool ->

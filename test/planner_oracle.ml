@@ -47,7 +47,7 @@ module Dag = struct
             if
               degree_ok
               && Spec.is_well_ordered candidate
-              && Spec.is_c_bounded candidate ~bound
+              && Sdf_oracle.is_c_bounded candidate ~bound
               && Q.compare
                    (Spec.bandwidth candidate analysis)
                    (Spec.bandwidth sp analysis)
@@ -221,7 +221,10 @@ module Pipeline = struct
               match dp.(!j) with
               | None -> None
               | Some c ->
-                  Some (Q.add c (Rates.edge_gain analysis (edge_after g chain (!j - 1))))
+                  Some
+                    (Q.add c
+                       (Sdf_oracle.edge_gain analysis
+                          (edge_after g chain (!j - 1))))
           in
           (match cost_before with
           | Some c
@@ -390,7 +393,7 @@ module Rational_partition = struct
 
     let bandwidth t analysis =
       List.fold_left
-        (fun acc e -> Q.add acc (Rates.edge_gain analysis e))
+        (fun acc e -> Q.add acc (Sdf_oracle.edge_gain analysis e))
         Q.zero (cross_edges t)
   end
 
@@ -489,7 +492,8 @@ module Rational_partition = struct
             (fun e ->
               let w = Graph.dst g e in
               indeg.(w) <- indeg.(w) - 1;
-              if indeg.(w) = 0 then Some (Rates.edge_gain analysis e, w) else None)
+              if indeg.(w) = 0 then Some (Sdf_oracle.edge_gain analysis e, w)
+              else None)
             (Graph.out_edges g v)
         in
         List.sort (fun (g1, _) (g2, _) -> Q.compare g1 g2) ready
@@ -544,7 +548,7 @@ module Rational_partition = struct
             (fun e ->
               let d = pos.(Graph.dst g e) in
               if d > hi then begin
-                outgo := Q.add !outgo (Rates.edge_gain analysis e);
+                outgo := Q.add !outgo (Sdf_oracle.edge_gain analysis e);
                 incr degree
               end)
             (Graph.out_edges g v);
@@ -671,7 +675,7 @@ module Rational_partition = struct
             (fun e ->
               let s = Graph.src g e and d = Graph.dst g e in
               pred_mask.(d) <- pred_mask.(d) lor (1 lsl s);
-              (s, d, Rates.edge_gain analysis e))
+              (s, d, Sdf_oracle.edge_gain analysis e))
             (Graph.edges g)
         in
         (* f(ideal) = min bandwidth to peel the remaining nodes; memoized. *)
@@ -771,9 +775,8 @@ module Rational_partition = struct
       let best = ref (edge_after g chain lo) in
       for i = lo + 1 to hi - 1 do
         let e = edge_after g chain i in
-        if Q.compare (Rates.edge_gain analysis e) (Rates.edge_gain analysis !best)
-           < 0
-        then best := e
+        let gain = Sdf_oracle.edge_gain analysis in
+        if Q.compare (gain e) (gain !best) < 0 then best := e
       done;
       !best
 
@@ -793,7 +796,7 @@ module Rational_partition = struct
         if !acc >= 2 * m then begin
           if !lo < i then begin
             let e = Pipeline.gain_minimizing_edge g a chain ~lo:!lo ~hi:i in
-            total := Q.add !total (Rates.edge_gain a e)
+            total := Q.add !total (Sdf_oracle.edge_gain a e)
           end;
           lo := i + 1;
           acc := 0

@@ -13,7 +13,8 @@ let test_all_valid () =
       let g = entry.Ccs_apps.Suite.graph () in
       let name = entry.Ccs_apps.Suite.name in
       Alcotest.(check bool) (name ^ " connected") true (G.is_connected g);
-      Alcotest.(check bool) (name ^ " rate matched") true (R.is_rate_matched g);
+      Alcotest.(check bool) (name ^ " rate matched") true
+        (Sdf_oracle.is_rate_matched g);
       Alcotest.(check int) (name ^ " one source") 1 (List.length (G.sources g));
       Alcotest.(check int) (name ^ " one sink") 1 (List.length (G.sinks g)))
     Ccs_apps.Suite.all
@@ -31,7 +32,7 @@ let test_scaled_variants_valid () =
       let g = entry.Ccs_apps.Suite.scaled 4 in
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " scaled rate-matched")
-        true (R.is_rate_matched g);
+        true (Sdf_oracle.is_rate_matched g);
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " scaled grows state")
         true
@@ -61,7 +62,7 @@ let test_dct_codec_topology () =
   Alcotest.check q "rle gain" (Q.make 1 16) (R.gain a rle);
   let packed_edge = List.hd (G.out_edges g rle) in
   Alcotest.check q "packed edge gain (4:1)" (Q.make 1 4)
-    (R.edge_gain a packed_edge)
+    (Sdf_oracle.edge_gain a packed_edge)
 
 let test_fm_radio_topology () =
   let g = Ccs_apps.Fm_radio.graph ~bands:6 ~taps:32 ~decimation:8 () in

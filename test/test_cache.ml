@@ -62,24 +62,6 @@ let test_flush () =
   Alcotest.(check int) "flush counted" 1 (C.flushes c);
   Alcotest.(check bool) "re-touch misses" false (C.touch c 0)
 
-let test_reset_stats () =
-  let c = lru_cache ~size:16 ~block:8 in
-  ignore (C.touch c 0);
-  C.reset_stats c;
-  Alcotest.(check int) "misses zero" 0 (C.misses c);
-  Alcotest.(check int) "accesses zero" 0 (C.accesses c);
-  Alcotest.(check bool) "contents kept" true (C.cached c 0)
-
-let test_touch_range () =
-  let c = lru_cache ~size:64 ~block:8 in
-  C.touch_range c ~addr:0 ~len:24;
-  Alcotest.(check int) "3 blocks missed" 3 (C.misses c);
-  C.touch_range c ~addr:4 ~len:8;
-  (* Spans blocks 0 and 1, both resident. *)
-  Alcotest.(check int) "no new misses" 3 (C.misses c);
-  C.touch_range c ~addr:0 ~len:0;
-  Alcotest.(check int) "empty range free" 3 (C.misses c)
-
 let test_direct_mapped_conflict () =
   (* Direct-mapped with 2 blocks: blocks 0 and 2 map to set 0 and conflict
      even though the cache could hold both. *)
@@ -111,9 +93,17 @@ let test_set_assoc_capacity_non_dividing () =
           (C.config ~policy:(C.Set_associative ways)
              ~size_words:(nblocks * 8) ~block_words:8 ())
       in
+      (* Touch enough distinct blocks to fill every set; the resident
+         blocks then number the modeled capacity. *)
+      for blk = 0 to (4 * nblocks) + ways do
+        ignore (C.touch c (blk * 8))
+      done;
       Alcotest.(check int)
         (Printf.sprintf "capacity %d blocks / %d ways" nblocks ways)
-        nblocks (C.engine_capacity c);
+        nblocks
+        (Array.fold_left
+           (fun acc set -> acc + Array.length set)
+           0 (C.persist c).C.p_sets);
       Alcotest.(check int)
         (Printf.sprintf "sets %d blocks / %d ways" nblocks ways)
         ((nblocks + ways - 1) / ways)
@@ -251,8 +241,6 @@ let () =
           Alcotest.test_case "cached no side effect" `Quick
             test_cached_no_side_effect;
           Alcotest.test_case "flush" `Quick test_flush;
-          Alcotest.test_case "reset stats" `Quick test_reset_stats;
-          Alcotest.test_case "touch_range" `Quick test_touch_range;
           Alcotest.test_case "direct-mapped conflicts" `Quick
             test_direct_mapped_conflict;
           Alcotest.test_case "set-associative" `Quick test_set_associative;

@@ -102,8 +102,22 @@ let test_app entry () =
    (exercising the spill-cell path on sources and interiors). *)
 let with_zero_states g =
   let sinks = G.sinks g in
-  G.map_state g ~f:(fun v st ->
-      if List.mem v sinks then max 1 st else if v mod 2 = 0 then 0 else st)
+  let b = G.Builder.create ~name:(G.name g) () in
+  List.iter
+    (fun v ->
+      let st = G.state g v in
+      let state =
+        if List.mem v sinks then max 1 st else if v mod 2 = 0 then 0 else st
+      in
+      ignore (G.Builder.add_module b ~state (G.node_name g v)))
+    (G.nodes g);
+  List.iter
+    (fun e ->
+      ignore
+        (G.Builder.add_channel b ~delay:(G.delay g e) ~src:(G.src g e)
+           ~dst:(G.dst g e) ~push:(G.push g e) ~pop:(G.pop g e) ()))
+    (G.edges g);
+  G.Builder.build b
 
 let gen_case =
   QCheck2.Gen.(

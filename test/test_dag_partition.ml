@@ -18,7 +18,7 @@ let test_interval_always_valid () =
   let order = G.topological_order g in
   let sp = D.interval g ~order ~bound:20 in
   Alcotest.(check bool) "well ordered" true (S.is_well_ordered sp);
-  Alcotest.(check bool) "bounded" true (S.is_c_bounded sp ~bound:20)
+  Alcotest.(check bool) "bounded" true (Sdf_oracle.is_c_bounded sp ~bound:20)
 
 let test_interval_rejects_bad_order () =
   let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:1 () in
@@ -47,7 +47,7 @@ let test_greedy_valid_on_suite () =
       Alcotest.(check bool)
         (entry.Ccs_apps.Suite.name ^ " bounded")
         true
-        (S.is_c_bounded sp ~bound))
+        (Sdf_oracle.is_c_bounded sp ~bound))
     Ccs_apps.Suite.all
 
 let test_greedy_dfs_locality () =
@@ -75,7 +75,7 @@ let test_refine_improves_or_ties () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d still bounded" seed)
       true
-      (S.is_c_bounded sp' ~bound);
+      (Sdf_oracle.is_c_bounded sp' ~bound);
     Alcotest.(check bool)
       (Printf.sprintf "seed %d no worse" seed)
       true
@@ -89,7 +89,8 @@ let test_exact_structure () =
   | None -> Alcotest.fail "small graph should be solvable"
   | Some sp ->
       Alcotest.(check bool) "well ordered" true (S.is_well_ordered sp);
-      Alcotest.(check bool) "bounded" true (S.is_c_bounded sp ~bound:16)
+      Alcotest.(check bool) "bounded" true
+        (Sdf_oracle.is_c_bounded sp ~bound:16)
 
 let test_exact_whole_graph_when_fits () =
   let g = Ccs.Generators.uniform_pipeline ~n:5 ~state:2 () in

@@ -7,7 +7,8 @@ module R = Ccs.Rates
 let check_invariants ?(expect_homog = false) ?(expect_pipeline = false) name g
     =
   Alcotest.(check bool) (name ^ ": connected") true (G.is_connected g);
-  Alcotest.(check bool) (name ^ ": rate matched") true (R.is_rate_matched g);
+  Alcotest.(check bool) (name ^ ": rate matched") true
+    (Sdf_oracle.is_rate_matched g);
   Alcotest.(check int)
     (name ^ ": unique source") 1
     (List.length (G.sources g));
@@ -70,7 +71,7 @@ let test_layered () =
   List.iter
     (fun v ->
       Alcotest.(check bool) "on a path" true
-        (G.precedes g s v && G.precedes g v t))
+        (Sdf_oracle.precedes g s v && Sdf_oracle.precedes g v t))
     (G.nodes g)
 
 let test_split_join () =
@@ -79,14 +80,49 @@ let test_split_join () =
   Alcotest.(check int) "node count" (2 + 2 + (4 * 3)) (G.num_nodes g)
 
 let test_diamond () =
-  let g = Ccs.Generators.diamond ~width:6 ~state:2 () in
+  let g = Ccs.Generators.split_join ~branches:6 ~depth:1 ~state:2 () in
   check_invariants ~expect_homog:true "diamond" g
 
-let test_chain_of_split_joins () =
-  let g =
-    Ccs.Generators.chain_of_split_joins ~segments:3 ~branches:4 ~depth:2
-      ~state:8 ()
+(* The most common StreamIt program shape: a pipeline of [segments]
+   split-joins, each of [branches] chains of [depth] modules. *)
+let chain_of_split_joins ~segments ~branches ~depth ~state =
+  let b = G.Builder.create ~name:"sj-chain" () in
+  let unit_edge src dst =
+    ignore (G.Builder.add_channel b ~src ~dst ~push:1 ~pop:1 ())
   in
+  let source = G.Builder.add_module b ~state:1 "source" in
+  let block prev seg =
+    let split =
+      G.Builder.add_module b ~state (Printf.sprintf "s%d-split" seg)
+    in
+    unit_edge prev split;
+    let join = G.Builder.add_module b ~state (Printf.sprintf "s%d-join" seg) in
+    for br = 0 to branches - 1 do
+      let rec chain prev d =
+        if d = 0 then prev
+        else begin
+          let v =
+            G.Builder.add_module b ~state
+              (Printf.sprintf "s%d-b%d-%d" seg br (depth - d))
+          in
+          unit_edge prev v;
+          chain v (d - 1)
+        end
+      in
+      unit_edge (chain split depth) join
+    done;
+    join
+  in
+  let last = ref source in
+  for seg = 0 to segments - 1 do
+    last := block !last seg
+  done;
+  let sink = G.Builder.add_module b ~state:1 "sink" in
+  unit_edge !last sink;
+  G.Builder.build b
+
+let test_chain_of_split_joins () =
+  let g = chain_of_split_joins ~segments:3 ~branches:4 ~depth:2 ~state:8 in
   check_invariants ~expect_homog:true "sj-chain" g;
   (* source + sink + per segment: split + join + branches*depth *)
   Alcotest.(check int) "node count" (2 + (3 * (2 + (4 * 2)))) (G.num_nodes g);

@@ -84,10 +84,11 @@ let test_topological_order () =
 
 let test_precedes () =
   let g, source, a, bb, sink, _, _, _ = sample () in
-  Alcotest.(check bool) "source ≺ sink" true (G.precedes g source sink);
-  Alcotest.(check bool) "a ≺ b" true (G.precedes g a bb);
-  Alcotest.(check bool) "reflexive" true (G.precedes g a a);
-  Alcotest.(check bool) "not b ≺ a" false (G.precedes g bb a)
+  Alcotest.(check bool) "source ≺ sink" true
+    (Sdf_oracle.precedes g source sink);
+  Alcotest.(check bool) "a ≺ b" true (Sdf_oracle.precedes g a bb);
+  Alcotest.(check bool) "reflexive" true (Sdf_oracle.precedes g a a);
+  Alcotest.(check bool) "not b ≺ a" false (Sdf_oracle.precedes g bb a)
 
 let test_precedes_diamond () =
   (* s -> {x, y} -> t: x and y are incomparable. *)
@@ -100,9 +101,9 @@ let test_precedes_diamond () =
     (fun (u, v) -> ignore (B.add_channel b ~src:u ~dst:v ~push:1 ~pop:1 ()))
     [ (s, x); (s, y); (x, t); (y, t) ];
   let g = B.build b in
-  Alcotest.(check bool) "x not ≺ y" false (G.precedes g x y);
-  Alcotest.(check bool) "y not ≺ x" false (G.precedes g y x);
-  Alcotest.(check bool) "s ≺ t" true (G.precedes g s t)
+  Alcotest.(check bool) "x not ≺ y" false (Sdf_oracle.precedes g x y);
+  Alcotest.(check bool) "y not ≺ x" false (Sdf_oracle.precedes g y x);
+  Alcotest.(check bool) "s ≺ t" true (Sdf_oracle.precedes g s t)
 
 let test_classification () =
   let g, _, _, _, _, _, _, _ = sample () in
@@ -112,7 +113,7 @@ let test_classification () =
   let h = Ccs.Generators.uniform_pipeline ~n:5 ~state:1 () in
   Alcotest.(check bool) "uniform pipeline homogeneous" true
     (G.is_homogeneous h);
-  let d = Ccs.Generators.diamond ~width:3 ~state:1 () in
+  let d = Ccs.Generators.split_join ~branches:3 ~depth:1 ~state:1 () in
   Alcotest.(check bool) "diamond not pipeline" false (G.is_pipeline d)
 
 let test_disconnected () =
@@ -133,13 +134,6 @@ let test_multigraph_edges () =
   Alcotest.(check int) "two edges" 2 (G.num_edges g);
   Alcotest.(check (list int)) "both out of x" [ e0; e1 ] (G.out_edges g x);
   Alcotest.(check int) "distinct rates" 2 (G.push g e1)
-
-let test_map_state () =
-  let g, _, a, _, _, _, _, _ = sample () in
-  let g2 = G.map_state g ~f:(fun _ s -> s * 2) in
-  Alcotest.(check int) "doubled" 20 (G.state g2 a);
-  Alcotest.(check int) "original untouched" 10 (G.state g a);
-  Alcotest.(check int) "structure preserved" (G.num_edges g) (G.num_edges g2)
 
 let test_delay_recorded () =
   let b = B.create () in
@@ -234,7 +228,6 @@ let () =
           Alcotest.test_case "classification" `Quick test_classification;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "multigraph" `Quick test_multigraph_edges;
-          Alcotest.test_case "map_state" `Quick test_map_state;
           Alcotest.test_case "delay" `Quick test_delay_recorded;
           Alcotest.test_case "multi source/sink" `Quick test_multi_source_sink;
           QCheck_alcotest.to_alcotest prop_canonical_order;

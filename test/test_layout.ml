@@ -48,14 +48,6 @@ let test_word_addressing () =
     (Invalid_argument "Layout.word: out of region") (fun () ->
       ignore (L.word r 4))
 
-let test_ring_word () =
-  let l = L.create () in
-  let r = L.alloc l ~len:4 in
-  Alcotest.(check int) "slot 0" 0 (L.ring_word r 0);
-  Alcotest.(check int) "slot 5 wraps" 1 (L.ring_word r 5);
-  Alcotest.(check int) "slot 4 wraps to 0" 0 (L.ring_word r 4);
-  Alcotest.(check int) "large index" 3 (L.ring_word r 103)
-
 let test_disjointness_under_mixed_aligns () =
   let l = L.create ~align:8 () in
   let regions =
@@ -90,7 +82,6 @@ let () =
           Alcotest.test_case "zero length" `Quick test_zero_length;
           Alcotest.test_case "negative rejected" `Quick test_negative_rejected;
           Alcotest.test_case "word addressing" `Quick test_word_addressing;
-          Alcotest.test_case "ring word" `Quick test_ring_word;
           Alcotest.test_case "disjointness" `Quick
             test_disjointness_under_mixed_aligns;
         ] );

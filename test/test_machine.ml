@@ -156,13 +156,14 @@ let test_ring_buffer_wraparound () =
   Alcotest.(check int) "all consumed" 0 (M.tokens m e0);
   Alcotest.(check int) "produced 6" 6 (M.produced m e0)
 
+(* The layout a machine is created on: [create] builds it with
+   [plan_layout]. *)
 let test_regions_disjoint () =
-  let m, _, _, _, _, _ = machine () in
-  let g = M.graph m in
-  let regions =
-    List.map (fun v -> M.state_region m v) (G.nodes g)
-    @ List.map (fun e -> M.buffer_region m e) (G.edges g)
+  let g, _, _, _, _, _ = sample () in
+  let l =
+    M.plan_layout ~graph:g ~cache:cache_cfg ~capacities:[| 4; 6 |] ()
   in
+  let regions = Array.to_list l.M.l_states @ Array.to_list l.M.l_buffers in
   List.iteri
     (fun i r1 ->
       List.iteri

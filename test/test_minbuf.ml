@@ -50,7 +50,7 @@ let test_multirate_pipeline () =
      latest-first schedule needs at most push+pop-gcd = 4. *)
   Alcotest.(check bool)
     "capacity bounded by closed form" true
-    (mb.M.capacity.(0) <= M.closed_form_bound g 0)
+    (mb.M.capacity.(0) <= Sdf_oracle.closed_form_bound g 0)
 
 let test_schedule_counts_match_repetition () =
   let g = Ccs_apps.Beamformer.graph ~channels:2 ~beams:2 ~taps:4 () in
@@ -81,7 +81,7 @@ let test_closed_form () =
       ()
   in
   (* 6 + 4 - gcd 6 4 = 8 *)
-  Alcotest.(check int) "closed form" 8 (M.closed_form_bound g 0)
+  Alcotest.(check int) "closed form" 8 (Sdf_oracle.closed_form_bound g 0)
 
 let test_total_subset () =
   let g = Ccs.Generators.uniform_pipeline ~n:5 ~state:1 () in

@@ -51,14 +51,19 @@ let test_lpt_rejects_zero () =
     (Invalid_argument "Assign.lpt: processors must be >= 1") (fun () ->
       ignore (Ccs.Assign.lpt g a spec ~processors:0))
 
+(* With one processor per component, LPT gives each processor exactly one
+   component, so the per-processor loads are the component loads. *)
 let test_component_load_positive () =
   let g, a, spec = setup () in
-  for c = 0 to Sp.num_components spec - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "component %d load > 0" c)
-      true
-      (Ccs.Assign.component_load g a spec c > 0.)
-  done
+  let assign =
+    Ccs.Assign.lpt g a spec ~processors:(Sp.num_components spec)
+  in
+  Array.iteri
+    (fun p load ->
+      Alcotest.(check bool)
+        (Printf.sprintf "processor %d load > 0" p)
+        true (load > 0.))
+    assign.Ccs.Assign.load
 
 let run_multi g a spec ~processors =
   let assign = Ccs.Assign.lpt g a spec ~processors in
@@ -269,37 +274,6 @@ let test_multi_observers_leave_result_unchanged () =
   Alcotest.(check (float 1e-9)) "same makespan"
     plain.Ccs.Multi_machine.makespan observed.Ccs.Multi_machine.makespan
 
-let test_metrics_sum_to_total () =
-  let g, a, spec = setup () in
-  let assign = Ccs.Assign.lpt g a spec ~processors:3 in
-  let t = R.granularity g a ~at_least:256 in
-  let plain = Ccs.Multi_machine.run g a spec assign ~t ~batches:4 (cfg_for 3) in
-  let reg = Ccs.Metrics.create () in
-  let r =
-    Ccs.Multi_machine.run ~metrics:reg g a spec assign ~t ~batches:4
-      (cfg_for 3)
-  in
-  Alcotest.(check bool) "result identical with a registry" true (plain = r);
-  let gauge p =
-    match
-      Ccs.Metrics.value reg
-        ~labels:[ ("proc", string_of_int p) ]
-        "ccs_cache_misses"
-    with
-    | Some v -> v
-    | None -> Alcotest.failf "no ccs_cache_misses gauge for proc %d" p
-  in
-  Alcotest.(check int) "per-proc gauges sum to total_misses"
-    r.Ccs.Multi_machine.total_misses
-    (gauge 0 + gauge 1 + gauge 2);
-  Alcotest.(check (option int)) "inputs gauge"
-    (Some r.Ccs.Multi_machine.inputs)
-    (Ccs.Metrics.value reg "ccs_multi_inputs");
-  Alcotest.(check (option int)) "batches gauge" (Some 4)
-    (Ccs.Metrics.value reg "ccs_multi_batches")
-
-(* --- differential: Multi_machine on Machine == the standalone oracle ----- *)
-
 let processor_counts = [ 1; 2; 3; 4; 8 ]
 
 let show_result (r : Ccs.Multi_machine.result) =
@@ -421,127 +395,152 @@ let random_agrees g =
   | _ -> ());
   true
 
-(* --- session save/load ------------------------------------------------------ *)
+(* --- multiprocessor checkpoints ------------------------------------------- *)
+
+(* A multiprocessor run is one [Machine] with a private cache per
+   processor; it checkpoints through the uniprocessor [Checkpoint] format,
+   which records the caches and the module placement. *)
 
 let session_setup ~processors =
   let g, a, spec = setup () in
   let assign = Ccs.Assign.lpt g a spec ~processors in
-  let cfg =
-    {
-      Ccs.Multi_machine.processors;
-      cache = Ccs.Cache.config ~size_words:256 ~block_words:16 ();
-      miss_penalty = 16.;
-    }
-  in
   let plan =
     Ccs.Partitioned.batch g a spec ~t:(R.granularity g a ~at_least:256)
   in
-  (g, a, spec, assign, plan, cfg)
+  (g, spec, assign, plan)
 
-let temp_snap () = Filename.temp_file "ccs-test-multi" ".ccsmsnap"
+let placed_machine ?counters ?metrics ?(cache_words = 256) g spec assign plan
+    =
+  Ccs.Machine.create ?counters ?metrics ~caches:assign.Ccs.Assign.processors
+    ~cache_of:
+      (Array.init (G.num_nodes g) (fun v ->
+           assign.Ccs.Assign.processor_of_component.(Sp.component_of spec v)))
+    ~graph:g
+    ~cache:(Ccs.Cache.config ~size_words:cache_words ~block_words:16 ())
+    ~capacities:plan.Ccs.Plan.capacities ()
+
+let run_batches m plan k =
+  let period = Option.get plan.Ccs.Plan.period in
+  for _ = 1 to k do
+    Ccs.Schedule.iter period ~f:(Ccs.Machine.fire m)
+  done
+
+(* The registry's cache gauges of a placed machine sum its private caches,
+   so they report the multiprocessor run's total. *)
+let test_metrics_sum_to_total () =
+  let g, spec, assign, plan = session_setup ~processors:3 in
+  let reg = Ccs.Metrics.create () in
+  let m = placed_machine ~metrics:reg g spec assign plan in
+  run_batches m plan 4;
+  Ccs.Machine.sync_metrics m;
+  let r =
+    Ccs.Multi_machine.run_plan g (R.analyze_exn g) spec assign ~plan
+      ~batches:4
+      {
+        Ccs.Multi_machine.processors = 3;
+        cache = Ccs.Cache.config ~size_words:256 ~block_words:16 ();
+        miss_penalty = 16.;
+      }
+  in
+  Alcotest.(check (option int)) "misses gauge = total_misses"
+    (Some r.Ccs.Multi_machine.total_misses)
+    (Ccs.Metrics.value reg "ccs_cache_misses");
+  Alcotest.(check (option int)) "accesses gauge = per-processor sum"
+    (Some
+       (Array.fold_left
+          (fun acc c -> acc + Ccs.Cache.accesses c)
+          0 (Ccs.Machine.caches m)))
+    (Ccs.Metrics.value reg "ccs_cache_accesses")
+
+let temp_snap () = Filename.temp_file "ccs-test-multi" ".ckpt"
+
+let save m plan ~batches =
+  let path = temp_snap () in
+  Ccs.Checkpoint.save ~path
+    (Ccs.Checkpoint.capture ~plan_name:plan.Ccs.Plan.name ~epoch:batches m);
+  path
+
+let expect_mismatch what expected = function
+  | Ok _ -> Alcotest.failf "%s mismatch accepted" what
+  | Error (Ccs.Error.Checkpoint_mismatch { field; _ }) ->
+      Alcotest.(check string) "field" expected field
+  | Error e ->
+      Alcotest.fail
+        ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e)
 
 let test_session_save_load_bit_identical () =
-  let g, a, spec, assign, plan, cfg = session_setup ~processors:3 in
+  let g, spec, assign, plan = session_setup ~processors:3 in
   (* Uninterrupted reference: 6 batches straight through. *)
-  let s_ref = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  Ccs.Multi_machine.run_batches s_ref 6;
-  let r_ref = Ccs.Multi_machine.result s_ref in
-  (* Killed + resumed: 2 batches, snapshot, fresh session, restore, 4 more. *)
-  let s1 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  Ccs.Multi_machine.run_batches s1 2;
-  let path = temp_snap () in
-  Ccs.Multi_machine.save_session ~path s1;
-  let s2 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  (match Ccs.Multi_machine.load_session ~path s2 with
-  | Ok () -> ()
+  let m_ref = placed_machine g spec assign plan in
+  run_batches m_ref plan 6;
+  (* Killed + resumed: 2 batches, checkpoint, fresh machine, restore, 4
+     more. *)
+  let m1 = placed_machine g spec assign plan in
+  run_batches m1 plan 2;
+  let path = save m1 plan ~batches:2 in
+  let m2 = placed_machine g spec assign plan in
+  (match Ccs.Checkpoint.load_into ~path m2 with
+  | Ok ckpt ->
+      Alcotest.(check int) "batches restored" 2 ckpt.Ccs.Checkpoint.epoch
   | Error e -> Alcotest.fail ("load failed: " ^ Ccs.Error.to_string e));
-  Alcotest.(check int) "batches restored" 2 (Ccs.Multi_machine.batches_done s2);
-  Ccs.Multi_machine.run_batches s2 4;
-  let r2 = Ccs.Multi_machine.result s2 in
-  Alcotest.(check int) "same total misses" r_ref.Ccs.Multi_machine.total_misses
-    r2.Ccs.Multi_machine.total_misses;
-  Alcotest.(check int) "same inputs" r_ref.Ccs.Multi_machine.inputs
-    r2.Ccs.Multi_machine.inputs;
+  run_batches m2 plan 4;
+  Alcotest.(check int) "same total misses" (Ccs.Machine.misses m_ref)
+    (Ccs.Machine.misses m2);
+  Alcotest.(check int) "same inputs"
+    (Ccs.Machine.source_inputs m_ref)
+    (Ccs.Machine.source_inputs m2);
   Array.iteri
-    (fun p m ->
+    (fun p c ->
       Alcotest.(check int)
         (Printf.sprintf "processor %d misses" p)
-        m
-        r2.Ccs.Multi_machine.per_processor_misses.(p))
-    r_ref.Ccs.Multi_machine.per_processor_misses;
-  Alcotest.(check (float 1e-9)) "same makespan"
-    r_ref.Ccs.Multi_machine.makespan r2.Ccs.Multi_machine.makespan;
+        (Ccs.Cache.misses c)
+        (Ccs.Cache.misses (Ccs.Machine.caches m2).(p)))
+    (Ccs.Machine.caches m_ref);
   Sys.remove path
 
 let test_session_load_mismatch_rejected () =
-  let g, a, spec, assign, plan, cfg = session_setup ~processors:3 in
-  let s1 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  Ccs.Multi_machine.run_batches s1 1;
-  let path = temp_snap () in
-  Ccs.Multi_machine.save_session ~path s1;
+  let g, spec, assign, plan = session_setup ~processors:3 in
+  let m1 = placed_machine g spec assign plan in
+  run_batches m1 plan 1;
+  let path = save m1 plan ~batches:1 in
   (* Same graph and plan, different processor count: must be refused. *)
-  let assign2 = Ccs.Assign.lpt g a spec ~processors:2 in
-  let cfg2 = { cfg with Ccs.Multi_machine.processors = 2 } in
-  let s2 = Ccs.Multi_machine.create_session g a spec assign2 ~plan cfg2 in
-  (match Ccs.Multi_machine.load_session ~path s2 with
-  | Ok () -> Alcotest.fail "processor-count mismatch accepted"
-  | Error (Ccs.Error.Checkpoint_mismatch { field; _ }) ->
-      Alcotest.(check string) "field" "processors" field
-  | Error e ->
-      Alcotest.fail ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e));
+  let assign2 = Ccs.Assign.lpt g (R.analyze_exn g) spec ~processors:2 in
+  expect_mismatch "processor-count" "processors"
+    (Ccs.Checkpoint.load_into ~path (placed_machine g spec assign2 plan));
   (* Different private cache size: also refused. *)
-  let cfg3 =
-    {
-      cfg with
-      Ccs.Multi_machine.cache =
-        Ccs.Cache.config ~size_words:512 ~block_words:16 ();
-    }
-  in
-  let s3 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg3 in
-  (match Ccs.Multi_machine.load_session ~path s3 with
-  | Ok () -> Alcotest.fail "cache-config mismatch accepted"
-  | Error (Ccs.Error.Checkpoint_mismatch { field; _ }) ->
-      Alcotest.(check string) "field" "cache.size_words" field
-  | Error e ->
-      Alcotest.fail ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e));
+  expect_mismatch "cache-config" "cache"
+    (Ccs.Checkpoint.load_into ~path
+       (placed_machine ~cache_words:512 g spec assign plan));
   Sys.remove path
 
 let test_session_restores_observers () =
-  let g, a, spec, assign, plan, cfg = session_setup ~processors:2 in
+  let g, spec, assign, plan = session_setup ~processors:2 in
   let entities = G.num_nodes g + G.num_edges g in
   let c_ref = Ccs.Counters.create ~entities in
-  let s_ref =
-    Ccs.Multi_machine.create_session ~counters:c_ref g a spec assign ~plan cfg
-  in
-  Ccs.Multi_machine.run_batches s_ref 4;
+  let m_ref = placed_machine ~counters:c_ref g spec assign plan in
+  run_batches m_ref plan 4;
   let c1 = Ccs.Counters.create ~entities in
-  let s1 =
-    Ccs.Multi_machine.create_session ~counters:c1 g a spec assign ~plan cfg
-  in
-  Ccs.Multi_machine.run_batches s1 2;
-  let path = temp_snap () in
-  Ccs.Multi_machine.save_session ~path s1;
+  let m1 = placed_machine ~counters:c1 g spec assign plan in
+  run_batches m1 plan 2;
+  let path = save m1 plan ~batches:2 in
   let c2 = Ccs.Counters.create ~entities in
-  let s2 =
-    Ccs.Multi_machine.create_session ~counters:c2 g a spec assign ~plan cfg
-  in
-  (match Ccs.Multi_machine.load_session ~path s2 with
-  | Ok () -> ()
+  let m2 = placed_machine ~counters:c2 g spec assign plan in
+  (match Ccs.Checkpoint.load_into ~path m2 with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("load failed: " ^ Ccs.Error.to_string e));
-  Ccs.Multi_machine.run_batches s2 2;
+  run_batches m2 plan 2;
   Alcotest.(check bool) "per-entity attribution identical" true
     (Ccs.Counters.dump c_ref = Ccs.Counters.dump c2);
   Sys.remove path
 
 let test_session_placement_mismatch_rejected () =
   (* Same processor count, components rotated onto other processors: the
-     snapshot's caches hold another placement's blocks, so resuming it
+     checkpoint's caches hold another placement's blocks, so resuming it
      would match neither run. *)
-  let g, a, spec, assign, plan, cfg = session_setup ~processors:3 in
-  let s1 = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  Ccs.Multi_machine.run_batches s1 2;
-  let path = temp_snap () in
-  Ccs.Multi_machine.save_session ~path s1;
+  let g, spec, assign, plan = session_setup ~processors:3 in
+  let m1 = placed_machine g spec assign plan in
+  run_batches m1 plan 2;
+  let path = save m1 plan ~batches:2 in
   let rotated =
     {
       assign with
@@ -551,31 +550,25 @@ let test_session_placement_mismatch_rejected () =
           assign.Ccs.Assign.processor_of_component;
     }
   in
-  let s2 = Ccs.Multi_machine.create_session g a spec rotated ~plan cfg in
-  (match Ccs.Multi_machine.load_session ~path s2 with
-  | Ok () -> Alcotest.fail "placement mismatch accepted"
-  | Error (Ccs.Error.Checkpoint_mismatch { field; _ }) ->
-      Alcotest.(check string) "field" "placement" field
-  | Error e ->
-      Alcotest.fail ("expected Checkpoint_mismatch, got " ^ Ccs.Error.to_string e));
+  expect_mismatch "placement" "placement"
+    (Ccs.Checkpoint.load_into ~path (placed_machine g spec rotated plan));
   Sys.remove path
 
-(* Snapshots from before sessions saved through [Checkpoint] come back as
-   structured errors: the old multiprocessor format by its magic, a
-   version-1 machine checkpoint by its version. *)
+(* Files of other kinds come back as structured errors: the former
+   multiprocessor snapshot format by its magic, a version-1 machine
+   checkpoint (one cache, no placement) by its version. *)
 let load_framed ~magic ~version =
-  let g, a, spec, assign, plan, cfg = session_setup ~processors:3 in
+  let g, spec, assign, plan = session_setup ~processors:3 in
   let path = temp_snap () in
   Ccs.Binio.write_file ~path ~magic ~version "an older payload";
-  let s = Ccs.Multi_machine.create_session g a spec assign ~plan cfg in
-  let r = Ccs.Multi_machine.load_session ~path s in
+  let r = Ccs.Checkpoint.load_into ~path (placed_machine g spec assign plan) in
   Sys.remove path;
   r
 
 let test_session_rejects_old_format () =
   match load_framed ~magic:"CCSMSNAP" ~version:1 with
   | Error (Ccs.Error.Checkpoint_corrupt _) -> ()
-  | Ok () -> Alcotest.fail "CCSMSNAP file accepted"
+  | Ok _ -> Alcotest.fail "CCSMSNAP file accepted"
   | Error e ->
       Alcotest.fail ("expected Checkpoint_corrupt, got " ^ Ccs.Error.to_string e)
 
@@ -584,7 +577,7 @@ let test_session_rejects_version_1 () =
   | Error (Ccs.Error.Checkpoint_version { found; expected; _ }) ->
       Alcotest.(check int) "found" 1 found;
       Alcotest.(check int) "expected" Ccs.Checkpoint.version expected
-  | Ok () -> Alcotest.fail "version-1 checkpoint accepted"
+  | Ok _ -> Alcotest.fail "version-1 checkpoint accepted"
   | Error e ->
       Alcotest.fail ("expected Checkpoint_version, got " ^ Ccs.Error.to_string e)
 
@@ -620,10 +613,10 @@ let () =
             test_invalid_plan_structured_error;
           Alcotest.test_case "attribution sums" `Quick
             test_multi_attribution_sums;
-          Alcotest.test_case "observers unobtrusive" `Quick
-            test_multi_observers_leave_result_unchanged;
           Alcotest.test_case "metrics sum to total" `Quick
             test_metrics_sum_to_total;
+          Alcotest.test_case "observers unobtrusive" `Quick
+            test_multi_observers_leave_result_unchanged;
         ] );
       ( "oracle",
         [

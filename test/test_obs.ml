@@ -123,7 +123,7 @@ let test_attribution_sums_exactly () =
     (Ccs.Profile.attributed_misses profile);
   Alcotest.(check int) "accesses attributed"
     profile.Ccs.Profile.result.Ccs.Runner.accesses
-    (Ccs.Profile.attributed_accesses profile)
+    (Ccs.Counters.total_accesses profile.Ccs.Profile.counters)
 
 let test_attribution_sums_on_app_suite () =
   List.iter
@@ -207,13 +207,12 @@ let test_entity_labels () =
   List.iter
     (fun v ->
       Alcotest.(check string) "state entity label" (G.node_name g v)
-        (Ccs.Machine.entity_label machine (Ccs.Machine.entity_of_state machine v)))
+        (Ccs.Machine.entity_label machine v))
     (G.nodes g);
   List.iter
     (fun e ->
       Alcotest.(check string) "buffer entity label" (G.edge_name g e)
-        (Ccs.Machine.entity_label machine
-           (Ccs.Machine.entity_of_buffer machine e)))
+        (Ccs.Machine.entity_label machine (G.num_nodes g + e)))
     (G.edges g)
 
 (* --- Trace export --------------------------------------------------------- *)
@@ -313,7 +312,7 @@ let prop_attribution_exact =
       in
       Ccs.Profile.attributed_misses profile
       = profile.Ccs.Profile.result.Ccs.Runner.misses
-      && Ccs.Profile.attributed_accesses profile
+      && Ccs.Counters.total_accesses profile.Ccs.Profile.counters
          = profile.Ccs.Profile.result.Ccs.Runner.accesses)
 
 let () =

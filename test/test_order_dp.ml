@@ -110,7 +110,7 @@ let test_best_never_worse_than_greedy () =
       true
       (Q.compare (Sp.bandwidth bs a) (Sp.bandwidth gr a) <= 0);
     Alcotest.(check bool) "well ordered" true (Sp.is_well_ordered bs);
-    Alcotest.(check bool) "bounded" true (Sp.is_c_bounded bs ~bound)
+    Alcotest.(check bool) "bounded" true (Sdf_oracle.is_c_bounded bs ~bound)
   done
 
 let test_candidate_orders_topological () =

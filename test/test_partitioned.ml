@@ -195,7 +195,7 @@ let test_pipeline_dynamic_runs () =
     (G.edges g)
 
 let test_pipeline_dynamic_rejects_dag () =
-  let g = Ccs.Generators.diamond ~width:2 ~state:2 () in
+  let g = Ccs.Generators.split_join ~branches:2 ~depth:1 ~state:2 () in
   let a = R.analyze_exn g in
   match Pt.pipeline_dynamic g a (Sp.whole g) ~m_tokens:16 with
   | _ -> Alcotest.fail "diamond is not a pipeline"

@@ -12,7 +12,7 @@ let q = Alcotest.testable (fun fmt x -> Q.pp fmt x) Q.equal
 let test_chain_order () =
   let g = Ccs.Generators.uniform_pipeline ~n:5 ~state:1 () in
   Alcotest.(check (array int)) "in order" [| 0; 1; 2; 3; 4 |] (P.chain_order g);
-  let d = Ccs.Generators.diamond ~width:2 ~state:1 () in
+  let d = Ccs.Generators.split_join ~branches:2 ~depth:1 ~state:1 () in
   Alcotest.check_raises "non-pipeline rejected"
     (Invalid_argument "Pipeline: graph is not a pipeline") (fun () ->
       ignore (P.chain_order d))
@@ -44,7 +44,7 @@ let check_valid_segmentation g sp ~bound =
   Alcotest.(check bool)
     (Printf.sprintf "bounded by %d" bound)
     true
-    (S.is_c_bounded sp ~bound);
+    (Sdf_oracle.is_c_bounded sp ~bound);
   (* Segments of a chain must be contiguous in chain order. *)
   let chain = P.chain_order g in
   let last = ref (-1) in
@@ -179,7 +179,7 @@ let test_dp_exhaustive_check () =
           if i < n - 1 && (mask lsr i) land 1 = 1 then begin
             seg_state := 0;
             let e = List.hd (G.out_edges g v) in
-            cost := Q.add !cost (R.edge_gain a e)
+            cost := Q.add !cost (Sdf_oracle.edge_gain a e)
           end)
         chain;
       if !ok then

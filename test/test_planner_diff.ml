@@ -149,7 +149,7 @@ let same_plan (p : Ccs.Plan.t) (q : Ccs.Plan.t) =
 let batch_agrees g =
   let a = R.analyze_exn g in
   let specs =
-    S.singletons g :: S.whole g
+    Sdf_oracle.singletons g :: S.whole g
     :: List.concat_map
          (fun bound ->
            List.filter_map
@@ -250,7 +250,7 @@ let partition_agrees g =
       done
     done
   end;
-  cost_agrees (S.singletons g);
+  cost_agrees (Sdf_oracle.singletons g);
   cost_agrees (S.whole g);
   (* Small caches, where Auto.partition runs the exact search under a
      tight degree cap and weighs it against the heuristic. *)
@@ -504,7 +504,14 @@ let planners_agree g =
     match Ccs.Scaling.plan g a ~s with
     | plan -> [ plan ]
     | exception Ccs.Error.Error e ->
-        let old_ = oracle_peaks g (Ccs.Scaling.scaled_schedule g a ~s) in
+        (* The scaled PASS: each invocation repeated [s] times. *)
+        let scaled =
+          Ccs.Schedule.seq
+            (List.map
+               (fun v -> Ccs.Schedule.repeat s (Ccs.Schedule.fire v))
+               (Ccs.Minbuf.compute g a).Ccs.Minbuf.schedule)
+        in
+        let old_ = oracle_peaks g scaled in
         if old_ <> Error e then
           fail "%s: Scaling.plan ~s:%d raised %s, the oracle %s" (G.name g) s
             (Ccs.Error.to_string e)

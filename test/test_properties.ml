@@ -55,7 +55,7 @@ let prop_edge_gain_consistent =
       let a = R.analyze_exn g in
       List.for_all
         (fun e ->
-          Q.equal (R.edge_gain a e)
+          Q.equal (Sdf_oracle.edge_gain a e)
             (Q.mul_int (R.gain a (G.src g e)) (G.push g e)))
         (G.edges g))
 
@@ -82,7 +82,7 @@ let prop_greedy_partition_valid =
       in
       let bound = max max_state (G.total_state g / 3) in
       let sp = Ccs.Dag_partition.greedy g ~bound in
-      Sp.is_well_ordered sp && Sp.is_c_bounded sp ~bound)
+      Sp.is_well_ordered sp && Sdf_oracle.is_c_bounded sp ~bound)
 
 let prop_pipeline_dp_optimal_under_greedy =
   QCheck2.Test.make ~name:"pipeline DP never worse than theorem-5 greedy"
@@ -108,10 +108,10 @@ let prop_singletons_bandwidth_total =
       let a = R.analyze_exn g in
       let total =
         List.fold_left
-          (fun acc e -> Q.add acc (R.edge_gain a e))
+          (fun acc e -> Q.add acc (Sdf_oracle.edge_gain a e))
           Q.zero (G.edges g)
       in
-      Q.equal (Sp.bandwidth (Sp.singletons g) a) total)
+      Q.equal (Sp.bandwidth (Sdf_oracle.singletons g) a) total)
 
 (* --- Scheduler invariants ------------------------------------------------ *)
 

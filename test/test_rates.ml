@@ -21,7 +21,7 @@ let test_pipeline_gains () =
   Alcotest.check q "gain a" Q.one (R.gain a 1);
   Alcotest.check q "gain b" (Q.of_int 2) (R.gain a 2);
   Alcotest.check q "gain sink" Q.one (R.gain a 3);
-  Alcotest.check q "edge gain 1 (a->b)" (Q.of_int 2) (R.edge_gain a 1);
+  Alcotest.check q "edge gain 1 (a->b)" (Q.of_int 2) (Sdf_oracle.edge_gain a 1);
   Alcotest.(check (array int)) "repetition" [| 1; 1; 2; 1 |] a.R.repetition;
   Alcotest.(check int) "period inputs" 1 a.R.period_inputs
 
@@ -41,7 +41,7 @@ let test_fractional_gain () =
 let test_homogeneous_dag () =
   let g = Ccs.Generators.split_join ~branches:3 ~depth:2 ~state:1 () in
   let a = R.analyze_exn g in
-  Alcotest.(check bool) "rate matched" true (R.is_rate_matched g);
+  Alcotest.(check bool) "rate matched" true (Sdf_oracle.is_rate_matched g);
   G.nodes g
   |> List.iter (fun v -> Alcotest.check q "all gains 1" Q.one (R.gain a v));
   Array.iter
@@ -60,7 +60,7 @@ let test_not_rate_matched () =
   ignore (B.add_channel b ~src:x ~dst:t ~push:1 ~pop:1 ());
   ignore (B.add_channel b ~src:y ~dst:t ~push:1 ~pop:1 ());
   let g = B.build b in
-  Alcotest.(check bool) "not rate matched" false (R.is_rate_matched g);
+  Alcotest.(check bool) "not rate matched" false (Sdf_oracle.is_rate_matched g);
   (match R.analyze g with
   | Error msg ->
       Alcotest.(check bool)
@@ -162,7 +162,7 @@ let test_gain_of_generated_dag () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d rate matched" seed)
-      true (R.is_rate_matched g)
+      true (Sdf_oracle.is_rate_matched g)
   done
 
 let test_period_tokens () =
@@ -177,7 +177,7 @@ let test_period_tokens () =
         tokens;
       Alcotest.check q
         (Printf.sprintf "edge %d gain = tokens / period_inputs" e)
-        (Q.make tokens a.R.period_inputs) (R.edge_gain a e))
+        (Q.make tokens a.R.period_inputs) (Sdf_oracle.edge_gain a e))
     (G.edges g)
 
 (* A chain whose repetition vector is small but whose middle channel moves
@@ -203,7 +203,7 @@ let expect_overflow name g =
   | Error (Ccs.Error.Failure_msg { context; _ }) ->
       Alcotest.(check string) (name ^ ": context") "rate analysis" context;
       Alcotest.(check bool) (name ^ ": not rate matched") false
-        (R.is_rate_matched g)
+        (Sdf_oracle.is_rate_matched g)
   | Error e -> Alcotest.fail (name ^ ": unexpected " ^ Ccs.Error.to_string e)
   | Ok _ -> Alcotest.fail (name ^ ": overflowing graph accepted")
 

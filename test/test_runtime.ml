@@ -22,26 +22,11 @@ let test_identity_gain () =
   let out = fire1 g2 ~inputs:[| [| 1.; 2. |] |] ~out_shapes:[| 2 |] in
   Alcotest.(check (array (float 1e-9))) "gain x2" [| 2.; 4. |] out.(0)
 
-let test_adder_duplicate_split () =
-  let add = Ccs.Kernels.adder ~state_words:4 in
-  let out =
-    fire1 add ~inputs:[| [| 1.; 2. |]; [| 10.; 20. |] |] ~out_shapes:[| 2 |]
-  in
-  Alcotest.(check (array (float 1e-9))) "adder" [| 11.; 22. |] out.(0);
+let test_duplicate () =
   let dup = Ccs.Kernels.duplicate ~state_words:4 in
   let out = fire1 dup ~inputs:[| [| 7. |] |] ~out_shapes:[| 1; 1 |] in
   Alcotest.(check (float 0.)) "dup a" 7. out.(0).(0);
-  Alcotest.(check (float 0.)) "dup b" 7. out.(1).(0);
-  let split = Ccs.Kernels.round_robin_split ~state_words:4 in
-  let out = fire1 split ~inputs:[| [| 1.; 2.; 3. |] |] ~out_shapes:[| 2; 1 |] in
-  Alcotest.(check (array (float 0.))) "split first" [| 1.; 2. |] out.(0);
-  Alcotest.(check (array (float 0.))) "split second" [| 3. |] out.(1)
-
-let test_compare_exchange () =
-  let cmp = Ccs.Kernels.compare_exchange ~state_words:2 in
-  let out = fire1 cmp ~inputs:[| [| 9. |]; [| 3. |] |] ~out_shapes:[| 1; 1 |] in
-  Alcotest.(check (float 0.)) "min" 3. out.(0).(0);
-  Alcotest.(check (float 0.)) "max" 9. out.(1).(0)
+  Alcotest.(check (float 0.)) "dup b" 7. out.(1).(0)
 
 let test_fir_matches_convolution () =
   (* Stream 32 samples one at a time through a 4-tap FIR and compare with
@@ -70,7 +55,9 @@ let test_fir_matches_convolution () =
     samples
 
 let test_counter_and_collect () =
-  let src = Ccs.Kernels.counter_source ~state_words:1 in
+  (* A source's autobound kernel is the counter. *)
+  let g = Ccs.Generators.uniform_pipeline ~n:2 ~state:1 () in
+  let src = Ccs.Kernels.autobind g (G.source g) in
   let state = src.Ccs.Kernel.init () in
   let outputs = [| Array.make 3 0. |] in
   src.Ccs.Kernel.fire ~state ~inputs:[||] ~outputs;
@@ -108,7 +95,7 @@ let test_chain_preserves_sequence () =
       let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
       let program =
         Ccs.Program.create g (fun v ->
-            if v = 0 then Ccs.Kernels.counter_source ~state_words:8
+            if v = 0 then Ccs.Kernels.autobind g v
             else if v = n - 1 then sink_kernel
             else Ccs.Kernels.identity ~state_words:8)
       in
@@ -135,7 +122,7 @@ let test_queue_matches_machine () =
   let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
   let program =
     Ccs.Program.create g (fun v ->
-        if v = 0 then Ccs.Kernels.counter_source ~state_words:8
+        if v = 0 then Ccs.Kernels.autobind g v
         else if v = 2 then sink_kernel
         else Ccs.Kernels.identity ~state_words:8)
   in
@@ -162,7 +149,7 @@ let test_delay_tokens_are_zeros () =
   let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
   let program =
     Ccs.Program.create g (fun v ->
-        if v = x then Ccs.Kernels.counter_source ~state_words:1 else sink_kernel)
+        if v = x then Ccs.Kernels.autobind g v else sink_kernel)
   in
   let engine =
     Must.ok (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4 |] ())
@@ -333,9 +320,7 @@ let () =
           Alcotest.test_case "identity/gain" `Quick test_identity_gain;
           Alcotest.test_case "sbox hostile floats" `Quick
             test_sbox_hostile_inputs;
-          Alcotest.test_case "adder/dup/split" `Quick
-            test_adder_duplicate_split;
-          Alcotest.test_case "compare-exchange" `Quick test_compare_exchange;
+          Alcotest.test_case "duplicate" `Quick test_duplicate;
           Alcotest.test_case "fir = convolution" `Quick
             test_fir_matches_convolution;
           Alcotest.test_case "counter/collect" `Quick test_counter_and_collect;

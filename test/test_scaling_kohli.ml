@@ -11,10 +11,11 @@ let cache64 = Ccs.Cache.config ~size_words:64 ~block_words:8 ()
 let test_scaled_schedule_shape () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:2 () in
   let a = R.analyze_exn g in
-  let s2 = Ccs.Scaling.scaled_schedule g a ~s:2 in
+  let period s = Option.get (Ccs.Scaling.plan g a ~s).P.period in
+  let s2 = period 2 in
   Alcotest.(check (list int)) "each invocation doubled" [ 0; 0; 1; 1; 2; 2 ]
     (S.to_list s2);
-  let s1 = Ccs.Scaling.scaled_schedule g a ~s:1 in
+  let s1 = period 1 in
   Alcotest.(check int) "s=1 is the base period" 3 (S.length s1)
 
 let test_scaled_schedule_legal_periodic () =
@@ -68,7 +69,7 @@ let test_scaling_invalid_s () =
   let a = R.analyze_exn g in
   Alcotest.check_raises "s=0"
     (Invalid_argument "Scaling.scaled_schedule: s must be >= 1") (fun () ->
-      ignore (Ccs.Scaling.scaled_schedule g a ~s:0))
+      ignore (Ccs.Scaling.plan g a ~s:0))
 
 (* A PASS that starts by consuming initial tokens: src->mid holds two,
    so scaling by 2 stays legal and scaling by 3 underflows them. *)

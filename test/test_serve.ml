@@ -208,7 +208,7 @@ let test_cache_roundtrip () =
         (a.Proto.capacities = b.Proto.capacities);
       Alcotest.(check bool)
         "period" true
-        (Ccs.Schedule.equivalent a.Proto.period b.Proto.period);
+        (Sdf_oracle.equivalent a.Proto.period b.Proto.period);
       Alcotest.(check (float 0.)) "mpi" a.Proto.predicted_mpi
         b.Proto.predicted_mpi;
       Alcotest.(check (float 0.))

@@ -40,7 +40,7 @@ let test_length_mismatch () =
 
 let test_singletons_whole () =
   let g = chain6 () in
-  let s = S.singletons g in
+  let s = Sdf_oracle.singletons g in
   Alcotest.(check int) "singletons" 6 (S.num_components s);
   Alcotest.(check int) "all edges cross" 5 (List.length (S.cross_edges s));
   let w = S.whole g in
@@ -53,8 +53,10 @@ let test_component_state () =
   let sp = S.of_assignment g [| 0; 0; 0; 1; 1; 1 |] in
   Alcotest.(check int) "state 0" 30 (S.component_state sp 0);
   Alcotest.(check int) "max" 30 (S.max_component_state sp);
-  Alcotest.(check bool) "30-bounded" true (S.is_c_bounded sp ~bound:30);
-  Alcotest.(check bool) "not 29-bounded" false (S.is_c_bounded sp ~bound:29)
+  Alcotest.(check bool) "30-bounded" true
+    (Sdf_oracle.is_c_bounded sp ~bound:30);
+  Alcotest.(check bool) "not 29-bounded" false
+    (Sdf_oracle.is_c_bounded sp ~bound:29)
 
 let test_well_ordered_chain () =
   let g = chain6 () in

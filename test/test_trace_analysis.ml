@@ -35,7 +35,9 @@ let test_misses_at_matches_simulator () =
     let distances = T.reuse_distances trace in
     List.iter
       (fun cap ->
-        let predicted = T.misses_at ~distances ~capacity_blocks:cap in
+        let predicted =
+          List.assoc cap (T.miss_curve ~distances ~capacities:[ cap ])
+        in
         let c =
           C.create (C.config ~size_words:(cap * 8) ~block_words:8 ())
         in

@@ -1,5 +1,5 @@
 (* Tests for the utility layer added on top of the core reproduction:
-   schedule compression, buffer tightening, kernel auto-binding, and the
+   schedule compression, buffer feasibility, kernel auto-binding, and the
    partition DOT export. *)
 
 module G = Ccs.Graph
@@ -11,7 +11,7 @@ module S = Ccs.Schedule
 let test_compress_rle () =
   let s = S.of_list [ 0; 0; 0; 1; 1 ] in
   let c = S.compress s in
-  Alcotest.(check bool) "equivalent" true (S.equivalent s c);
+  Alcotest.(check bool) "equivalent" true (Sdf_oracle.equivalent s c);
   (match c with
   | S.Seq [ S.Repeat (3, S.Fire 0); S.Repeat (2, S.Fire 1) ] -> ()
   | _ -> Alcotest.failf "unexpected shape: %s" (Format.asprintf "%a" S.pp c));
@@ -20,7 +20,7 @@ let test_compress_rle () =
 let test_compress_flattens () =
   let s = S.seq [ S.seq [ S.fire 0; S.fire 1 ]; S.seq []; S.fire 1 ] in
   let c = S.compress s in
-  Alcotest.(check bool) "equivalent" true (S.equivalent s c);
+  Alcotest.(check bool) "equivalent" true (Sdf_oracle.equivalent s c);
   match c with
   | S.Seq [ S.Fire 0; S.Repeat (2, S.Fire 1) ] -> ()
   | _ -> Alcotest.failf "unexpected shape: %s" (Format.asprintf "%a" S.pp c)
@@ -54,7 +54,7 @@ let gen_schedule =
 let prop_compress_preserves_semantics =
   QCheck2.Test.make ~name:"compress preserves firing sequence" ~count:500
     gen_schedule
-    (fun s -> S.equivalent s (S.compress s))
+    (fun s -> Sdf_oracle.equivalent s (S.compress s))
 
 let prop_compress_never_longer =
   QCheck2.Test.make ~name:"compress never increases node count" ~count:500
@@ -67,7 +67,7 @@ let prop_compress_never_longer =
       in
       size (S.compress s) <= size s)
 
-(* --- Minbuf.feasible / tighten ---------------------------------------------- *)
+(* --- Minbuf.feasible ------------------------------------------------------ *)
 
 let test_feasible_basic () =
   let g = Ccs.Generators.uniform_pipeline ~n:4 ~state:2 () in
@@ -88,31 +88,6 @@ let test_feasible_multirate () =
     (Ccs.Minbuf.feasible g a ~capacities:[| 4 |]);
   Alcotest.(check bool) "3 infeasible" false
     (Ccs.Minbuf.feasible g a ~capacities:[| 3 |])
-
-let test_tighten_no_worse () =
-  List.iter
-    (fun entry ->
-      let g = entry.Ccs_apps.Suite.graph () in
-      let a = R.analyze_exn g in
-      let base = (Ccs.Minbuf.compute g a).Ccs.Minbuf.capacity in
-      let tight = Ccs.Minbuf.tighten g a () in
-      Array.iteri
-        (fun e c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s edge %d no larger" entry.Ccs_apps.Suite.name e)
-            true (c <= base.(e)))
-        tight;
-      Alcotest.(check bool)
-        (entry.Ccs_apps.Suite.name ^ " still feasible")
-        true
-        (Ccs.Minbuf.feasible g a ~capacities:tight))
-    Ccs_apps.Suite.all
-
-let test_tighten_reaches_floor () =
-  let g = Ccs.Generators.uniform_pipeline ~n:5 ~state:2 () in
-  let a = R.analyze_exn g in
-  let tight = Ccs.Minbuf.tighten g a ~capacities:[| 50; 50; 50; 50 |] () in
-  Alcotest.(check (array int)) "all shrink to 1" [| 1; 1; 1; 1 |] tight
 
 (* --- Kernels.autobind -------------------------------------------------------- *)
 
@@ -264,8 +239,6 @@ let () =
           Alcotest.test_case "feasible basic" `Quick test_feasible_basic;
           Alcotest.test_case "feasible multirate" `Quick
             test_feasible_multirate;
-          Alcotest.test_case "tighten no worse" `Quick test_tighten_no_worse;
-          Alcotest.test_case "tighten floor" `Quick test_tighten_reaches_floor;
         ] );
       ( "autobind",
         [
