@@ -38,7 +38,7 @@ let show = function
   | Json.Null -> "null"
   | Json.Bool b -> string_of_bool b
   | Json.Int i -> string_of_int i
-  | Json.Float f -> Printf.sprintf "%.12g" f
+  | Json.Float f -> Json.float_to_string f
   | Json.String s -> s
   | (Json.List _ | Json.Obj _) as v -> Json.to_string v
 

@@ -25,13 +25,28 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+let float_to_string f =
+  if f = 0. && Float.sign_bit f then "-0.0" (* "-0" reads back as the int 0 *)
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if
+        digits = 17
+        || Int64.equal
+             (Int64.bits_of_float (float_of_string s))
+             (Int64.bits_of_float f)
+      then s
+      else shortest (digits + 1)
+    in
+    shortest 15
+
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       (* JSON has no NaN/inf literals; map them to null. *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
+      if Float.is_finite f then Buffer.add_string buf (float_to_string f)
       else Buffer.add_string buf "null"
   | String s -> escape_string buf s
   | List vs ->

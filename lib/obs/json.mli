@@ -2,8 +2,8 @@
     parser.
 
     The emitter is byte-for-byte the format the benchmark harness and the
-    telemetry writers produce ([%.12g] floats, [null] for non-finite
-    values, full string escaping).  The parser accepts standard JSON
+    telemetry writers produce ({!float_to_string} floats, [null] for
+    non-finite values, full string escaping).  The parser accepts standard JSON
     (RFC 8259): it is used by [ccsched bench diff] to read benchmark
     baselines back, so the pair round-trips every document this repository
     writes. *)
@@ -20,6 +20,11 @@ type value =
 val to_string : value -> string
 (** Compact (single-line) serialization.  Non-finite floats become
     [null]; ints beyond 63 bits cannot occur. *)
+
+val float_to_string : float -> string
+(** The shortest of [%.15g], [%.16g] and [%.17g] that reads back to the
+    same float bit for bit ([-0.0] keeps its sign), so a finite float
+    survives {!to_string} and {!of_string} exactly. *)
 
 val escape_string : Buffer.t -> string -> unit
 (** Append [s] as a quoted, escaped JSON string — shared by the writers

@@ -119,6 +119,66 @@ let test_records_pair_by_id () =
     [ ("records", "2", "3"); ("misses", "2", "3") ]
     (diff old_rs (String.concat "," [ r "a" 1; r "b" 3; r "b" 2 ]))
 
+(* --- exact floats ------------------------------------------------------- *)
+
+let float_back f =
+  match Ccs.Json.of_string (Ccs.Json.to_string (Ccs.Json.Float f)) with
+  | Ok v -> Ccs.Json.to_float v
+  | Error _ -> None
+
+let same_bits f g = Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+
+let prop_floats_round_trip =
+  QCheck2.Test.make ~name:"json floats round-trip bit for bit" ~count:2000
+    ~print:(fun b -> Printf.sprintf "%h" (Int64.float_of_bits b))
+    QCheck2.Gen.int64 (fun bits ->
+      let f = Int64.float_of_bits bits in
+      QCheck2.assume (Float.is_finite f);
+      match float_back f with Some g -> same_bits f g | None -> false)
+
+let test_float_edge_cases () =
+  List.iter
+    (fun f ->
+      match float_back f with
+      | Some g when same_bits f g -> ()
+      | _ -> Alcotest.failf "%h does not round-trip" f)
+    [ -0.; 0.; 0.1; 1. /. 3.; 5e-324; Float.max_float; 1024.0000000018608 ];
+  (* Shortest form: a float that 15 digits pin down keeps its short text. *)
+  Alcotest.(check string) "0.1" "0.1" (Ccs.Json.float_to_string 0.1);
+  Alcotest.(check string) "checksum" "1024.0000000018608"
+    (Ccs.Json.float_to_string 1024.0000000018608)
+
+(* A float field that moves by one unit in the last place, below the 12
+   significant digits the emitter used to keep, is a finding. *)
+let test_last_digit_change_fails () =
+  let doc f =
+    parse
+      (Ccs.Json.to_string
+         (Ccs.Json.Obj
+            [
+              ( "experiments",
+                Ccs.Json.List
+                  [
+                    Ccs.Json.Obj
+                      [
+                        ("experiment", Ccs.Json.String "E23");
+                        ( "records",
+                          Ccs.Json.List
+                            [ Ccs.Json.Obj [ ("checksum", Ccs.Json.Float f) ] ]
+                        );
+                      ];
+                  ] );
+            ]))
+  in
+  let f = 1024.0000000018608 in
+  let r = D.diff ~old_doc:(doc f) ~new_doc:(doc (Float.succ f)) in
+  match r.D.findings with
+  | [ finding ] ->
+      Alcotest.(check string) "field" "checksum" finding.D.field;
+      Alcotest.(check bool) "old and new values print apart" true
+        (finding.D.old_value <> finding.D.new_value)
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs)
+
 let test_diff_files_roundtrip () =
   let write path doc =
     let oc = open_out path in
@@ -161,6 +221,13 @@ let () =
             test_quick_subset_pairs_by_id;
           Alcotest.test_case "records pair by id" `Quick
             test_records_pair_by_id;
+        ] );
+      ( "floats",
+        [
+          QCheck_alcotest.to_alcotest prop_floats_round_trip;
+          Alcotest.test_case "edge cases" `Quick test_float_edge_cases;
+          Alcotest.test_case "last-digit change fails" `Quick
+            test_last_digit_change_fails;
         ] );
       ( "files",
         [
