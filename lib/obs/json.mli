@@ -3,10 +3,10 @@
 
     The emitter is byte-for-byte the format the benchmark harness and the
     telemetry writers produce ({!float_to_string} floats, [null] for
-    non-finite values, full string escaping).  The parser accepts standard JSON
-    (RFC 8259): it is used by [ccsched bench diff] to read benchmark
-    baselines back, so the pair round-trips every document this repository
-    writes. *)
+    non-finite values, full string escaping).  The parser accepts standard
+    JSON (RFC 8259): it is used by [ccsched bench diff] to read benchmark
+    baselines back, so the pair round-trips every document this
+    repository writes. *)
 
 type value =
   | Null
