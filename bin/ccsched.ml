@@ -344,7 +344,7 @@ let run_cmd =
         Format.printf "%a@." Ccs.Fault.pp fault;
         let program =
           Ccs.Program.inject fault
-            (Ccs.Program.create g (Ccs.Kernels.autobind g))
+            (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
         in
         let r =
           Result.bind

@@ -42,4 +42,7 @@ val codegen_semantics :
     a zero-state source keeps its counter in the kernel closure), sinks
     keep their checksum in [state.(0)] when it has room (spilled to the
     closure otherwise), and an interior module with an empty pop window
-    emits the constant [0.25] instead of raising [Division_by_zero]. *)
+    emits the constant [0.25] instead of raising [Division_by_zero].
+    They are also the kernel set [ccsched run --inject-seed] runs its
+    fault drills on, so the drill exercises the very kernels the compiled
+    backend and the emitted programs are proven bit-identical to. *)

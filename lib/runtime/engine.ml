@@ -2,63 +2,80 @@ module Graph = Ccs_sdf.Graph
 module E = Ccs_sdf.Error
 module Machine = Ccs_exec.Machine
 
+(* Token [i] of channel [e] (delay tokens first) lives in [rings.(e)] at
+   slot [i mod capacity]; the machine's cursors say which tokens are
+   buffered, so the rings are the only channel data. *)
 type t = {
   program : Program.t;
   machine : Machine.t;
   states : float array array;
-  queues : float Queue.t array;
+  rings : float array array;
+  delays : int array;
+  in_edges : int array array;
+  out_edges : int array array;
+  inputs : float array array array;
+  outputs : float array array array;
   capacities : int array;
-  validate : bool;
 }
 
+let non_finite name x =
+  E.fail
+    (E.Fault
+       {
+         node = name;
+         fault = E.Nan_output;
+         detail = Printf.sprintf "kernel produced a non-finite token (%h)" x;
+       })
+
+(* The fire hook: runs after [Machine.fire] has moved the cursors, so the
+   [pop] tokens just consumed end at [consumed], and the [push] slots just
+   claimed end at [delay + produced]. *)
 let move_data t v =
+  let m = t.machine in
+  let ins = t.in_edges.(v) and inputs = t.inputs.(v) in
+  for i = 0 to Array.length ins - 1 do
+    let e = ins.(i) in
+    let ring = t.rings.(e) and buf = inputs.(i) in
+    let cap = Array.length ring and pop = Array.length buf in
+    let base = Machine.consumed m e - pop in
+    for j = 0 to pop - 1 do
+      buf.(j) <- ring.((base + j) mod cap)
+    done
+  done;
+  let outputs = t.outputs.(v) in
+  for i = 0 to Array.length outputs - 1 do
+    Array.fill outputs.(i) 0 (Array.length outputs.(i)) 0.
+  done;
   let g = Program.graph t.program in
-  let name = Graph.node_name g v in
-  let kernel = Program.kernel t.program v in
-  let inputs =
-    Graph.in_edges g v
-    |> List.map (fun e ->
-           let k = Graph.pop g e in
-           Array.init k (fun _ -> Queue.pop t.queues.(e)))
-    |> Array.of_list
-  in
-  let out_edges = Graph.out_edges g v in
-  let outputs =
-    out_edges |> List.map (fun e -> Array.make (Graph.push g e) 0.)
-    |> Array.of_list
-  in
-  (try kernel.Kernel.fire ~state:t.states.(v) ~inputs ~outputs with
+  (try
+     (Program.kernel t.program v).Kernel.fire ~state:t.states.(v) ~inputs
+       ~outputs
+   with
   | Ccs_exec.Fault.Injected { fault; _ } ->
-      E.fail (E.Fault { node = name; fault; detail = "injected fault" })
+      E.fail
+        (E.Fault
+           { node = Graph.node_name g v; fault; detail = "injected fault" })
   | E.Error _ as exn -> raise exn
   | exn ->
       E.fail
         (E.Fault
            {
-             node = name;
+             node = Graph.node_name g v;
              fault = E.Kernel_exception;
              detail = Printexc.to_string exn;
            }));
-  if t.validate then
-    Array.iter
-      (fun out ->
-        Array.iter
-          (fun x ->
-            if not (Float.is_finite x) then
-              E.fail
-                (E.Fault
-                   {
-                     node = name;
-                     fault = E.Nan_output;
-                     detail =
-                       Printf.sprintf "kernel produced a non-finite token (%h)"
-                         x;
-                   }))
-          out)
-      outputs;
-  List.iteri
-    (fun i e -> Array.iter (fun x -> Queue.push x t.queues.(e)) outputs.(i))
-    out_edges
+  let outs = t.out_edges.(v) in
+  for i = 0 to Array.length outs - 1 do
+    let e = outs.(i) in
+    let ring = t.rings.(e) and buf = outputs.(i) in
+    let cap = Array.length ring and push = Array.length buf in
+    let base = t.delays.(e) + Machine.produced m e - push in
+    for j = 0 to push - 1 do
+      let x = buf.(j) in
+      if not (Float.is_finite x) then non_finite (Graph.node_name g v) x;
+      ring.((base + j) mod cap) <- x
+    done
+  done
 
 (* Materialise every kernel's initial state, reporting arity mismatches as
    structured [Bad_state_arity] faults. *)
@@ -78,35 +95,32 @@ let init_states program =
              });
       st)
 
-let create ?(record_trace = false) ?(validate = true) ?counters ?tracer
-    ?metrics ~program ~cache ~capacities () =
+let create ?metrics ~program ~cache ~capacities () =
   E.protect (fun () ->
       let g = Program.graph program in
-      let machine =
-        Machine.create ~record_trace ?counters ?tracer ?metrics ~graph:g ~cache
-          ~capacities ()
-      in
+      let machine = Machine.create ?metrics ~graph:g ~cache ~capacities () in
+      let n = Graph.num_nodes g and m = Graph.num_edges g in
+      let edges f = Array.init n (fun v -> Array.of_list (f g v)) in
+      let in_edges = edges Graph.in_edges and out_edges = edges Graph.out_edges in
+      let scratch edges rate = Array.map (fun e -> Array.make (rate g e) 0.) edges in
       let t =
         {
           program;
           machine;
           states = init_states program;
-          queues =
-            Array.init (Graph.num_edges g) (fun e ->
-                let q = Queue.create () in
-                for _ = 1 to Graph.delay g e do
-                  Queue.push 0. q
-                done;
-                q);
+          rings = Array.init m (fun e -> Array.make capacities.(e) 0.);
+          delays = Array.init m (Graph.delay g);
+          in_edges;
+          out_edges;
+          inputs = Array.map (fun es -> scratch es Graph.pop) in_edges;
+          outputs = Array.map (fun es -> scratch es Graph.push) out_edges;
           capacities = Array.copy capacities;
-          validate;
         }
       in
       Machine.set_fire_hook machine (Some (move_data t));
       t)
 
 let machine t = t.machine
-let fire t v = Machine.fire t.machine v
 
 let run_plan ?budget t plan ~outputs =
   if plan.Ccs_sched.Plan.capacities <> t.capacities then
@@ -123,12 +137,8 @@ let run_plan ?budget t plan ~outputs =
         Ccs_sched.Runner.result_of ~plan t.machine)
       (Ccs_sched.Runner.drive ?budget t.machine ~plan ~outputs)
 
-let of_plan ?record_trace ?(validate = false) ?counters ?tracer ?metrics
-    ~program ~cache ~plan () =
-  match
-    create ?record_trace ~validate ?counters ?tracer ?metrics ~program ~cache
-      ~capacities:plan.Ccs_sched.Plan.capacities ()
-  with
+let of_plan ~program ~cache ~plan () =
+  match create ~program ~cache ~capacities:plan.Ccs_sched.Plan.capacities () with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.of_plan: " ^ E.to_string e)
 

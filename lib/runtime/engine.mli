@@ -1,54 +1,58 @@
 (** The data-carrying execution engine.
 
     Wraps a {!Ccs_exec.Machine} (which does legality checking and cache
-    accounting) and moves {e real tokens} through per-channel FIFO queues
-    by invoking each module's kernel whenever the machine fires it.  The
-    coupling uses the machine's fire hook, so {e any} plan — static batch
-    schedules or the dynamic half-full drivers — runs real data without
-    modification: the scheduler neither knows nor cares that computation
-    is attached.
+    accounting) and moves {e real tokens} by invoking each module's kernel
+    whenever the machine fires it.  The coupling uses the machine's fire
+    hook, so {e any} plan — static batch schedules or the dynamic
+    half-full drivers — runs real data without modification: the
+    scheduler neither knows nor cares that computation is attached.
 
-    Tokens are floats; channels with initial delay start with that many
-    zero tokens, matching the scheduling semantics.
+    Tokens are floats.  Each channel's tokens sit in one ring array of the
+    channel's capacity, at the slots the machine's own cursors
+    ({!Ccs_exec.Machine.consumed}, {!Ccs_exec.Machine.produced}, plus the
+    channel's delay) name; the engine keeps no other record of what is on
+    a channel.  The rings start zero-filled, so a channel with initial
+    delay starts with that many zero tokens, matching the scheduling
+    semantics.  Because the cursors are the record, the engine's machine
+    is never migrated ({!Ccs_exec.Machine.migrate}) or restored
+    ({!Ccs_exec.Machine.restore}): either would move the cursors away from
+    the data.
+
+    Each module's input and output arrays are allocated once, when the
+    engine is built, and reused on every firing; the outputs are
+    zero-filled before each firing, so a slot a kernel leaves unwritten
+    carries [0.0].  Beyond what the kernels allocate, a firing allocates
+    nothing.
 
     {2 Fault containment}
 
     {!create} and {!run_plan} contain misbehaving kernels
     (including those wrapped by {!Program.inject}) instead of crashing or
-    corrupting downstream state: a kernel that raises, emits non-finite
-    tokens (with [validate]), or initialises state of the wrong arity comes
-    back as a structured {!Ccs_sdf.Error.Fault} naming the module. *)
+    corrupting downstream state: a kernel that raises, emits a non-finite
+    token, or initialises state of the wrong arity comes back as a
+    structured {!Ccs_sdf.Error.Fault} naming the module. *)
 
 type t
 
 val create :
-  ?record_trace:bool ->
-  ?validate:bool ->
-  ?counters:Ccs_obs.Counters.t ->
-  ?tracer:Ccs_obs.Tracer.t ->
   ?metrics:Ccs_obs.Metrics.t ->
   program:Program.t ->
   cache:Ccs_cache.Cache.config ->
   capacities:int array ->
   unit ->
   (t, Ccs_sdf.Error.t) result
-(** With [validate] (default [true]) every firing's outputs are checked
-    for non-finite tokens; a violation raises
-    [Ccs_sdf.Error.Error (Fault _)], which {!run_plan} returns.
-    [counters]/[tracer]/[metrics] are handed to the underlying
-    {!Ccs_exec.Machine.create} for per-entity miss attribution, event
-    tracing and registry metrics (cache gauges are synced when a plan run
+(** Every firing's outputs are checked for non-finite tokens; a violation
+    raises [Ccs_sdf.Error.Error (Fault _)] with class [Nan_output], which
+    {!run_plan} returns.  [metrics] is handed to the underlying
+    {!Ccs_exec.Machine.create} (cache gauges are synced when a plan run
     completes).  Every construction failure is a structured error: a
     wrong-arity [init] is a [Fault] with class [Bad_state_arity] naming the
     module, and capacity violations surface as [Failure_msg]. *)
 
 val machine : t -> Ccs_exec.Machine.t
 (** The underlying machine (statistics, occupancies; the fire hook slot is
-    owned by the engine — do not overwrite it). *)
-
-val fire : t -> Ccs_sdf.Graph.node -> unit
-(** Fire one module: checks legality, moves cache blocks, and runs the
-    kernel. *)
+    owned by the engine — do not overwrite it).  Firing it directly
+    ({!Ccs_exec.Machine.fire}) runs the module's kernel too. *)
 
 val run_plan :
   ?budget:int ->
@@ -66,18 +70,12 @@ val run_plan :
     escapes for any of the fault classes under test. *)
 
 val of_plan :
-  ?record_trace:bool ->
-  ?validate:bool ->
-  ?counters:Ccs_obs.Counters.t ->
-  ?tracer:Ccs_obs.Tracer.t ->
-  ?metrics:Ccs_obs.Metrics.t ->
   program:Program.t ->
   cache:Ccs_cache.Cache.config ->
   plan:Ccs_sched.Plan.t ->
   unit ->
   t
-(** {!create} with the plan's own capacities, [validate] defaulting to
-    [false].
+(** {!create} with the plan's own capacities.
     @raise Invalid_argument on any construction error. *)
 
 val state : t -> Ccs_sdf.Graph.node -> float array

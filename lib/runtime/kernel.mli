@@ -24,7 +24,9 @@ type t = {
           {!Ccs_sdf.Graph.in_edges} order); the kernel must fill every
           [outputs.(j)] (pre-allocated to the channel's push rate, in
           {!Ccs_sdf.Graph.out_edges} order).  May read and write
-          [state]. *)
+          [state].  The engine owns [inputs] and [outputs]: it allocates
+          them once and reuses them on every firing, so a kernel must not
+          keep them (or any of their rows) past the call. *)
 }
 
 val make :

@@ -1,9 +1,11 @@
-(** A library of ready-made kernels for the usual streaming-module roles.
+(** The real signal-processing kernels of the FM receiver example
+    ([examples/fm_receiver_demo.ml]).
 
     Each constructor documents the rate signature it expects; wiring a
     kernel onto a module with different rates is caught at fire time by
     array lengths, and the state size must match the graph's declaration
-    (checked by {!Program.create}). *)
+    (checked by {!Program.create}).  For a kernel on any module of any
+    graph, use [Ccs_codegen.Codegen.codegen_semantics]. *)
 
 (** {1 Sources and sinks} *)
 
@@ -16,14 +18,7 @@ val collecting_sink : state_words:int -> Kernel.t * (unit -> float list)
 (** Keeps every consumed token; the returned getter lists them in arrival
     order. *)
 
-(** {1 Rate-preserving transforms} *)
-
-val identity : state_words:int -> Kernel.t
-(** Copies the single input channel to the single output channel
-    (any matching rate). *)
-
-val gain : state_words:int -> float -> Kernel.t
-(** Scales every token. *)
+(** {1 Filters} *)
 
 val fir : taps:float array -> Kernel.t
 (** Single-in single-out FIR filter with the given coefficients; works for
@@ -36,26 +31,3 @@ val fm_demodulate : state_words:int -> Kernel.t
 (** Rectified slope detector: output is [|x(n) - x(n-1)|], whose low-passed
     value is proportional to the instantaneous frequency of a narrowband FM
     input — enough to recover the baseband tone in the receiver demo. *)
-
-val sbox : table_words:int -> Kernel.t
-(** Table substitution: output = table[(int input) mod table size]; the
-    table is the state (initialized to a fixed pseudo-random permutation),
-    so firing it genuinely reads the big state. *)
-
-(** {1 Fan-in / fan-out} *)
-
-val duplicate : state_words:int -> Kernel.t
-(** Copies its single input token stream to every output channel. *)
-
-(** {1 Any graph} *)
-
-val autobind : Ccs_sdf.Graph.t -> Ccs_sdf.Graph.node -> Kernel.t
-(** Heuristic kernel choice from the module's shape: sources become
-    counters producing 0, 1, 2, ... (useful for data-integrity tests),
-    sinks discard their inputs, unit-rate single-in/single-out modules
-    become FIRs sized to their state, and everything else gets a generic
-    kernel that works for any rate signature (output slot [k] is a cheap
-    mix of consumed slot [k mod consumed], or a counter when nothing is
-    consumed).  Guarantees a kernel whose [state_words] matches the
-    graph's declaration, so [Program.create g (Kernels.autobind g)] always
-    succeeds. *)

@@ -4,12 +4,9 @@ module Minbuf = Ccs_sdf.Minbuf
 let scale pass ~s =
   Schedule.seq (List.map (fun v -> Schedule.repeat s (Schedule.fire v)) pass)
 
-let scaled_schedule g a ~s =
-  if s < 1 then invalid_arg "Scaling.scaled_schedule: s must be >= 1";
-  scale (Minbuf.compute g a).Minbuf.schedule ~s
-
 let plan g a ~s =
-  let period = scaled_schedule g a ~s in
+  if s < 1 then invalid_arg "Scaling.plan: s must be >= 1";
+  let period = scale (Minbuf.compute g a).Minbuf.schedule ~s in
   let capacities = Simulate.peaks g period in
   Plan.of_period ~name:(Printf.sprintf "scaling-x%d" s) ~capacities period
 

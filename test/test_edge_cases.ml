@@ -93,7 +93,7 @@ let test_engine_capacity_mismatch () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:4 () in
   let a = R.analyze_exn g in
   let plan = Ccs.Baseline.minimal_memory g a in
-  let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+  let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
   let engine =
     Must.ok
       (Ccs.Engine.create ~program

@@ -8,25 +8,10 @@ let cache64 = Ccs.Cache.config ~size_words:64 ~block_words:8 ()
 
 (* --- kernel unit tests ----------------------------------------------------- *)
 
-let fire1 (k : Ccs.Kernel.t) ~inputs ~out_shapes =
-  let state = k.Ccs.Kernel.init () in
-  let outputs = Array.map (fun n -> Array.make n 0.) out_shapes in
-  k.Ccs.Kernel.fire ~state ~inputs ~outputs;
-  outputs
-
-let test_identity_gain () =
-  let id = Ccs.Kernels.identity ~state_words:4 in
-  let out = fire1 id ~inputs:[| [| 1.; 2.; 3. |] |] ~out_shapes:[| 3 |] in
-  Alcotest.(check (array (float 0.))) "identity" [| 1.; 2.; 3. |] out.(0);
-  let g2 = Ccs.Kernels.gain ~state_words:4 2. in
-  let out = fire1 g2 ~inputs:[| [| 1.; 2. |] |] ~out_shapes:[| 2 |] in
-  Alcotest.(check (array (float 1e-9))) "gain x2" [| 2.; 4. |] out.(0)
-
-let test_duplicate () =
-  let dup = Ccs.Kernels.duplicate ~state_words:4 in
-  let out = fire1 dup ~inputs:[| [| 7. |] |] ~out_shapes:[| 1; 1 |] in
-  Alcotest.(check (float 0.)) "dup a" 7. out.(0).(0);
-  Alcotest.(check (float 0.)) "dup b" 7. out.(1).(0)
+(* Plumbing for the engine tests: copies its one input to its one output. *)
+let copy ~state_words =
+  Ccs.Kernel.stateless ~state_words (fun ~inputs ~outputs ->
+      Array.blit inputs.(0) 0 outputs.(0) 0 (Array.length outputs.(0)))
 
 let test_fir_matches_convolution () =
   (* Stream 32 samples one at a time through a 4-tap FIR and compare with
@@ -55,9 +40,9 @@ let test_fir_matches_convolution () =
     samples
 
 let test_counter_and_collect () =
-  (* A source's autobound kernel is the counter. *)
+  (* A source's codegen-semantics kernel is the counter. *)
   let g = Ccs.Generators.uniform_pipeline ~n:2 ~state:1 () in
-  let src = Ccs.Kernels.autobind g (G.source g) in
+  let src = Ccs.Codegen.codegen_semantics g (G.source g) in
   let state = src.Ccs.Kernel.init () in
   let outputs = [| Array.make 3 0. |] in
   src.Ccs.Kernel.fire ~state ~inputs:[||] ~outputs;
@@ -69,14 +54,12 @@ let test_counter_and_collect () =
 
 let test_program_checks_state () =
   let g = Ccs.Generators.uniform_pipeline ~n:2 ~state:8 () in
-  match
-    Ccs.Program.create g (fun _ -> Ccs.Kernels.identity ~state_words:4)
-  with
+  match Ccs.Program.create g (fun _ -> copy ~state_words:4) with
   | _ -> Alcotest.fail "state mismatch must be rejected"
   | exception Invalid_argument _ -> ()
 
 let test_chain_preserves_sequence () =
-  (* counter -> identity chain -> collector: the collected stream must be
+  (* counter -> copy chain -> collector: the collected stream must be
      0,1,2,... in order, under both a static and a dynamic partitioned
      plan. *)
   let n = 6 in
@@ -95,9 +78,9 @@ let test_chain_preserves_sequence () =
       let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
       let program =
         Ccs.Program.create g (fun v ->
-            if v = 0 then Ccs.Kernels.autobind g v
+            if v = 0 then Ccs.Codegen.codegen_semantics g v
             else if v = n - 1 then sink_kernel
-            else Ccs.Kernels.identity ~state_words:8)
+            else copy ~state_words:8)
       in
       let engine = Ccs.Engine.of_plan ~program ~cache:cache64 ~plan () in
       let result = Must.ok (Ccs.Engine.run_plan engine plan ~outputs:100) in
@@ -114,53 +97,135 @@ let test_chain_preserves_sequence () =
         data)
     plans
 
-(* The data moves in step with the machine's token accounting: after
-   each firing the queued values are exactly the machine's tokens, so the
-   sink receives every value once, in order, and nothing is left over. *)
-let test_queue_matches_machine () =
-  let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:8 () in
-  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:8 in
-  let program =
-    Ccs.Program.create g (fun v ->
-        if v = 0 then Ccs.Kernels.autobind g v
-        else if v = 2 then sink_kernel
-        else Ccs.Kernels.identity ~state_words:8)
-  in
-  let engine =
-    Must.ok
-      (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4; 4 |] ())
-  in
-  let tokens () =
-    List.map (Ccs.Machine.tokens (Ccs.Engine.machine engine)) (G.edges g)
-  in
-  List.iter (Ccs.Engine.fire engine) [ 0; 0; 1 ];
-  Alcotest.(check (list int)) "one token per edge" [ 1; 1 ] (tokens ());
-  List.iter (Ccs.Engine.fire engine) [ 1; 2; 2 ];
-  Alcotest.(check (list int)) "drained" [ 0; 0 ] (tokens ());
-  Alcotest.(check (list (float 0.))) "sink saw both values in order"
-    [ 0.; 1. ] (collected ())
-
-let test_delay_tokens_are_zeros () =
+(* x -> y over one channel; [kernel_of] binds the two modules. *)
+let two_module_engine ?(delay = 0) ~push ~pop ~capacity kernel_of =
   let b = G.Builder.create () in
   let x = G.Builder.add_module b ~state:1 "x" in
   let y = G.Builder.add_module b ~state:1 "y" in
-  ignore (G.Builder.add_channel b ~delay:2 ~src:x ~dst:y ~push:1 ~pop:1 ());
+  ignore (G.Builder.add_channel b ~delay ~src:x ~dst:y ~push ~pop ());
   let g = G.Builder.build b in
-  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
-  let program =
-    Ccs.Program.create g (fun v ->
-        if v = x then Ccs.Kernels.autobind g v else sink_kernel)
-  in
+  let program = Ccs.Program.create g (kernel_of g) in
   let engine =
-    Must.ok (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 4 |] ())
+    Must.ok
+      (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| capacity |] ())
+  in
+  (Ccs.Engine.machine engine, x, y)
+
+(* The data moves in step with the machine's token accounting: the ring
+   slots the cursors name hold exactly the machine's tokens, so values
+   pushed through a 2-slot channel that starts with a delay token wrap the
+   ring many times and still reach the sink once each, in order. *)
+let test_queue_matches_machine () =
+  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
+  let m, x, y =
+    two_module_engine ~delay:1 ~push:1 ~pop:1 ~capacity:2 (fun g v ->
+        if v = 0 then Ccs.Codegen.codegen_semantics g v else sink_kernel)
+  in
+  let fire v = Ccs.Machine.fire m v in
+  fire x;
+  Alcotest.(check int) "delay token + one" 2 (Ccs.Machine.tokens m 0);
+  for _ = 1 to 4 do
+    List.iter fire [ y; y; x; x ]
+  done;
+  List.iter fire [ y; x; y; y ];
+  Alcotest.(check int) "drained" 0 (Ccs.Machine.tokens m 0);
+  Alcotest.(check int) "ten tokens through two slots" 10
+    (Ccs.Machine.produced m 0);
+  Alcotest.(check (list (float 0.))) "sink saw the delay token, then 0..9"
+    (0. :: List.init 10 float_of_int)
+    (collected ())
+
+let test_delay_tokens_are_zeros () =
+  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
+  let m, x, y =
+    two_module_engine ~delay:2 ~push:1 ~pop:1 ~capacity:4 (fun g v ->
+        if v = 0 then Ccs.Codegen.codegen_semantics g v else sink_kernel)
   in
   (* y can fire twice on the delay tokens before x ever runs. *)
-  Ccs.Engine.fire engine y;
-  Ccs.Engine.fire engine y;
-  Ccs.Engine.fire engine x;
-  Ccs.Engine.fire engine y;
+  List.iter (Ccs.Machine.fire m) [ y; y; x; y ];
   Alcotest.(check (list (float 0.))) "two zeros then data" [ 0.; 0.; 0. ]
     (collected ())
+
+(* The output arrays are reused across firings but zero-filled before each
+   one: a slot the kernel writes once and then leaves alone carries 0.0 on
+   every later firing, not the stale value. *)
+let test_unwritten_slot_is_zero () =
+  let sink_kernel, collected = Ccs.Kernels.collecting_sink ~state_words:1 in
+  let firings = ref 0 in
+  let source =
+    Ccs.Kernel.stateless ~state_words:1 (fun ~inputs:_ ~outputs ->
+        incr firings;
+        outputs.(0).(0) <- float_of_int !firings;
+        if !firings = 1 then outputs.(0).(1) <- 99.)
+  in
+  let m, x, y =
+    two_module_engine ~push:2 ~pop:2 ~capacity:2 (fun _ v ->
+        if v = 0 then source else sink_kernel)
+  in
+  for _ = 1 to 4 do
+    List.iter (Ccs.Machine.fire m) [ x; y ]
+  done;
+  Alcotest.(check (list (float 0.))) "slot 1 is 0.0 after the first firing"
+    [ 1.; 99.; 2.; 0.; 3.; 0.; 4.; 0. ]
+    (collected ())
+
+(* Every engine validates its outputs, [of_plan] ones included: a kernel's
+   NaN comes back as a [Nan_output] fault naming the module. *)
+let test_of_plan_reports_nan () =
+  let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:4 () in
+  let plan = Ccs.Baseline.minimal_memory g (R.analyze_exn g) in
+  let program =
+    Ccs.Program.create g (fun v ->
+        if v = 1 then
+          Ccs.Kernel.stateless ~state_words:4 (fun ~inputs:_ ~outputs ->
+              outputs.(0).(0) <- Float.nan)
+        else Ccs.Codegen.codegen_semantics g v)
+  in
+  let engine = Ccs.Engine.of_plan ~program ~cache:cache64 ~plan () in
+  match Ccs.Engine.run_plan engine plan ~outputs:5 with
+  | Error (Ccs.Error.Fault { node; fault = Ccs.Error.Nan_output; _ }) ->
+      Alcotest.(check string) "names the module" (G.node_name g 1) node
+  | Ok _ -> Alcotest.fail "a NaN token must be a fault"
+  | Error e -> Alcotest.fail ("expected Nan_output: " ^ Ccs.Error.to_string e)
+
+(* The engine allocates nothing per firing: with kernels that allocate
+   nothing, firing N and 10N more times costs the same minor words (the
+   difference would be 9N times the per-firing allocation). *)
+let test_firing_allocates_nothing () =
+  let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:4 () in
+  let source =
+    Ccs.Kernel.stateless ~state_words:4 (fun ~inputs:_ ~outputs ->
+        outputs.(0).(0) <- 1.)
+  in
+  let sink =
+    Ccs.Kernel.make ~state_words:4 (fun ~state ~inputs ~outputs:_ ->
+        state.(0) <- state.(0) +. inputs.(0).(0))
+  in
+  let program =
+    Ccs.Program.create g (fun v ->
+        match v with 0 -> source | 1 -> copy ~state_words:4 | _ -> sink)
+  in
+  let engine =
+    Must.ok
+      (Ccs.Engine.create ~program ~cache:cache64 ~capacities:[| 1; 1 |] ())
+  in
+  let m = Ccs.Engine.machine engine in
+  let words n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      Ccs.Machine.fire m 0;
+      Ccs.Machine.fire m 1;
+      Ccs.Machine.fire m 2
+    done;
+    Gc.minor_words () -. before
+  in
+  let n = 1000 in
+  ignore (words n);
+  let short = words n in
+  let long = words (10 * n) in
+  Alcotest.(check (float 0.)) "same words for N and 10N rounds" short long;
+  Alcotest.(check (float 0.)) "sink summed every token"
+    (float_of_int (12 * n)) (Ccs.Engine.state engine 2).(0)
 
 (* --- bitonic sort with real data ------------------------------------------- *)
 
@@ -265,62 +330,11 @@ let test_fm_path () =
   let mx = Array.fold_left Float.max neg_infinity averaged in
   Alcotest.(check bool) "modulation visible" true (mx -. mn > 0.1 *. mx)
 
-let test_sbox_hostile_inputs () =
-  (* Regression: the table index used [abs (int_of_float (x * n))], which
-     is unspecified for NaN and out-of-range floats and negative for
-     [min_int] — a hostile token could read out of bounds.  Every float,
-     however pathological, must map inside the table. *)
-  let table_words = 64 in
-  let k = Ccs.Kernels.sbox ~table_words in
-  let state = k.Ccs.Kernel.init () in
-  Alcotest.(check int) "table arity" table_words (Array.length state);
-  let hostile =
-    [|
-      Float.nan;
-      Float.infinity;
-      Float.neg_infinity;
-      1e308;
-      -1e308;
-      4.611686018427388e18 (* ~ float max_int *);
-      -4.611686018427388e18;
-      -0.999999;
-      -0.;
-      0.;
-      0.5;
-      1.0;
-      -1.0;
-      Float.min_float;
-      -.Float.min_float;
-    |]
-  in
-  let outputs = [| Array.make (Array.length hostile) Float.nan |] in
-  k.Ccs.Kernel.fire ~state ~inputs:[| hostile |] ~outputs;
-  Array.iteri
-    (fun i y ->
-      Alcotest.(check bool)
-        (Printf.sprintf "output %d is a table entry" i)
-        true
-        (Array.exists (fun s -> s = y) state))
-    outputs.(0);
-  (* NaN maps to slot 0; in-range values hit the expected slot. *)
-  Alcotest.(check (float 0.)) "nan -> slot 0" state.(0)
-    (let o = [| Array.make 1 0. |] in
-     k.Ccs.Kernel.fire ~state ~inputs:[| [| Float.nan |] |] ~outputs:o;
-     o.(0).(0));
-  Alcotest.(check (float 0.)) "0.5 -> slot n/2" state.(table_words / 2)
-    (let o = [| Array.make 1 0. |] in
-     k.Ccs.Kernel.fire ~state ~inputs:[| [| 0.5 |] |] ~outputs:o;
-     o.(0).(0))
-
 let () =
   Alcotest.run "runtime"
     [
       ( "kernels",
         [
-          Alcotest.test_case "identity/gain" `Quick test_identity_gain;
-          Alcotest.test_case "sbox hostile floats" `Quick
-            test_sbox_hostile_inputs;
-          Alcotest.test_case "duplicate" `Quick test_duplicate;
           Alcotest.test_case "fir = convolution" `Quick
             test_fir_matches_convolution;
           Alcotest.test_case "counter/collect" `Quick test_counter_and_collect;
@@ -335,6 +349,12 @@ let () =
             test_queue_matches_machine;
           Alcotest.test_case "delay tokens are zeros" `Quick
             test_delay_tokens_are_zeros;
+          Alcotest.test_case "unwritten output slot is 0.0" `Quick
+            test_unwritten_slot_is_zero;
+          Alcotest.test_case "of_plan reports NaN output" `Quick
+            test_of_plan_reports_nan;
+          Alcotest.test_case "firing allocates nothing" `Quick
+            test_firing_allocates_nothing;
         ] );
       ( "end-to-end",
         [

@@ -68,7 +68,7 @@ let test_scaling_invalid_s () =
   let g = Ccs.Generators.uniform_pipeline ~n:3 ~state:2 () in
   let a = R.analyze_exn g in
   Alcotest.check_raises "s=0"
-    (Invalid_argument "Scaling.scaled_schedule: s must be >= 1") (fun () ->
+    (Invalid_argument "Scaling.plan: s must be >= 1") (fun () ->
       ignore (Ccs.Scaling.plan g a ~s:0))
 
 (* A PASS that starts by consuming initial tokens: src->mid holds two,

@@ -89,14 +89,14 @@ let test_feasible_multirate () =
   Alcotest.(check bool) "3 infeasible" false
     (Ccs.Minbuf.feasible g a ~capacities:[| 3 |])
 
-(* --- Kernels.autobind -------------------------------------------------------- *)
+(* --- Codegen.codegen_semantics on any graph --------------------------------- *)
 
-let test_autobind_every_app_runs_data () =
+let test_any_graph_every_app_runs_data () =
   let cfg = Ccs.Config.make ~cache_words:2048 ~block_words:16 () in
   List.iter
     (fun entry ->
       let g = entry.Ccs_apps.Suite.graph () in
-      let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+      let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
       let choice = Ccs.Auto.plan ~dynamic:false g cfg in
       let engine =
         Ccs.Engine.of_plan ~program ~cache:(Ccs.Config.cache_config cfg)
@@ -111,10 +111,10 @@ let test_autobind_every_app_runs_data () =
         (r.Ccs.Runner.outputs >= 50))
     Ccs_apps.Suite.all
 
-let test_autobind_generators () =
+let test_any_graph_generators () =
   List.iter
     (fun g ->
-      let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+      let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
       let a = R.analyze_exn g in
       let plan = Ccs.Baseline.minimal_memory g a in
       let engine =
@@ -240,12 +240,12 @@ let () =
           Alcotest.test_case "feasible multirate" `Quick
             test_feasible_multirate;
         ] );
-      ( "autobind",
+      ( "any-graph kernels",
         [
           Alcotest.test_case "every app runs data" `Slow
-            test_autobind_every_app_runs_data;
+            test_any_graph_every_app_runs_data;
           Alcotest.test_case "generators run data" `Quick
-            test_autobind_generators;
+            test_any_graph_generators;
         ] );
       ( "dot",
         [ Alcotest.test_case "partition dot" `Quick test_partition_dot ] );

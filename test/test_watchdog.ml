@@ -27,7 +27,7 @@ let drivers =
           (Ccs.Runner.run_with_latency ~graph:g ~cache ~plan ~outputs ()) );
     ( "Engine.run_plan",
       fun g plan ~outputs ->
-        let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+        let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
         Result.bind
           (Ccs.Engine.create ~program ~cache
              ~capacities:plan.Ccs.Plan.capacities ())
@@ -126,7 +126,7 @@ let test_budget_exhaustion () =
   (match Ccs.Runner.run ~budget:100 ~graph:g ~cache ~plan ~outputs:5 () with
   | Error e -> exhausted "Runner.run ~budget" 100 e
   | Ok _ -> Alcotest.fail "runaway driver reported success");
-  let program = Ccs.Program.create g (Ccs.Kernels.autobind g) in
+  let program = Ccs.Program.create g (Ccs.Codegen.codegen_semantics g) in
   let engine = Ccs.Engine.of_plan ~program ~cache ~plan () in
   match Ccs.Engine.run_plan ~budget:100 engine plan ~outputs:5 with
   | Error e -> exhausted "Engine.run_plan ~budget" 100 e
@@ -188,7 +188,7 @@ let engine_for g fault =
   let cfg = Ccs.Config.make ~cache_words:256 ~block_words:16 () in
   let choice = Ccs.Auto.plan ~dynamic:false g cfg in
   let program =
-    Ccs.Program.inject fault (Ccs.Program.create g (Ccs.Kernels.autobind g))
+    Ccs.Program.inject fault (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
   in
   ( Ccs.Engine.create ~program ~cache:(Ccs.Config.cache_config cfg)
       ~capacities:choice.Ccs.Auto.plan.Ccs.Plan.capacities (),
