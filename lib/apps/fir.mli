@@ -1,8 +1,5 @@
 (** Shared helpers for building signal-processing application graphs. *)
 
-val fir_state : taps:int -> int
-(** Memory footprint of an FIR filter: coefficient table plus delay line. *)
-
 val add_fir :
   Ccs_sdf.Graph.Builder.t ->
   name:string ->

@@ -17,7 +17,3 @@ let alloc ?align t ~len =
   { base; length = len }
 
 let size t = t.next
-
-let word r i =
-  if i < 0 || i >= r.length then invalid_arg "Layout.word: out of region";
-  r.base + i

@@ -21,7 +21,3 @@ val alloc : ?align:int -> t -> len:int -> region
 
 val size : t -> int
 (** Total words allocated (address space high-water mark). *)
-
-val word : region -> int -> int
-(** [word r i] is the address of the [i]-th word of [r].
-    @raise Invalid_argument if [i] is outside the region. *)

@@ -273,4 +273,3 @@ let trace t =
   | Some r -> Intvec.to_array r
   | None -> invalid_arg "Compiled.trace: built without record_trace"
 
-let lowering t = t.lowering

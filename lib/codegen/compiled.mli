@@ -39,14 +39,6 @@ val outputs : t -> int
 val checksum : t -> float
 (** Sum of the per-sink checksum cells, in {!Ccs_sdf.Graph.sinks} order. *)
 
-val cell : t -> Ccs_sdf.Graph.node -> float
-(** A module's accumulator cell.  Accumulators live outside the simulated
-    address space: a module's state words are charged to the cache (and
-    traced) exactly as the machine charges them, but the counter/checksum
-    value itself is kept off the hot path. *)
-
 val trace : t -> int array
 (** The recorded word-address trace.
     @raise Invalid_argument unless built with [record_trace]. *)
-
-val lowering : t -> Lowering.t

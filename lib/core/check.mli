@@ -19,9 +19,6 @@ val is_ok : report -> bool
 
 val merge : report -> report -> report
 
-val of_list : Ccs_sdf.Error.t list -> report
-(** Split a finding list by {!Ccs_sdf.Error.severity}. *)
-
 val builder : Ccs_sdf.Graph.Builder.t -> report
 (** Structural lint of an unbuilt graph: dangling endpoints, degenerate
     and nonpositive-rate channels, negative delays, deadlock cycles. *)
@@ -40,9 +37,6 @@ val partition :
     c-boundedness against [bound], degree-limitedness against
     [degree_bound].  A malformed assignment (wrong length) is itself a
     reported error, not an exception. *)
-
-val spec : ?bound:int -> ?degree_bound:int -> Ccs_partition.Spec.t -> report
-(** Same checks for an already-constructed partition. *)
 
 val plan :
   ?cache:Ccs_cache.Cache.config ->

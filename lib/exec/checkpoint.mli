@@ -64,18 +64,6 @@ val load :
     With [metrics], successful loads bump [ccs_checkpoint_loads_total] and
     observe [ccs_checkpoint_load_us] / [ccs_checkpoint_bytes]. *)
 
-val validate : path:string -> t -> Machine.t -> (unit, Ccs_sdf.Error.t) result
-(** Check that a loaded checkpoint belongs to this machine: same graph
-    digest, cache configuration, channel capacities, number of caches
-    (field ["processors"]), the cache each module fires on (field
-    ["placement"]) and counter arity.
-    [path] only labels the error. *)
-
-val restore : path:string -> t -> Machine.t -> (unit, Ccs_sdf.Error.t) result
-(** {!validate}, then overwrite the machine's execution state, cache
-    recency/statistics (every cache), counters and tracer clock with the
-    checkpoint's. *)
-
 val load_into :
   ?metrics:Ccs_obs.Metrics.t ->
   path:string ->

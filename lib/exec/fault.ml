@@ -60,13 +60,7 @@ let find t ~node ~fire_index =
       if s.node = node && s.at_fire = fire_index then Some s.fault else None)
     t.sites
 
-let targets ?fault t =
-  List.filter_map
-    (fun s ->
-      match fault with
-      | Some f when s.fault <> f -> None
-      | _ -> Some s.node)
-    t.sites
+
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>fault plan (%d sites)" (List.length t.sites);

@@ -51,9 +51,6 @@ val find :
   t -> node:Ccs_sdf.Graph.node -> fire_index:int -> Ccs_sdf.Error.fault_class option
 (** The fault (if any) scheduled for [node]'s [fire_index]-th firing. *)
 
-val targets : ?fault:Ccs_sdf.Error.fault_class -> t -> Ccs_sdf.Graph.node list
-(** Modules with at least one site, optionally restricted to one class. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** {2 Chaos environment plans}

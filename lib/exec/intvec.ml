@@ -3,8 +3,6 @@ type t = { mutable data : int array; mutable len : int }
 let create ?(initial_capacity = 64) () =
   { data = Array.make (max 1 initial_capacity) 0; len = 0 }
 
-let length t = t.len
-
 let push t x =
   if t.len = Array.length t.data then begin
     let bigger = Array.make (2 * t.len) 0 in
@@ -14,14 +12,4 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Intvec.get: index out of bounds";
-  t.data.(i)
-
 let to_array t = Array.sub t.data 0 t.len
-let clear t = t.len <- 0
-
-let iter t ~f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done

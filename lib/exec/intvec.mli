@@ -6,9 +6,5 @@
 type t
 
 val create : ?initial_capacity:int -> unit -> t
-val length : t -> int
 val push : t -> int -> unit
-val get : t -> int -> int
 val to_array : t -> int array
-val clear : t -> unit
-val iter : t -> f:(int -> unit) -> unit

@@ -219,9 +219,6 @@ let fireable_reason t v =
 
 let can_fire t v = fireable_reason t v = None
 
-let deadlocked t =
-  List.for_all (fun v -> not (can_fire t v)) (Graph.nodes t.graph)
-
 let source_inputs t =
   match t.source with Some s -> t.fire_count.(s) | None -> 0
 
@@ -401,7 +398,6 @@ let fire t v =
 let set_fire_hook t hook = t.fire_hook <- hook
 let set_fire_budget t budget = t.fire_budget <- budget
 
-let run t seq = List.iter (fire t) seq
 let fires t v = t.fire_count.(v)
 let total_fires t = t.total_fires
 let consumed t e = t.chans.(e).consumed_total
@@ -428,7 +424,6 @@ let address_space_words t = t.space_words
 let num_entities t = t.num_nodes + Array.length t.chans
 let counters t = t.counters
 let tracer t = t.tracer
-let metrics t = Option.map (fun ms -> ms.m_registry) t.mstats
 
 (* Pull point: copy the cache's statistics into the attached gauges.  Called
    at epoch and run boundaries by the drivers, never from the touch path. *)

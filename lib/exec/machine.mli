@@ -111,14 +111,7 @@ val capacity : t -> Ccs_sdf.Graph.edge -> int
 val tokens : t -> Ccs_sdf.Graph.edge -> int
 (** Tokens currently buffered on a channel. *)
 
-val space : t -> Ccs_sdf.Graph.edge -> int
-(** Remaining capacity: [capacity e - tokens e]. *)
-
 val can_fire : t -> Ccs_sdf.Graph.node -> bool
-
-val deadlocked : t -> bool
-(** True iff no module at all can fire — the machine can make no further
-    progress under any driver. *)
 
 val fire : t -> Ccs_sdf.Graph.node -> unit
 (** @raise Not_fireable if the module's firing rule is not satisfied. *)
@@ -138,9 +131,6 @@ val snapshot : t -> Ccs_sdf.Error.snapshot
 (** Diagnostic freeze-frame: firing/input/output counts, every channel's
     occupancy against its capacity, and every currently-blocked module with
     the reason it cannot fire. *)
-
-val run : t -> Ccs_sdf.Graph.node list -> unit
-(** Fire a sequence in order. *)
 
 val fires : t -> Ccs_sdf.Graph.node -> int
 (** How many times a module has fired so far. *)
@@ -190,9 +180,6 @@ val entity_label : t -> int -> string
 
 val counters : t -> Ccs_obs.Counters.t option
 val tracer : t -> Ccs_obs.Tracer.t option
-
-val metrics : t -> Ccs_obs.Metrics.t option
-(** The registry passed to {!create}, if any. *)
 
 val sync_metrics : t -> unit
 (** Refresh the cache-level gauges ([ccs_cache_*]) from the caches'

@@ -25,20 +25,9 @@ val create : ?seed:int -> Ccs_sdf.Graph.t -> t
 (** A fresh overlay; channel delays receive seed-derived initial values.
     [seed] defaults to [0]. *)
 
-val fire : t -> Ccs_sdf.Graph.node -> unit
-(** Advance the overlay by one firing of a module: consume its inputs,
-    fold them into the module digest, emit its outputs (and record the
-    digest when the module is a sink).  Normally invoked by the machine's
-    fire hook ({!attach}), exposed for custom drivers.
-
-    @raise Invalid_argument if the shadow queues underflow — the overlay
-    missed firings and is out of sync with the machine. *)
-
 val attach : t -> Machine.t -> unit
-(** Install {!fire} as the machine's fire hook (replacing any other). *)
-
-val sink_outputs : t -> (Ccs_sdf.Graph.node * int list) list
-(** Per sink module, the value stream observed so far, oldest first. *)
+(** Install the overlay's token movement as the machine's fire hook
+    (replacing any other). *)
 
 val mismatches : reference:t -> t -> int
 (** Positions in the common prefix of each sink's stream where the two

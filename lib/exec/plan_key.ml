@@ -35,11 +35,7 @@ let pp_capacities caps =
   if Array.length caps = 0 then "planner-chosen"
   else String.concat "," (Array.to_list (Array.map string_of_int caps))
 
-let to_string t =
-  Printf.sprintf "%s/%s/caps=%s/v%d" t.graph_digest
-    (pp_cache_config t.cache_config)
-    (pp_capacities t.capacities)
-    t.planner_version
+
 
 (* --- wire form ------------------------------------------------------------ *)
 
@@ -111,4 +107,3 @@ let check ~path ~expected ~found =
       (string_of_int found.planner_version)
   else Ok ()
 
-let equal a b = check ~path:"" ~expected:a ~found:b = Ok ()

@@ -56,8 +56,6 @@ val check : path:string -> expected:t -> found:t -> (unit, Ccs_sdf.Error.t) resu
     [capacities], [planner version]) with rendered expected/found values.
     [path] labels the offending file in the error. *)
 
-val equal : t -> t -> bool
-
 val encode : Ccs_sdf.Binio.W.t -> t -> unit
 val decode : path:string -> Ccs_sdf.Binio.R.t -> t
 (** Binary round-trip for embedding keys in {!Ccs_sdf.Binio} records.
@@ -67,5 +65,3 @@ val policy_tag : Ccs_cache.Cache.policy -> int * int
 val policy_of_tag : path:string -> int -> int -> Ccs_cache.Cache.policy
 (** Wire helpers for the replacement policy, shared with the checkpoint
     format; [policy_of_tag] raises [Checkpoint_corrupt] on unknown tags. *)
-
-val to_string : t -> string

@@ -49,11 +49,3 @@ let imbalance t =
   let avg = total /. float_of_int t.processors in
   let mx = Array.fold_left Float.max 0. t.load in
   if avg = 0. then 1. else mx /. avg
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%d processors, imbalance %.3f@," t.processors
-    (imbalance t);
-  Array.iteri
-    (fun p l -> Format.fprintf fmt "  P%d load %.2f@," p l)
-    t.load;
-  Format.fprintf fmt "@]"

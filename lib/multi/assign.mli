@@ -25,5 +25,3 @@ val lpt :
 
 val imbalance : t -> float
 (** [max load / average load]; 1.0 is perfect balance. *)
-
-val pp : Format.formatter -> t -> unit

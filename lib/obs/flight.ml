@@ -33,7 +33,6 @@ let recent_logs t =
   let first = t.log_total - n in
   List.init n (fun i -> t.logs.((first + i) mod t.log_cap))
 
-let dumps t = t.dumps
 
 type dump = {
   trigger : string;

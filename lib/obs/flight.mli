@@ -26,9 +26,6 @@ val spans : t -> Span.t
 val note_log : t -> string -> unit
 (** Mirror one rendered log line into the ring (see {!Log.tee}). *)
 
-val dumps : t -> int
-(** Number of {!dump} calls so far on this recorder. *)
-
 (** A decoded flight dump. *)
 type dump = {
   trigger : string;  (** what fired the dump, e.g. ["deadline-exceeded"] *)
@@ -39,16 +36,6 @@ type dump = {
   spans : Span.span list;  (** oldest first *)
   logs : string list;  (** oldest first *)
 }
-
-val magic : string
-val version : int
-
-val snapshot : t -> trigger:string -> pid:int -> at_us:int -> dump
-(** Freeze the rings into a dump value and bump {!dumps}. *)
-
-val write : path:string -> dump -> unit
-(** Frame and atomically write a dump ({!Ccs_sdf.Binio.write_file}).
-    @raise Sys_error on I/O failure. *)
 
 val dump : t -> dir:string -> trigger:string -> pid:int -> at_us:int -> string
 (** [dump t ~dir ~trigger ~pid ~at_us] snapshots the recorder and

@@ -59,7 +59,6 @@ let tee t extra =
     now = t.now;
   }
 
-let level t = t.threshold
 let enabled t l = level_rank l >= level_rank t.threshold
 let lines t = t.seq
 
@@ -94,7 +93,6 @@ let log t l event fields =
     t.sink (Buffer.contents buf)
   end
 
-let debug t event fields = log t Debug event fields
 let info t event fields = log t Info event fields
 let warn t event fields = log t Warn event fields
 let error t event fields = log t Error event fields

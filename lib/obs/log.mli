@@ -18,12 +18,6 @@ val level_of_string : string -> level option
 
 type t
 
-val make : ?level:level -> ?now:(unit -> int) -> (string -> unit) -> t
-(** [make sink] routes each rendered line (without trailing newline) to
-    [sink].  Default threshold: [Info].  When [now] is supplied each
-    line carries a ["ts_us"] member with its value; the default (no
-    clock) keeps output byte-deterministic. *)
-
 val to_channel : ?level:level -> ?now:(unit -> int) -> out_channel -> t
 (** Flushes the channel after every line, so each event is durable the
     moment it is emitted — channel loggers back long-running processes
@@ -42,9 +36,6 @@ val tee : t -> (string -> unit) -> t
     from [t]'s current [seq] and the two do not share mutable state, so
     wrap once at process start. *)
 
-val level : t -> level
-val enabled : t -> level -> bool
-
 val lines : t -> int
 (** Events emitted so far (the next event's [seq]). *)
 
@@ -53,7 +44,6 @@ val log : t -> level -> string -> (string * Json.value) list -> unit
     threshold.  [event] names the event kind; [fields] are appended as
     JSON members after [seq]/[lvl]/[ev]. *)
 
-val debug : t -> string -> (string * Json.value) list -> unit
 val info : t -> string -> (string * Json.value) list -> unit
 val warn : t -> string -> (string * Json.value) list -> unit
 val error : t -> string -> (string * Json.value) list -> unit

@@ -166,8 +166,6 @@ let find t ?(labels = []) name =
 let value t ?labels name =
   Option.map (fun s -> t.cells.(s.base)) (find t ?labels name)
 
-let reset t = Array.fill t.cells 0 t.used 0
-
 (* --- absorbing snapshots --------------------------------------------------- *)
 
 (* The scrape merge: add one [to_json] document into [t], series by

@@ -14,7 +14,7 @@
     without coordination.
 
     Snapshots export in two formats: Prometheus text exposition
-    ({!to_prometheus}) and a JSON document ({!to_json}).  Values are
+    ({!to_prometheus}) and a JSON document ({!to_json_string}).  Values are
     integers throughout — the simulators count discrete events (misses,
     firings, logical ticks, bytes, microseconds). *)
 
@@ -60,11 +60,8 @@ val value : t -> ?labels:(string * string) list -> string -> int option
 
 val num_series : t -> int
 
-val reset : t -> unit
-(** Zero every registered series (registrations persist). *)
-
 val absorb : t -> Json.value -> unit
-(** Add the values of one {!to_json} document into [t], registering each
+(** Add the values of one {!to_json_string} document into [t], registering each
     series the first time it is seen (in document order: counters, then
     gauges, then histograms).  Absorbing every worker's snapshot into a
     fresh registry and rendering it with {!to_prometheus} is the daemon's
@@ -80,5 +77,4 @@ val to_prometheus : t -> string
     [_bucket{le="..."}] series plus [_sum]/[_count].  Empty log buckets
     are elided (the [+Inf] bucket is always present). *)
 
-val to_json : t -> Json.value
 val to_json_string : t -> string

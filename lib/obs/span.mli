@@ -51,9 +51,6 @@ val total : t -> int
 val dropped : t -> int
 (** Spans evicted by the ring ([total - length]). *)
 
-val iter : t -> f:(span -> unit) -> unit
-(** Retained spans, oldest first. *)
-
 val to_list : t -> span list
 (** Retained spans, oldest first. *)
 

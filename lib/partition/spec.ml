@@ -27,7 +27,6 @@ let of_assignment g a =
   { graph = g; component; num_components = !next }
 
 let whole g = of_assignment g (Array.make (Graph.num_nodes g) 0)
-let graph t = t.graph
 let num_components t = t.num_components
 let component_of t v = t.component.(v)
 

@@ -31,7 +31,6 @@ val of_assignment : Ccs_sdf.Graph.t -> int array -> t
 val whole : Ccs_sdf.Graph.t -> t
 (** All modules in one component. *)
 
-val graph : t -> Ccs_sdf.Graph.t
 val num_components : t -> int
 val component_of : t -> Ccs_sdf.Graph.node -> int
 val members : t -> int -> Ccs_sdf.Graph.node list

@@ -101,8 +101,11 @@ let create ?metrics ~program ~cache ~capacities () =
       let machine = Machine.create ?metrics ~graph:g ~cache ~capacities () in
       let n = Graph.num_nodes g and m = Graph.num_edges g in
       let edges f = Array.init n (fun v -> Array.of_list (f g v)) in
-      let in_edges = edges Graph.in_edges and out_edges = edges Graph.out_edges in
-      let scratch edges rate = Array.map (fun e -> Array.make (rate g e) 0.) edges in
+      let in_edges = edges Graph.in_edges in
+      let out_edges = edges Graph.out_edges in
+      let scratch rate =
+        Array.map (Array.map (fun e -> Array.make (rate g e) 0.))
+      in
       let t =
         {
           program;
@@ -112,8 +115,8 @@ let create ?metrics ~program ~cache ~capacities () =
           delays = Array.init m (Graph.delay g);
           in_edges;
           out_edges;
-          inputs = Array.map (fun es -> scratch es Graph.pop) in_edges;
-          outputs = Array.map (fun es -> scratch es Graph.push) out_edges;
+          inputs = scratch Graph.pop in_edges;
+          outputs = scratch Graph.push out_edges;
           capacities = Array.copy capacities;
         }
       in
@@ -138,7 +141,8 @@ let run_plan ?budget t plan ~outputs =
       (Ccs_sched.Runner.drive ?budget t.machine ~plan ~outputs)
 
 let of_plan ~program ~cache ~plan () =
-  match create ~program ~cache ~capacities:plan.Ccs_sched.Plan.capacities () with
+  let capacities = plan.Ccs_sched.Plan.capacities in
+  match create ~program ~cache ~capacities () with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.of_plan: " ^ E.to_string e)
 

@@ -1,4 +1,4 @@
-(** The real signal-processing kernels of the FM receiver example
+(** The signal-processing kernels of the FM receiver example
     ([examples/fm_receiver_demo.ml]).
 
     Each constructor documents the rate signature it expects; wiring a
@@ -25,7 +25,7 @@ val fir : taps:float array -> Kernel.t
     any pop/push rates (consumes pop samples, emits push filtered samples —
     for decimating modules with pop > push the extra samples still shift
     through the delay line).  Its state is [2·taps] words (coefficients +
-    delay line), matching {!Ccs_apps.Fir.fir_state}. *)
+    delay line), as the FIR modules of {!Ccs_apps.Fir} declare. *)
 
 val fm_demodulate : state_words:int -> Kernel.t
 (** Rectified slope detector: output is [|x(n) - x(n-1)|], whose low-passed

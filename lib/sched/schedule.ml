@@ -33,11 +33,6 @@ let rec iter t ~f =
         iter body ~f
       done
 
-let to_list t =
-  let acc = ref [] in
-  iter t ~f:(fun v -> acc := v :: !acc);
-  List.rev !acc
-
 let fire_counts ~num_nodes t =
   let counts = Array.make num_nodes 0 in
   let rec go mult = function

@@ -25,9 +25,6 @@ val length : t -> int
 val iter : t -> f:(Ccs_sdf.Graph.node -> unit) -> unit
 (** Visit every firing in execution order. *)
 
-val to_list : t -> Ccs_sdf.Graph.node list
-(** Flattened firing sequence (use only for small schedules/tests). *)
-
 val fire_counts : num_nodes:int -> t -> int array
 (** How many times each module fires, computed without unrolling. *)
 

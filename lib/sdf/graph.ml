@@ -263,7 +263,6 @@ let state g v = check_node g v; g.state.(v)
 let total_state g = Array.fold_left ( + ) 0 g.state
 let in_edges g v = check_node g v; g.in_edges.(v)
 let out_edges g v = check_node g v; g.out_edges.(v)
-let degree g v = List.length (in_edges g v) + List.length (out_edges g v)
 let src g e = check_edge g e; g.edge_src.(e)
 let dst g e = check_edge g e; g.edge_dst.(e)
 let push g e = check_edge g e; g.push.(e)

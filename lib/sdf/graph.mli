@@ -88,9 +88,6 @@ val in_edges : t -> node -> edge list
 val out_edges : t -> node -> edge list
 (** Outgoing channels of a module, in insertion order. *)
 
-val degree : t -> node -> int
-(** Total number of incident channels. *)
-
 (** {1 Per-channel accessors} *)
 
 val src : t -> edge -> node

@@ -25,7 +25,6 @@ let make num den =
     if g = 0 then { num = 0; den = 1 } else { num = num / g; den = den / g }
 
 let of_int n = { num = n; den = 1 }
-let zero = of_int 0
 let one = of_int 1
 let num q = q.num
 let den q = q.den
@@ -75,8 +74,6 @@ let compare a b =
           (float_of_int b.num /. float_of_int b.den)
 
 let equal a b = a.num = b.num && a.den = b.den
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let is_integer a = a.den = 1
 
 let to_int_exn a =

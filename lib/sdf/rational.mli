@@ -23,7 +23,6 @@ val make : int -> int -> t
 
 val of_int : int -> t
 
-val zero : t
 val one : t
 
 val num : t -> int
@@ -40,8 +39,6 @@ val mul_int : t -> int -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val is_integer : t -> bool
 

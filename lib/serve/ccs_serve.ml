@@ -7,7 +7,7 @@
     digest, cache configuration, pinned capacities, planner version — so
     repeat requests are answered from disk.  Request/cache/error counters
     and latency histograms are published per worker as
-    {!Ccs.Metrics.to_json} snapshots and merged for Prometheus scrapes by
+    {!Ccs.Metrics.to_json_string} snapshots and merged for Prometheus scrapes by
     absorbing them into one registry ({!Ccs.Metrics.absorb},
     {!Server.scrape}). *)
 

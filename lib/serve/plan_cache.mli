@@ -14,9 +14,6 @@
     same key are safe: the last complete record wins, and both are
     byte-identical anyway because planning is deterministic. *)
 
-val magic : string
-val version : int
-
 val path : dir:string -> Ccs.Plan_key.t -> string
 (** Where a key's record lives: [dir/<digest>.ccsplan]. *)
 

@@ -204,7 +204,7 @@ module Pipeline = struct
        gain of the edge chain[j-1] -> chain[j]. *)
     let dp = Array.make (n + 1) None in
     let choice = Array.make (n + 1) (-1) in
-    dp.(0) <- Some Q.zero;
+    dp.(0) <- Some (Q.of_int 0);
     for i = 1 to n do
       (* Last segment is chain[j .. i-1]; iterate j from i-1 down while the
          segment still fits. *)
@@ -216,7 +216,7 @@ module Pipeline = struct
         if !seg_state > bound then continue_scan := false
         else begin
           let cost_before =
-            if !j = 0 then Some Q.zero
+            if !j = 0 then Some (Q.of_int 0)
             else
               match dp.(!j) with
               | None -> None
@@ -394,7 +394,7 @@ module Rational_partition = struct
     let bandwidth t analysis =
       List.fold_left
         (fun acc e -> Q.add acc (Sdf_oracle.edge_gain analysis e))
-        Q.zero (cross_edges t)
+        (Q.of_int 0) (cross_edges t)
   end
 
   module Dag = struct
@@ -528,13 +528,13 @@ module Rational_partition = struct
          it were paid by their source's segment). *)
       let dp = Array.make (n + 1) None in
       let choice = Array.make (n + 1) (-1) in
-      dp.(0) <- Some Q.zero;
+      dp.(0) <- Some (Q.of_int 0);
       for i = 1 to n do
         let hi = i - 1 in
         (* Scan segment starts j = hi downto 0, maintaining the segment's
            state, outgoing gain past position hi, and cross-edge degree. *)
         let state = ref 0 in
-        let outgo = ref Q.zero in
+        let outgo = ref (Q.of_int 0) in
         let degree = ref 0 in
         let j = ref hi in
         let feasible = ref true in
@@ -690,10 +690,10 @@ module Rational_partition = struct
               if (s_mask lsr s) land 1 = 1 && (outside lsr d) land 1 = 1 then
                 Q.add acc gain
               else acc)
-            Q.zero edges
+            (Q.of_int 0) edges
         in
         let rec solve ideal =
-          if ideal = full then (Q.zero, [])
+          if ideal = full then ((Q.of_int 0), [])
           else
             match Hashtbl.find_opt memo ideal with
             | Some r -> r
@@ -788,7 +788,7 @@ module Rational_partition = struct
       let n = Array.length chain in
       (* Carve maximal disjoint segments of state >= 2m, greedily from the
          head; each contributes the gain of its gain-minimizing edge. *)
-      let total = ref Q.zero in
+      let total = ref (Q.of_int 0) in
       let lo = ref 0 in
       let acc = ref 0 in
       for i = 0 to n - 1 do

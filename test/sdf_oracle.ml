@@ -43,5 +43,11 @@ let closed_form_bound g e =
   let pu = Graph.push g e and po = Graph.pop g e in
   pu + po - Q.gcd pu po + Graph.delay g e
 
+(* A schedule's flattened firing sequence (small schedules only). *)
+let firings s =
+  let acc = ref [] in
+  Ccs.Schedule.iter s ~f:(fun v -> acc := v :: !acc);
+  List.rev !acc
+
 (* Two schedules denote the same firing sequence. *)
-let equivalent a b = Ccs.Schedule.to_list a = Ccs.Schedule.to_list b
+let equivalent a b = firings a = firings b

@@ -31,7 +31,6 @@ let test_basic_accessors () =
   Alcotest.(check int) "delay e1" 0 (G.delay g e1);
   Alcotest.(check (list int)) "out a" [ e1 ] (G.out_edges g a);
   Alcotest.(check (list int)) "in a" [ e0 ] (G.in_edges g a);
-  Alcotest.(check int) "degree a" 2 (G.degree g a);
   Alcotest.(check int) "source" source (G.source g);
   Alcotest.(check int) "sink" sink (G.sink g);
   Alcotest.(check (list int)) "edges" [ e0; e1; e2 ] (G.edges g)

@@ -42,11 +42,9 @@ let test_word_addressing () =
   let l = L.create () in
   let _ = L.alloc l ~len:10 in
   let r = L.alloc l ~len:4 in
-  Alcotest.(check int) "word 0" 10 (L.word r 0);
-  Alcotest.(check int) "word 3" 13 (L.word r 3);
-  Alcotest.check_raises "out of region"
-    (Invalid_argument "Layout.word: out of region") (fun () ->
-      ignore (L.word r 4))
+  Alcotest.(check int) "first word" 10 r.L.base;
+  Alcotest.(check int) "words" 4 r.L.length;
+  Alcotest.(check int) "high-water mark" 14 (L.size l)
 
 let test_disjointness_under_mixed_aligns () =
   let l = L.create ~align:8 () in

@@ -26,7 +26,7 @@ let test_initial_state () =
   let m, _, _, _, e0, e1 = machine () in
   Alcotest.(check int) "no tokens" 0 (M.tokens m e0);
   Alcotest.(check int) "capacity" 4 (M.capacity m e0);
-  Alcotest.(check int) "space" 6 (M.space m e1);
+  Alcotest.(check int) "space" 6 (M.capacity m e1 - M.tokens m e1);
   Alcotest.(check int) "no fires" 0 (M.total_fires m)
 
 let test_firing_rules () =

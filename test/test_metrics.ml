@@ -24,10 +24,7 @@ let test_counter_gauge_basics () =
   Alcotest.(check int) "counter" 7 (M.counter_value c);
   Alcotest.(check int) "gauge" 42 (M.gauge_value g);
   Alcotest.(check (option int)) "by name" (Some 7) (M.value t "requests_total");
-  Alcotest.(check int) "series" 2 (M.num_series t);
-  M.reset t;
-  Alcotest.(check int) "reset counter" 0 (M.counter_value c);
-  Alcotest.(check int) "reset gauge" 0 (M.gauge_value g)
+  Alcotest.(check int) "series" 2 (M.num_series t)
 
 let test_registration_idempotent () =
   let t = M.create () in
@@ -143,7 +140,7 @@ let test_log_json_lines () =
   let buf = Buffer.create 256 in
   let log = Ccs.Log.to_buffer buf in
   Ccs.Log.info log "epoch" [ ("epoch", Ccs.Json.Int 1) ];
-  Ccs.Log.debug log "invisible" [] (* below threshold *);
+  Ccs.Log.log log Ccs.Log.Debug "invisible" [] (* below threshold *);
   Ccs.Log.warn log "retry" [ ("site", Ccs.Json.String "du\"de") ];
   Alcotest.(check int) "two lines counted" 2 (Ccs.Log.lines log);
   let lines =

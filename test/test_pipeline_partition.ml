@@ -171,7 +171,7 @@ let test_dp_exhaustive_check () =
       (* Check boundedness. *)
       let ok = ref true in
       let seg_state = ref 0 in
-      let cost = ref Q.zero in
+      let cost = ref (Q.of_int 0) in
       Array.iteri
         (fun i v ->
           seg_state := !seg_state + G.state g v;

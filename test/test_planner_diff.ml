@@ -393,7 +393,7 @@ let plan_agrees ?cache ?spec g (plan : Ccs.Plan.t) =
    the tree; the others fire a random module.  Trees the oracle could
    not replay quickly (over 2,000 firings) are dropped. *)
 let nested_trees rng g walk =
-  let walk = Array.of_list (Sch.to_list walk) in
+  let walk = Array.of_list (Sdf_oracle.firings walk) in
   let next = ref 0 in
   let leaf () =
     if Array.length walk = 0 || Random.State.int rng 4 = 0 then
@@ -455,7 +455,7 @@ let random_schedules g =
     pass;
     Sch.repeat 2 pass;
     Sch.seq [ pass; Sch.fire (Random.State.int rng (G.num_nodes g)) ];
-    Sch.of_list (List.rev (Sch.to_list pass));
+    Sch.of_list (List.rev (Sdf_oracle.firings pass));
     walk ~legal:false 40;
     walk ~legal:true 40;
   ]

@@ -100,7 +100,7 @@ let prop_whole_partition_zero_bandwidth =
   QCheck2.Test.make ~name:"whole partition has zero bandwidth" ~count:80
     gen_any_graph (fun g ->
       let a = R.analyze_exn g in
-      Q.equal (Sp.bandwidth (Sp.whole g) a) Q.zero)
+      Q.equal (Sp.bandwidth (Sp.whole g) a) (Q.of_int 0))
 
 let prop_singletons_bandwidth_total =
   QCheck2.Test.make ~name:"singleton partition bandwidth = sum of edge gains"
@@ -109,7 +109,7 @@ let prop_singletons_bandwidth_total =
       let total =
         List.fold_left
           (fun acc e -> Q.add acc (Sdf_oracle.edge_gain a e))
-          Q.zero (G.edges g)
+          (Q.of_int 0) (G.edges g)
       in
       Q.equal (Sp.bandwidth (Sdf_oracle.singletons g) a) total)
 

@@ -188,7 +188,8 @@ let engine_for g fault =
   let cfg = Ccs.Config.make ~cache_words:256 ~block_words:16 () in
   let choice = Ccs.Auto.plan ~dynamic:false g cfg in
   let program =
-    Ccs.Program.inject fault (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
+    Ccs.Program.inject fault
+      (Ccs.Program.create g (Ccs.Codegen.codegen_semantics g))
   in
   ( Ccs.Engine.create ~program ~cache:(Ccs.Config.cache_config cfg)
       ~capacities:choice.Ccs.Auto.plan.Ccs.Plan.capacities (),
