@@ -10,7 +10,6 @@ type t = {
   machine : Machine.t;
   states : float array array;
   rings : float array array;
-  delays : int array;
   in_edges : int array array;
   out_edges : int array array;
   inputs : float array array array;
@@ -69,7 +68,7 @@ let move_data t v =
     let e = outs.(i) in
     let ring = t.rings.(e) and buf = outputs.(i) in
     let cap = Array.length ring and push = Array.length buf in
-    let base = t.delays.(e) + Machine.produced m e - push in
+    let base = Graph.delay g e + Machine.produced m e - push in
     for j = 0 to push - 1 do
       let x = buf.(j) in
       if not (Float.is_finite x) then non_finite (Graph.node_name g v) x;
@@ -112,7 +111,6 @@ let create ?metrics ~program ~cache ~capacities () =
           machine;
           states = init_states program;
           rings = Array.init m (fun e -> Array.make capacities.(e) 0.);
-          delays = Array.init m (Graph.delay g);
           in_edges;
           out_edges;
           inputs = scratch Graph.pop in_edges;
