@@ -240,7 +240,7 @@ let () =
           Alcotest.test_case "feasible multirate" `Quick
             test_feasible_multirate;
         ] );
-      ( "any-graph kernels",
+      ( "any-graph",
         [
           Alcotest.test_case "every app runs data" `Slow
             test_any_graph_every_app_runs_data;
